@@ -2,11 +2,17 @@
 // controller.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "cluster/runner.hpp"
 #include "core/adaptive_controller.hpp"
 #include "core/pair_schedule.hpp"
 #include "core/phase_detector.hpp"
 #include "core/phase_plan.hpp"
+#include "exp/artifact.hpp"
+#include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace iosim::core {
@@ -110,16 +116,15 @@ TEST(PhaseDetector, ChainsExistingCallbacks) {
   cluster::Cluster cl(tiny());
   auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
   mapred::Job job(cl.env(), jc, 3);
-  bool user_cb = false;
-  job.on_maps_done = [&](Time) { user_cb = true; };
-  bool detector_cb = false;
+  // Both observers see maps-done, the one installed first runs first.
+  std::vector<std::string> order;
+  job.on_maps_done = [&](Time) { order.push_back("user"); };
   PhaseDetector::attach(job, PhasePlan{true}, [&](int ph, Time) {
-    if (ph == 1) detector_cb = true;
+    if (ph == 1) order.push_back("detector");
   });
   job.run();
   cl.simr().run();
-  EXPECT_TRUE(user_cb);
-  EXPECT_TRUE(detector_cb);
+  EXPECT_EQ(order, (std::vector<std::string>{"user", "detector"}));
 }
 
 TEST(AdaptiveController, SwitchesAtMapsDone) {
@@ -249,6 +254,37 @@ TEST(AdaptiveController, DelayedSwitchStillLands) {
   EXPECT_EQ(ctl->switches_performed(), 1);  // accepted, just late
   EXPECT_EQ(ctl->switch_failures(), 0);
   EXPECT_EQ(final_pair.vmm, SchedulerKind::kDeadline);
+}
+
+// Whole-run trace digests of single-job controller runs whose switch
+// commands fail and retry, or land late. Any change to when the controller
+// issues, retries or supersedes a switch, or to what it traces, moves them.
+std::uint64_t traced_controller_digest(const ClusterConfig& cfg,
+                                       const mapred::JobConf& jc) {
+  trace::TraceSession session;
+  const auto r =
+      cluster::run_job(cfg, jc, [&](cluster::Cluster& cl, mapred::Job& job) {
+        AdaptiveController::attach(cl, job, to_deadline(cfg), PhasePlan{true});
+      });
+  EXPECT_FALSE(r.failed);
+  return exp::fnv1a64(session.tracer().to_json());
+}
+
+TEST(AdaptiveController, RetryTraceDigestIsPinned) {
+  auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
+  const double t_maps =
+      cluster::run_job(tiny_with_faults("switchfail:p=1,from=9e9"), jc)
+          .ph1_seconds;
+  char plan[64];
+  std::snprintf(plan, sizeof plan, "switchfail:p=1,until=%.3f", t_maps + 1.0);
+  EXPECT_EQ(traced_controller_digest(tiny_with_faults(plan), jc),
+            0x02939e8e946623d7ULL);
+}
+
+TEST(AdaptiveController, DelayedSwitchTraceDigestIsPinned) {
+  auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
+  EXPECT_EQ(traced_controller_digest(tiny_with_faults("switchdelay:delay=2"), jc),
+            0x04a805fbf5960ffcULL);
 }
 
 }  // namespace

@@ -115,9 +115,17 @@ tenancy::StreamSpec spec_with_meta(const std::string& meta_body) {
 
 std::uint64_t traced_policy_digest(const tenancy::StreamSpec& spec,
                                    std::uint64_t seed,
-                                   MetaStreamResult* out = nullptr) {
+                                   MetaStreamResult* out = nullptr,
+                                   const std::string& fault_plan = "") {
+  cluster::ClusterConfig cfg = small_cluster(seed);
+  if (!fault_plan.empty()) {
+    std::string err;
+    const auto plan = fault::FaultPlan::parse(fault_plan, &err);
+    EXPECT_TRUE(plan.has_value()) << err;
+    cfg.faults = plan.value_or(fault::FaultPlan{});
+  }
   trace::TraceSession session;
-  const MetaStreamResult r = run_stream_with_policy(small_cluster(seed), spec);
+  const MetaStreamResult r = run_stream_with_policy(cfg, spec);
   EXPECT_TRUE(r.stream.ok) << r.stream.error;
   if (out != nullptr) *out = r;
   return exp::fnv1a64(session.tracer().to_json());
@@ -135,6 +143,81 @@ TEST(OnlineScheduler, SameSeedIsByteIdenticalWithOnlineControllerOn) {
   EXPECT_GT(ra.arm_pulls, 0);  // the bandit actually ran
   // A different seed must actually move the simulation.
   EXPECT_NE(a, traced_policy_digest(spec, 12));
+}
+
+// Whole-run trace digests of every policy-driven controller path: the
+// bandit (both policies), the offline pipeline, the decay path (a VM crash
+// mid-stream) and the bandit's switch-failure telemetry. Any change to when
+// a controller pulls, switches, retries or what it traces moves these.
+TEST(OnlineScheduler, PolicyTraceDigestsArePinned) {
+  MetaStreamResult ucb, egreedy, offline;
+  EXPECT_EQ(traced_policy_digest(spec_with_meta("policy=ucb"), 11, &ucb),
+            0xba384ba7d25d5861ULL);
+  EXPECT_EQ(traced_policy_digest(spec_with_meta("policy=egreedy"), 11, &egreedy),
+            0xf37c04d25f269930ULL);
+  EXPECT_EQ(traced_policy_digest(spec_with_meta("policy=offline"), 11, &offline),
+            0x2083051abcd9a7a9ULL);
+  // The pins must cover real switches, not just pulls.
+  EXPECT_GT(ucb.arm_switches, 0);
+  EXPECT_GT(egreedy.arm_switches, 0);
+}
+
+TEST(OnlineScheduler, FaultPathTraceDigestsArePinned) {
+  MetaStreamResult crash, ucb_fail;
+  EXPECT_EQ(traced_policy_digest(spec_with_meta("policy=ucb"), 11, &crash,
+                                 "vmcrash:vm=0,from=30"),
+            0x5bdc1d5b8ad6ed4fULL);
+  EXPECT_GE(crash.decays, 1);
+  EXPECT_EQ(traced_policy_digest(spec_with_meta("policy=ucb"), 11, &ucb_fail,
+                                 "switchfail:p=0.5"),
+            0xf154b3be1abfdb49ULL);
+  EXPECT_GT(ucb_fail.switch_failures, 0);
+}
+
+// Algorithm 1 falls back to one pair on these short streams, so the offline
+// pin above never switches. Replay a hand-built schedule that does: cfq
+// for maps, deadline once the cluster shuffles, anticipatory for reduces.
+std::uint64_t traced_player_digest(const std::string& fault_plan,
+                                   int* switches, int* failures) {
+  cluster::ClusterConfig cfg = small_cluster(11);
+  if (!fault_plan.empty()) {
+    std::string err;
+    const auto plan = fault::FaultPlan::parse(fault_plan, &err);
+    EXPECT_TRUE(plan.has_value()) << err;
+    cfg.faults = plan.value_or(fault::FaultPlan{});
+  }
+  PairSchedule sched;
+  sched.phases = {cfg.pair,
+                  iosched::SchedulerPair{iosched::SchedulerKind::kDeadline,
+                                         iosched::SchedulerKind::kDeadline},
+                  iosched::SchedulerPair{iosched::SchedulerKind::kAnticipatory,
+                                         iosched::SchedulerKind::kCfq}};
+  trace::TraceSession session;
+  std::shared_ptr<SchedulePlayer> player;
+  const auto r = tenancy::run_stream(
+      cfg, spec_with_meta(""), [&](cluster::Cluster& cl, mapred::Job& job, int) {
+        if (!player) player = SchedulePlayer::create(cl, sched, PhasePlan{false});
+        player->attach_stream_job(job);
+      });
+  EXPECT_TRUE(r.ok) << r.error;
+  *switches = player->switches_performed();
+  trace::Tracer& tr = session.tracer();
+  const std::uint32_t core = tr.track("core");
+  *failures = 0;
+  tr.for_each([&](const trace::Event& e) {
+    if (e.track == core && e.name == tr.ids.switch_fail) ++*failures;
+  });
+  return exp::fnv1a64(tr.to_json());
+}
+
+TEST(SchedulePlayer, ReplayTraceDigestsArePinned) {
+  int switches = 0, failures = 0;
+  EXPECT_EQ(traced_player_digest("", &switches, &failures), 0x0b1364edf7c77e1aULL);
+  EXPECT_GT(switches, 1);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(traced_player_digest("switchfail:p=0.5", &switches, &failures),
+            0x5d79553d9b71c374ULL);
+  EXPECT_GT(failures, 0);
 }
 
 TEST(OnlineScheduler, OnlineStaysCompetitiveWithOfflineOnStationaryStream) {
