@@ -1,7 +1,6 @@
 #include "cluster/runner.hpp"
 
 #include <cassert>
-#include <utility>
 
 #include "check/check.hpp"
 #include "obs/attribution.hpp"
@@ -19,16 +18,8 @@ RunResult run_job(const ClusterConfig& cfg, const mapred::JobConf& job_conf,
     // Key attribution records by MapReduce phase: 0 = map, 1 = shuffle,
     // 2 = reduce. Chain onto (not over) any milestone hooks `setup` set.
     at->set_phase(0);
-    auto prev_maps = std::move(job.on_maps_done);
-    job.on_maps_done = [at, prev = std::move(prev_maps)](sim::Time t) {
-      if (prev) prev(t);
-      at->set_phase(1);
-    };
-    auto prev_shuffle = std::move(job.on_shuffle_done);
-    job.on_shuffle_done = [at, prev = std::move(prev_shuffle)](sim::Time t) {
-      if (prev) prev(t);
-      at->set_phase(2);
-    };
+    job.append_hooks({.on_maps_done = [at](sim::Time) { at->set_phase(1); },
+                      .on_shuffle_done = [at](sim::Time) { at->set_phase(2); }});
   }
   job.run();
   cl.simr().run();

@@ -1,55 +1,41 @@
 #include "core/adaptive_controller.hpp"
 
 #include <cassert>
+#include <utility>
 
-#include "core/online_scheduler.hpp"
-#include "trace/trace.hpp"
-#include "virt/physical_host.hpp"
+#include "core/phase_detector.hpp"
 
 namespace iosim::core {
 
 AdaptiveController::AdaptiveController(cluster::Cluster& cl, PairSchedule schedule)
-    : cl_(cl), schedule_(std::move(schedule)), switcher_(PairSwitcher::create(cl)) {
-  switcher_->on_switched = [&cl](int phase, iosched::SchedulerPair p) {
-    if (auto* tr = trace::tracer()) {
-      tr->instant(tr->track("core"), tr->ids.pair_switch, tr->ids.cat_core,
-                  cl.simr().now(), tr->ids.index, phase, tr->ids.pair,
-                  virt::PhysicalHost::pair_code(p));
-    }
-  };
-  switcher_->on_switch_failed = [&cl](int phase, int attempt) {
-    if (auto* tr = trace::tracer()) {
-      tr->instant(tr->track("core"), tr->ids.switch_fail, tr->ids.cat_core,
-                  cl.simr().now(), tr->ids.index, phase, tr->ids.attempt,
-                  attempt);
-    }
-  };
+    : PairController(cl), schedule_(std::move(schedule)) {}
+
+std::shared_ptr<AdaptiveController> AdaptiveController::create(
+    cluster::Cluster& cl, PairSchedule schedule) {
+  assert(cl.pair() == schedule.initial() &&
+         "boot the cluster with schedule.initial(); phase 0 is not a switch");
+  return std::shared_ptr<AdaptiveController>(
+      new AdaptiveController(cl, std::move(schedule)));
 }
 
 std::shared_ptr<AdaptiveController> AdaptiveController::attach(
     cluster::Cluster& cl, mapred::Job& job, PairSchedule schedule, PhasePlan plan) {
   assert(schedule.count() == plan.count());
-  assert(cl.pair() == schedule.initial() &&
-         "boot the cluster with schedule.initial(); phase 0 is not a switch");
-
-  auto ctl = std::shared_ptr<AdaptiveController>(
-      new AdaptiveController(cl, std::move(schedule)));
-  PhaseDetector::attach(job, plan, [ctl](int phase, sim::Time t) {
-    ctl->enter_phase(phase, t);
-  });
+  auto ctl = create(cl, std::move(schedule));
+  ctl->attach_job(job, plan, /*phase_offset=*/0);
   return ctl;
 }
 
-std::shared_ptr<OnlineScheduler> AdaptiveController::attach_online(
-    cluster::Cluster& cl, mapred::Job& job, PhasePlan plan,
-    std::shared_ptr<OnlineScheduler> scheduler) {
-  if (!scheduler) scheduler = OnlineScheduler::create(cl, OnlineConfig{});
-  scheduler->attach_single_job(job, plan);
-  return scheduler;
+void AdaptiveController::attach_job(mapred::Job& job, PhasePlan plan,
+                                    int phase_offset) {
+  auto self = std::static_pointer_cast<AdaptiveController>(shared_from_this());
+  PhaseDetector::attach(job, plan, [self, phase_offset](int phase, sim::Time t) {
+    self->enter_phase(phase_offset + phase, t);
+  });
 }
 
 void AdaptiveController::enter_phase(int phase, sim::Time) {
-  switcher_->supersede();  // a retry pending for the previous phase is stale
+  supersede();  // a retry pending for the previous phase is stale
   if (phase == 0) return;  // installed at boot
   if (phase >= schedule_.count()) return;
   const auto& target = schedule_.phases[static_cast<std::size_t>(phase)];
@@ -58,7 +44,7 @@ void AdaptiveController::enter_phase(int phase, sim::Time) {
   // schedulers still costs time; the heuristic therefore encodes "same as
   // before" as 0 instead of a redundant switch. We honour an explicit
   // same-pair entry by performing the (costly) switch anyway.
-  switcher_->request(phase, *target);
+  request_switch(phase, *target);
 }
 
 }  // namespace iosim::core

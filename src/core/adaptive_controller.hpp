@@ -1,10 +1,10 @@
 // iosim: the runtime half of the meta-scheduler — applies a PairSchedule
-// to a live cluster at the phase boundaries the detector reports.
+// to a live cluster at the phase boundaries each job's PhaseDetector
+// reports.
 //
-// Failure semantics: the switch command travels through the cluster's fault
-// layer via the shared PairSwitcher (core/pair_switcher.hpp). A failed
-// command leaves the old pair installed and is retried with capped
-// exponential backoff; a retry is abandoned the moment a newer phase
+// Failure semantics are the PairController's (core/pair_controller.hpp): a
+// failed switch command leaves the old pair installed and is retried with
+// capped exponential backoff; a retry is abandoned the moment a newer phase
 // boundary arrives (its target pair has been superseded). The controller
 // therefore degrades gracefully: the job keeps running under the previous
 // pair until a retry lands.
@@ -13,57 +13,41 @@
 #include <memory>
 
 #include "cluster/cluster.hpp"
+#include "core/pair_controller.hpp"
 #include "core/pair_schedule.hpp"
-#include "core/pair_switcher.hpp"
-#include "core/phase_detector.hpp"
+#include "core/phase_plan.hpp"
 
 namespace iosim::core {
 
-class OnlineScheduler;
-
-class AdaptiveController : public std::enable_shared_from_this<AdaptiveController> {
+class AdaptiveController : public PairController {
  public:
   /// Attach a controller to a job about to run on `cl`. The cluster must
   /// have been booted with `schedule.initial()` (construction-time install;
-  /// no switch cost). Subsequent phases that name a different pair trigger
-  /// a cluster-wide switch, paying the elevator quiesce on every block
-  /// layer in the cluster — exactly the cost the paper's heuristic must
-  /// amortize. Returns a handle that reports how many switches happened;
-  /// the controller keeps itself alive through the job's callbacks.
+  /// no switch cost). Subsequent phases that name a pair trigger a
+  /// cluster-wide switch, paying the elevator quiesce on every block layer
+  /// in the cluster — exactly the cost the paper's heuristic must amortize.
+  /// Returns a handle that reports how many switches happened; the
+  /// controller keeps itself alive through the job's callbacks.
   static std::shared_ptr<AdaptiveController> attach(cluster::Cluster& cl,
                                                     mapred::Job& job,
                                                     PairSchedule schedule,
                                                     PhasePlan plan);
 
-  /// Online variant: phase boundaries feed a (possibly shared) bandit
-  /// learning state instead of a precomputed schedule — the offline
-  /// profiling pass is replaced by live reward estimation. Returns the
-  /// scheduler so callers can read pull/switch counts; see
-  /// core/online_scheduler.hpp.
-  static std::shared_ptr<OnlineScheduler> attach_online(
-      cluster::Cluster& cl, mapred::Job& job, PhasePlan plan,
-      std::shared_ptr<OnlineScheduler> scheduler);
+  /// A controller for a whole job chain on `cl` (booted with
+  /// `schedule.initial()`): attach every job with attach_job.
+  static std::shared_ptr<AdaptiveController> create(cluster::Cluster& cl,
+                                                    PairSchedule schedule);
 
-  int switches_performed() const { return switcher_->switches(); }
-  /// Switch commands rejected by the fault layer (each schedules a retry).
-  int switch_failures() const { return switcher_->failures(); }
-  /// Retries that were actually issued (abandoned ones don't count).
-  int switch_retries() const { return switcher_->retries(); }
-
-  /// Retry timing/budget, re-exported from the shared switcher so existing
-  /// call sites keep compiling against the historical names.
-  static constexpr sim::Time kRetryBase = PairSwitcher::kRetryBase;
-  static constexpr sim::Time kRetryCap = PairSwitcher::kRetryCap;
-  static constexpr int kMaxRetries = PairSwitcher::kMaxRetries;
+  /// Replay the schedule at `job`'s phase boundaries: its local phase i is
+  /// schedule phase `phase_offset + i`.
+  void attach_job(mapred::Job& job, PhasePlan plan, int phase_offset);
 
  private:
   AdaptiveController(cluster::Cluster& cl, PairSchedule schedule);
 
-  void enter_phase(int phase, sim::Time t);
+  void enter_phase(int phase, sim::Time t) override;
 
-  cluster::Cluster& cl_;
   PairSchedule schedule_;
-  std::shared_ptr<PairSwitcher> switcher_;
 };
 
 }  // namespace iosim::core

@@ -3,11 +3,13 @@
 // the VMs within the same physical node and based on the status of the
 // VMs' I/O (i.e. the number of requests)").
 //
-// Unlike the coarse AdaptiveController — which assumes the MapReduce stages
-// are synchronized cluster-wide and switches every host at the global phase
-// boundary — this controller samples each host's Dom0 I/O composition
-// (read/write byte mix and observed load) on a fixed period, classifies the
-// host's current regime, and switches that host's pair independently. A
+// Unlike the PairController family (core/pair_controller.hpp) — which
+// assumes the MapReduce stages are synchronized cluster-wide and issues one
+// switch command for every host at a phase boundary — this controller
+// samples each host's Dom0 I/O composition (read/write byte mix and observed
+// load) on a fixed period, classifies the host's current regime, and
+// switches that host's pair independently with PhysicalHost::set_pair. It
+// has no cluster-wide switch command, so it stays outside that base. A
 // SwitchPredictor gates each switch so hosts don't thrash when the expected
 // benefit cannot repay the quiesce cost.
 #pragma once

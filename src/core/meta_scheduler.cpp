@@ -57,7 +57,7 @@ Experiment make_chain_experiment(cluster::ClusterConfig cfg,
                                  std::vector<mapred::JobConf> confs,
                                  int seeds_per_eval) {
   Experiment e;
-  const int per_job = 2;  // maps / rest, the paper's merged plan
+  constexpr int per_job = 2;  // maps / rest, the paper's merged plan
   e.phases = per_job * static_cast<int>(confs.size());
 
   e.profile = [cfg, confs, seeds_per_eval](iosched::SchedulerPair p) {
@@ -81,21 +81,15 @@ Experiment make_chain_experiment(cluster::ClusterConfig cfg,
   e.execute = [cfg, confs, seeds_per_eval](const PairSchedule& schedule) {
     cluster::ClusterConfig c = cfg;
     c.pair = schedule.initial();
+    // One controller per chain run (each seed boots a fresh cluster); job k
+    // replays schedule phases 2k and 2k+1.
+    std::shared_ptr<AdaptiveController> ctl;
     const auto chain = cluster::run_job_chain_avg(
         c, confs, seeds_per_eval,
-        [&schedule](cluster::Cluster& cl, mapred::Job& job, int idx) {
-          PhaseDetector::attach(
-              job, PhasePlan{/*merge_shuffle_tail=*/true},
-              [&cl, &schedule, idx](int local_phase, sim::Time) {
-                const int global = 2 * idx + local_phase;
-                if (global == 0) return;  // installed at boot
-                if (global >= schedule.count()) return;
-                const auto& target =
-                    schedule.phases[static_cast<std::size_t>(global)];
-                if (!target.has_value()) return;
-                if (*target == cl.pair()) return;
-                cl.switch_pair(*target);
-              });
+        [&schedule, &ctl](cluster::Cluster& cl, mapred::Job& job, int idx) {
+          if (idx == 0) ctl = AdaptiveController::create(cl, schedule);
+          ctl->attach_job(job, PhasePlan{/*merge_shuffle_tail=*/true},
+                          per_job * idx);
         });
     cluster::RunResult out;
     out.seconds = chain.seconds;

@@ -128,7 +128,9 @@ class MetaScheduler {
 
 /// Build the chain experiment: `confs` run back to back, two phases per job
 /// (maps / rest), adaptive switches at every job start and maps-done
-/// boundary after the first. See cluster/chain_runner.hpp.
+/// boundary after the first — one AdaptiveController per chain run, so the
+/// switches share the fault layer and retry of every other controller. See
+/// cluster/chain_runner.hpp.
 Experiment make_chain_experiment(cluster::ClusterConfig cfg,
                                  std::vector<mapred::JobConf> confs,
                                  int seeds_per_eval = 1);

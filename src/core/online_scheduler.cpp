@@ -1,11 +1,12 @@
 #include "core/online_scheduler.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "core/meta_scheduler.hpp"
-#include "core/phase_detector.hpp"
 #include "iosched/scheduler.hpp"
 #include "mapred/job_conf.hpp"
 #include "trace/registry.hpp"
@@ -238,54 +239,18 @@ std::unique_ptr<OnlinePolicy> make_online_policy(const OnlineConfig& cfg) {
 // OnlineScheduler
 
 OnlineScheduler::OnlineScheduler(cluster::Cluster& cl, OnlineConfig cfg)
-    : cl_(cl),
-      cfg_(cfg),
+    : PairController(cl),
       event_decay_(cfg.decay > 0.0 ? cfg.decay : 0.5),
-      policy_(make_online_policy(cfg)),
-      switcher_(PairSwitcher::create(cl)) {}
+      policy_(make_online_policy(cfg)) {}
 
 std::shared_ptr<OnlineScheduler> OnlineScheduler::create(cluster::Cluster& cl,
                                                          OnlineConfig cfg) {
   auto sched =
       std::shared_ptr<OnlineScheduler>(new OnlineScheduler(cl, cfg));
-  std::weak_ptr<OnlineScheduler> weak = sched;
-
-  sched->switcher_->on_switched = [weak](int kind, iosched::SchedulerPair p) {
-    if (auto s = weak.lock()) {
-      ++s->arm_switches_;
-      // The window in flight contains the switch quiesce (near-zero
-      // throughput while every elevator drains); crediting it would brand
-      // the new arm with the *cost of trying it*, biasing the bandit
-      // against everything it explores. Measure the new arm from the next
-      // clean window instead.
-      s->skip_next_reward_ = true;
-      s->last_switch_ = s->cl_.simr().now();
-      if (auto* reg = trace::registry()) reg->counter("meta.arm_switches").inc();
-      if (auto* tr = trace::tracer()) {
-        if (!s->tt_arm_switch_) {
-          s->tt_arm_switch_ = tr->intern("tt_arm_switch");
-          tr->pin_name(s->tt_arm_switch_);
-        }
-        tr->instant(tr->track("meta"), s->tt_arm_switch_, tr->ids.cat_meta,
-                    s->cl_.simr().now(), tr->ids.index, kind, tr->ids.pair,
-                    virt::PhysicalHost::pair_code(p), tr->ids.value,
-                    s->arm_switches_);
-      }
-    }
-  };
-  sched->switcher_->on_switch_failed = [weak](int kind, int attempt) {
-    if (auto s = weak.lock()) {
-      if (auto* tr = trace::tracer()) {
-        tr->instant(tr->track("meta"), tr->ids.switch_fail, tr->ids.cat_meta,
-                    s->cl_.simr().now(), tr->ids.index, kind, tr->ids.attempt,
-                    attempt);
-      }
-    }
-  };
-
   // Fault/membership events age every estimate: the cluster the bandit
   // profiled no longer exists, so confidence bounds widen and it re-explores.
   if (auto* ms = cl.membership()) {
+    std::weak_ptr<OnlineScheduler> weak = sched;
     ms->on_declared_dead([weak](int, sim::Time t) {
       if (auto s = weak.lock()) s->on_fault_event(t);
     });
@@ -293,41 +258,10 @@ std::shared_ptr<OnlineScheduler> OnlineScheduler::create(cluster::Cluster& cl,
       if (auto s = weak.lock()) s->on_fault_event(t);
     });
   }
-
-  sched->agg_.on_cluster_phase = [weak](int kind) {
-    if (auto s = weak.lock()) s->enter_phase(kind, s->cl_.simr().now());
-  };
   return sched;
 }
 
-void OnlineScheduler::attach_stream_job(mapred::Job& job) {
-  const int id = job.job_id();
-  auto self = shared_from_this();
-
-  // Chain in front of whatever the runner installs after this hook: the
-  // previous callback (if any) runs first, then the aggregator update.
-  auto prev_maps = std::move(job.on_maps_done);
-  job.on_maps_done = [self, id, prev_maps](sim::Time t) {
-    if (prev_maps) prev_maps(t);
-    self->agg_.job_phase(id, 1);
-  };
-  auto prev_shuffle = std::move(job.on_shuffle_done);
-  job.on_shuffle_done = [self, id, prev_shuffle](sim::Time t) {
-    if (prev_shuffle) prev_shuffle(t);
-    self->agg_.job_phase(id, 2);
-  };
-  auto prev_done = std::move(job.on_done);
-  job.on_done = [self, id, prev_done](sim::Time t) {
-    if (prev_done) prev_done(t);
-    self->agg_.job_retired(id);
-  };
-  auto prev_failed = std::move(job.on_failed);
-  job.on_failed = [self, id, prev_failed](sim::Time t, const std::string& why) {
-    if (prev_failed) prev_failed(t, why);
-    self->agg_.job_retired(id);
-  };
-
-  agg_.job_admitted(id);
+void OnlineScheduler::stream_job_admitted() {
   if (cur_kind_ < 0) {
     // First job: open the phase-0 reward window at the boot pair. No pull —
     // the cluster just booted with cfg.pair and there is nothing to learn
@@ -341,29 +275,35 @@ void OnlineScheduler::attach_stream_job(mapred::Job& job) {
   ensure_ticking();
 }
 
-void OnlineScheduler::attach_single_job(mapred::Job& job, PhasePlan plan) {
-  auto self = shared_from_this();
-  const int count = plan.count();
-  PhaseDetector::attach(job, plan, [self, count](int phase, sim::Time t) {
-    // Plan phase index -> cluster phase kind: a merged shuffle+reduce tail
-    // (count == 2) maps onto the shuffle table.
-    const int kind = count >= kPhaseKinds ? phase : (phase == 0 ? 0 : 1);
-    self->enter_phase(kind, t);
-  });
+void OnlineScheduler::on_switched(int kind, iosched::SchedulerPair target) {
+  // The window in flight contains the switch quiesce (near-zero throughput
+  // while every elevator drains); crediting it would brand the new arm with
+  // the *cost of trying it*, biasing the bandit against everything it
+  // explores. Measure the new arm from the next clean window instead.
+  skip_next_reward_ = true;
+  last_switch_ = cl_.simr().now();
+  if (auto* reg = trace::registry()) reg->counter("meta.arm_switches").inc();
+  if (auto* tr = trace::tracer()) {
+    if (!tt_arm_switch_) {
+      tt_arm_switch_ = tr->intern("tt_arm_switch");
+      tr->pin_name(tt_arm_switch_);
+    }
+    tr->instant(tr->track("meta"), tt_arm_switch_, tr->ids.cat_meta,
+                cl_.simr().now(), tr->ids.index, kind, tr->ids.pair,
+                virt::PhysicalHost::pair_code(target), tr->ids.value,
+                switches_performed());
+  }
+}
+
+void OnlineScheduler::on_switch_failed(int kind, int attempt) {
+  if (auto* tr = trace::tracer()) {
+    tr->instant(tr->track("meta"), tr->ids.switch_fail, tr->ids.cat_meta,
+                cl_.simr().now(), tr->ids.index, kind, tr->ids.attempt, attempt);
+  }
 }
 
 void OnlineScheduler::enter_phase(int kind, sim::Time t) {
   if (kind < 0 || kind >= kPhaseKinds) return;
-  if (cur_kind_ < 0) {
-    // First boundary ever (single-job attach): open the window, don't pull —
-    // the boot pair was installed for free.
-    cur_kind_ = kind;
-    win_start_ = t;
-    run_start_ = t;
-    win_bytes_ = cluster_bytes();
-    win_busy_ns_ = cluster_busy_ns();
-    return;
-  }
   close_window(t);
   cur_kind_ = kind;
   pull(t);
@@ -413,7 +353,7 @@ void OnlineScheduler::pull(sim::Time t) {
   // Dwell: after a switch, hold the new arm for at least two sample
   // periods — one clean measurement window — before reconsidering.
   // Without this the bandit can ping-pong faster than it can measure.
-  if (arm_switches_ > 0 && (t - last_switch_) < kSamplePeriod * 2.0) return;
+  if (switches_performed() > 0 && (t - last_switch_) < kSamplePeriod * 2.0) return;
 
   const iosched::SchedulerPair cur = cl_.pair();
   const int cur_arm = cur.index();
@@ -453,15 +393,16 @@ void OnlineScheduler::pull(sim::Time t) {
 
   // Every pull is a decision boundary: any retry still chasing an older
   // decision is stale, whether or not we switch now.
-  switcher_->supersede();
+  supersede();
   if (arm != cur_arm)
-    switcher_->request(cur_kind_, iosched::SchedulerPair::from_index(arm));
+    request_switch(cur_kind_, iosched::SchedulerPair::from_index(arm));
 }
 
 void OnlineScheduler::ensure_ticking() {
   if (ticking_ || agg_.live_jobs() <= 0) return;
   ticking_ = true;
-  std::weak_ptr<OnlineScheduler> weak = shared_from_this();
+  std::weak_ptr<OnlineScheduler> weak =
+      std::static_pointer_cast<OnlineScheduler>(shared_from_this());
   cl_.simr().after(kSamplePeriod, [weak] {
     auto s = weak.lock();
     if (!s) return;
@@ -514,81 +455,28 @@ std::uint64_t OnlineScheduler::cluster_busy_ns() const {
 // ---------------------------------------------------------------------------
 // SchedulePlayer
 
-SchedulePlayer::SchedulePlayer(cluster::Cluster& cl, PairSchedule schedule,
-                               PhasePlan plan)
-    : cl_(cl),
-      schedule_(std::move(schedule)),
-      plan_(std::move(plan)),
-      switcher_(PairSwitcher::create(cl)) {}
+SchedulePlayer::SchedulePlayer(cluster::Cluster& cl, PairSchedule schedule)
+    : PairController(cl), schedule_(std::move(schedule)) {}
 
 std::shared_ptr<SchedulePlayer> SchedulePlayer::create(cluster::Cluster& cl,
                                                        PairSchedule schedule,
                                                        PhasePlan plan) {
-  auto player = std::shared_ptr<SchedulePlayer>(
-      new SchedulePlayer(cl, std::move(schedule), std::move(plan)));
-  std::weak_ptr<SchedulePlayer> weak = player;
-  player->switcher_->on_switched = [weak](int phase, iosched::SchedulerPair p) {
-    if (auto s = weak.lock()) {
-      if (auto* tr = trace::tracer()) {
-        tr->instant(tr->track("core"), tr->ids.pair_switch, tr->ids.cat_core,
-                    s->cl_.simr().now(), tr->ids.index, phase, tr->ids.pair,
-                    virt::PhysicalHost::pair_code(p));
-      }
-    }
-  };
-  player->switcher_->on_switch_failed = [weak](int phase, int attempt) {
-    if (auto s = weak.lock()) {
-      if (auto* tr = trace::tracer()) {
-        tr->instant(tr->track("core"), tr->ids.switch_fail, tr->ids.cat_core,
-                    s->cl_.simr().now(), tr->ids.index, phase, tr->ids.attempt,
-                    attempt);
-      }
-    }
-  };
-  player->agg_.on_cluster_phase = [weak](int kind) {
-    if (auto s = weak.lock()) s->enter_phase(kind, s->cl_.simr().now());
-  };
-  return player;
-}
-
-void SchedulePlayer::attach_stream_job(mapred::Job& job) {
-  const int id = job.job_id();
-  auto self = shared_from_this();
-  auto prev_maps = std::move(job.on_maps_done);
-  job.on_maps_done = [self, id, prev_maps](sim::Time t) {
-    if (prev_maps) prev_maps(t);
-    self->agg_.job_phase(id, 1);
-  };
-  auto prev_shuffle = std::move(job.on_shuffle_done);
-  job.on_shuffle_done = [self, id, prev_shuffle](sim::Time t) {
-    if (prev_shuffle) prev_shuffle(t);
-    self->agg_.job_phase(id, 2);
-  };
-  auto prev_done = std::move(job.on_done);
-  job.on_done = [self, id, prev_done](sim::Time t) {
-    if (prev_done) prev_done(t);
-    self->agg_.job_retired(id);
-  };
-  auto prev_failed = std::move(job.on_failed);
-  job.on_failed = [self, id, prev_failed](sim::Time t, const std::string& why) {
-    if (prev_failed) prev_failed(t, why);
-    self->agg_.job_retired(id);
-  };
-  agg_.job_admitted(id);
-  cur_kind_ = std::max(cur_kind_, 0);
+  assert(schedule.count() == plan.count());
+  (void)plan;
+  return std::shared_ptr<SchedulePlayer>(
+      new SchedulePlayer(cl, std::move(schedule)));
 }
 
 void SchedulePlayer::enter_phase(int kind, sim::Time) {
   if (kind < 0 || kind >= kPhaseKinds) return;
-  cur_kind_ = kind;
   // Cluster phase kind -> schedule phase index: a two-phase schedule folds
   // shuffle and reduce onto its tail entry.
   const int idx =
       schedule_.count() >= kPhaseKinds ? kind : (kind == 0 ? 0 : 1);
   const iosched::SchedulerPair target =
       schedule_.effective(std::min(idx, schedule_.count() - 1));
-  switcher_->supersede();
-  if (!(target == cl_.pair())) switcher_->request(idx, target);
+  supersede();
+  if (!(target == cl_.pair())) request_switch(idx, target);
 }
 
 // ---------------------------------------------------------------------------
@@ -611,7 +499,11 @@ MetaStreamResult run_stream_with_policy(cluster::ClusterConfig cfg,
     return out;
   }
 
-  if (m.policy == tenancy::MetaPolicy::kOffline) {
+  // One controller serves every job of the run: the schedule replay for
+  // kOffline, the shared bandit learning state for kUcb / kEgreedy.
+  const bool offline = m.policy == tenancy::MetaPolicy::kOffline;
+  std::function<std::shared_ptr<PairController>(cluster::Cluster&)> make;
+  if (offline) {
     // Algorithm 1, profiled once on a healthy side cluster: the class named
     // by meta.profile (default: the first class) at its midpoint size
     // stands in for the whole stream — exactly the stale-corpus assumption
@@ -637,35 +529,29 @@ MetaStreamResult run_stream_with_policy(cluster::ClusterConfig cfg,
     out.schedule_key = r.solution.key();
 
     cfg.pair = r.solution.initial();
-    out.boot_pair = cfg.pair.letters();
-    auto holder = std::make_shared<std::shared_ptr<SchedulePlayer>>();
-    const PairSchedule solution = r.solution;
-    const PhasePlan plan = opts.plan;
-    out.stream = tenancy::run_stream(
-        cfg, spec,
-        [holder, solution, plan](cluster::Cluster& cl, mapred::Job& job, int) {
-          if (!*holder) *holder = SchedulePlayer::create(cl, solution, plan);
-          (*holder)->attach_stream_job(job);
-        });
-    if (*holder) out.arm_switches = (*holder)->switches_performed();
-    return out;
+    make = [solution = r.solution, plan = opts.plan](cluster::Cluster& cl) {
+      return SchedulePlayer::create(cl, solution, plan);
+    };
+  } else {
+    const OnlineConfig oc =
+        OnlineConfig::from_meta(m, sim::derive_run_seed(cfg.seed, 3));
+    make = [oc](cluster::Cluster& cl) { return OnlineScheduler::create(cl, oc); };
   }
-
-  // kUcb / kEgreedy: one shared learning state across every job in the run.
-  const OnlineConfig oc =
-      OnlineConfig::from_meta(m, sim::derive_run_seed(cfg.seed, 3));
   out.boot_pair = cfg.pair.letters();
-  auto holder = std::make_shared<std::shared_ptr<OnlineScheduler>>();
+
+  auto holder = std::make_shared<std::shared_ptr<PairController>>();
   out.stream = tenancy::run_stream(
-      cfg, spec, [holder, oc](cluster::Cluster& cl, mapred::Job& job, int) {
-        if (!*holder) *holder = OnlineScheduler::create(cl, oc);
+      cfg, spec, [holder, make](cluster::Cluster& cl, mapred::Job& job, int) {
+        if (!*holder) *holder = make(cl);
         (*holder)->attach_stream_job(job);
       });
-  if (*holder) {
-    out.arm_pulls = (*holder)->pulls();
-    out.arm_switches = (*holder)->arm_switches();
-    out.switch_failures = (*holder)->switch_failures();
-    out.decays = (*holder)->decays();
+  if (!*holder) return out;
+  out.arm_switches = (*holder)->switches_performed();
+  if (!offline) {
+    const auto& bandit = static_cast<const OnlineScheduler&>(**holder);
+    out.arm_pulls = bandit.pulls();
+    out.switch_failures = bandit.switch_failures();
+    out.decays = bandit.decays();
   }
   return out;
 }

@@ -9,7 +9,7 @@
 //
 //   arms      the 16 scheduler pairs, one bandit table per cluster phase
 //             kind (map / shuffle / reduce — the PhaseAggregator's modal
-//             phase for streams, PhaseDetector boundaries for single jobs).
+//             phase over the stream's live jobs).
 //   reward    cluster-wide disk throughput normalized by disk *busy* time
 //             (MB per Dom0-busy-second) over the window since the previous
 //             phase change, from the always-on Dom0 byte and busy-time
@@ -23,8 +23,8 @@
 //             reality, not intent).
 //   pulls     at every cluster-phase change the policy picks the arm for
 //             the new phase; a different arm than the installed one issues
-//             a cluster-wide switch through the shared PairSwitcher (same
-//             retry/supersede semantics as the offline controller).
+//             a cluster-wide switch through the PairController base (same
+//             retry/supersede semantics as the offline controllers).
 //   switch    candidate arms are discounted by the predicted switch cost
 //   cost      from the non-commutative SwitchPredictor matrix, amortized
 //             over the expected phase duration and converted to reward
@@ -58,12 +58,11 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "core/pair_controller.hpp"
 #include "core/pair_schedule.hpp"
-#include "core/pair_switcher.hpp"
 #include "core/phase_plan.hpp"
 #include "core/switch_predictor.hpp"
 #include "sim/random.hpp"
-#include "tenancy/phase_agg.hpp"
 #include "trace/trace.hpp"
 #include "tenancy/stream_runner.hpp"
 #include "tenancy/stream_spec.hpp"
@@ -133,38 +132,33 @@ std::unique_ptr<OnlinePolicy> make_online_policy(const OnlineConfig& cfg);
 
 /// The shared learning state plus its runtime wiring. One instance serves a
 /// whole run: concurrent stream jobs all feed the same tables (attach each
-/// via attach_stream_job from a StreamSetupHook), and single jobs attach a
-/// PhaseDetector (AdaptiveController::attach_online).
-class OnlineScheduler : public std::enable_shared_from_this<OnlineScheduler> {
+/// via attach_stream_job from a StreamSetupHook).
+class OnlineScheduler : public PairController {
  public:
   static std::shared_ptr<OnlineScheduler> create(cluster::Cluster& cl,
                                                  OnlineConfig cfg);
 
-  /// Stream wiring: chain this job's phase/lifecycle callbacks into the
-  /// shared PhaseAggregator. Call from a StreamSetupHook — the runner
-  /// chains its own callbacks after the hook, so both see every event.
-  void attach_stream_job(mapred::Job& job);
-
-  /// Single-job wiring: PhaseDetector boundaries drive the same learning
-  /// state (plan phase indices map onto phase kinds).
-  void attach_single_job(mapred::Job& job, PhasePlan plan);
-
-  /// The bandit step: close the reward window, credit the installed arm,
-  /// pull, and switch if the policy picked a different arm. Exposed for
-  /// tests; normal operation reaches it through the attach_* wiring.
-  void enter_phase(int kind, sim::Time t);
-
-  /// Age every estimate now (also invoked by membership events).
-  void on_fault_event(sim::Time t);
-
   int pulls() const { return pulls_; }
-  int arm_switches() const { return arm_switches_; }
-  int switch_failures() const { return switcher_->failures(); }
+  int arm_switches() const { return switches_performed(); }
   int decays() const { return decays_; }
   const OnlinePolicy& policy() const { return *policy_; }
 
  private:
   OnlineScheduler(cluster::Cluster& cl, OnlineConfig cfg);
+
+  /// The bandit step at a cluster phase change: close the reward window,
+  /// credit the installed arm, pull, and switch if the policy picked a
+  /// different arm.
+  void enter_phase(int kind, sim::Time t) override;
+  /// Opens the phase-0 reward window with the first job and keeps the
+  /// periodic re-pull armed while jobs are live.
+  void stream_job_admitted() override;
+  /// Meta-track telemetry: tt_arm_switch / switch_fail instants and the
+  /// meta.arm_switches counter.
+  void on_switched(int kind, iosched::SchedulerPair target) override;
+  void on_switch_failed(int kind, int attempt) override;
+  /// Age every estimate now (membership events).
+  void on_fault_event(sim::Time t);
 
   void close_window(sim::Time now);
   void pull(sim::Time t);
@@ -172,13 +166,9 @@ class OnlineScheduler : public std::enable_shared_from_this<OnlineScheduler> {
   std::int64_t cluster_bytes() const;
   std::uint64_t cluster_busy_ns() const;
 
-  cluster::Cluster& cl_;
-  OnlineConfig cfg_;
   double event_decay_;  // resolved decay factor for on_fault_event
   std::unique_ptr<OnlinePolicy> policy_;
-  std::shared_ptr<PairSwitcher> switcher_;
   SwitchPredictor predictor_;
-  tenancy::PhaseAggregator agg_;
 
   int cur_kind_ = -1;
   sim::Time win_start_ = sim::Time::zero();
@@ -199,7 +189,6 @@ class OnlineScheduler : public std::enable_shared_from_this<OnlineScheduler> {
   int reward_samples_ = 0;
 
   int pulls_ = 0;
-  int arm_switches_ = 0;
   int decays_ = 0;
   /// Periodic mid-phase re-pull is armed while stream jobs are live.
   bool ticking_ = false;
@@ -216,27 +205,21 @@ class OnlineScheduler : public std::enable_shared_from_this<OnlineScheduler> {
 
 /// Replays a precomputed PairSchedule at *cluster* phase changes — the
 /// offline greedy (or any hand-built schedule) deployed on an open-arrival
-/// stream, where per-job AdaptiveControllers would fight each other. Shares
-/// the PairSwitcher failure semantics with the online controller.
-class SchedulePlayer : public std::enable_shared_from_this<SchedulePlayer> {
+/// stream, where per-job AdaptiveControllers would fight each other. Unlike
+/// AdaptiveController it resolves "0" entries and skips the pair already
+/// installed.
+class SchedulePlayer : public PairController {
  public:
   static std::shared_ptr<SchedulePlayer> create(cluster::Cluster& cl,
                                                 PairSchedule schedule,
                                                 PhasePlan plan);
 
-  void attach_stream_job(mapred::Job& job);
-  void enter_phase(int kind, sim::Time t);
-  int switches_performed() const { return switcher_->switches(); }
-
  private:
-  SchedulePlayer(cluster::Cluster& cl, PairSchedule schedule, PhasePlan plan);
+  SchedulePlayer(cluster::Cluster& cl, PairSchedule schedule);
 
-  cluster::Cluster& cl_;
+  void enter_phase(int kind, sim::Time t) override;
+
   PairSchedule schedule_;
-  PhasePlan plan_;
-  std::shared_ptr<PairSwitcher> switcher_;
-  tenancy::PhaseAggregator agg_;
-  int cur_kind_ = -1;
 };
 
 /// Outcome of a policy-driven stream run (exp::execute_point and the tests

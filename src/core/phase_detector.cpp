@@ -1,5 +1,7 @@
 #include "core/phase_detector.hpp"
 
+#include <utility>
+
 #include "trace/trace.hpp"
 
 namespace iosim::core {
@@ -18,22 +20,18 @@ void PhaseDetector::attach(mapred::Job& job, PhasePlan plan, PhaseCallback cb) {
   trace_phase(0, job.env().simr->now());
   cb(0, job.env().simr->now());
 
-  // Phase 1 entry: all maps done.
-  auto prev_maps = std::move(job.on_maps_done);
-  job.on_maps_done = [prev_maps = std::move(prev_maps), cb](Time t) {
-    if (prev_maps) prev_maps(t);
+  // Phase 1 entry: all maps done; phase 2 (unmerged plans): shuffle done.
+  mapred::Job::Hooks hooks{.on_maps_done = [cb](Time t) {
     trace_phase(1, t);
     cb(1, t);
-  };
-
+  }};
   if (!plan.merge_shuffle_tail) {
-    auto prev_shuffle = std::move(job.on_shuffle_done);
-    job.on_shuffle_done = [prev_shuffle = std::move(prev_shuffle), cb](Time t) {
-      if (prev_shuffle) prev_shuffle(t);
+    hooks.on_shuffle_done = [cb](Time t) {
       trace_phase(2, t);
       cb(2, t);
     };
   }
+  job.append_hooks(std::move(hooks));
 }
 
 }  // namespace iosim::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "check/check.hpp"
 #include "trace/trace.hpp"
@@ -16,7 +17,28 @@ void job_instant(trace::Str trace::Tracer::CommonIds::* what, sim::Time t) {
     tr->instant(tr->track("mapred"), tr->ids.*what, tr->ids.cat_mapred, t);
   }
 }
+
+// `slot` runs its current observer (if any), then `next`.
+template <class... A>
+void append(std::function<void(A...)>& slot, std::function<void(A...)> next) {
+  if (!next) return;
+  if (!slot) {
+    slot = std::move(next);
+    return;
+  }
+  slot = [prev = std::move(slot), next = std::move(next)](A... a) {
+    prev(a...);
+    next(a...);
+  };
+}
 }  // namespace
+
+void Job::append_hooks(Hooks h) {
+  append(on_maps_done, std::move(h.on_maps_done));
+  append(on_shuffle_done, std::move(h.on_shuffle_done));
+  append(on_done, std::move(h.on_done));
+  append(on_failed, std::move(h.on_failed));
+}
 
 Job::Job(ClusterEnv& env, JobConf conf, std::uint64_t seed)
     : env_(env), conf_(std::move(conf)), rng_(seed) {}

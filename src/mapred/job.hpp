@@ -96,6 +96,20 @@ class Job {
   std::function<void(Time)> on_done;
   std::function<void(Time, const std::string&)> on_failed;
 
+  /// Observers for append_hooks; an unset member leaves its slot alone.
+  /// (The `= {}` lets designated initializers skip members warning-free.)
+  struct Hooks {
+    std::function<void(Time)> on_maps_done = {};
+    std::function<void(Time)> on_shuffle_done = {};
+    std::function<void(Time)> on_done = {};
+    std::function<void(Time, const std::string&)> on_failed = {};
+  };
+  /// Chain `h` onto the matching on_* observers: whatever is installed
+  /// already runs first, then the new hook. Every observer that must not
+  /// clobber another (probes, detectors, controllers, the stream runner)
+  /// goes through here.
+  void append_hooks(Hooks h);
+
   /// Hadoop-style job progress in [0,1].
   double progress() const;
 

@@ -147,12 +147,10 @@ void StreamRunner::admit(int index) {
     // admitted inside this one's completion (byte-compat with the old
     // chain runner — the pinned chain digest holds the line).
     if (opts_.setup) opts_.setup(cl_, *job, index);
-    auto prev = std::move(job->on_done);
-    job->on_done = [this, index, prev = std::move(prev)](sim::Time t) {
-      if (prev) prev(t);
+    job->append_hooks({.on_done = [this, index](sim::Time) {
       on_job_finished(index, /*failed=*/false);
       if (static_cast<std::size_t>(index + 1) < plan_.size()) admit(index + 1);
-    };
+    }});
     job->run();
     return;
   }
@@ -182,27 +180,13 @@ void StreamRunner::admit(int index) {
   if (opts_.setup) opts_.setup(cl_, *job, index);
 
   // Chain onto (never over) whatever the setup hook installed.
-  auto prev_maps = std::move(job->on_maps_done);
-  job->on_maps_done = [this, job_id, prev = std::move(prev_maps)](sim::Time t) {
-    if (prev) prev(t);
-    phases_.job_phase(job_id, 1);
-  };
-  auto prev_shuffle = std::move(job->on_shuffle_done);
-  job->on_shuffle_done = [this, job_id, prev = std::move(prev_shuffle)](sim::Time t) {
-    if (prev) prev(t);
-    phases_.job_phase(job_id, 2);
-  };
-  auto prev_done = std::move(job->on_done);
-  job->on_done = [this, index, prev = std::move(prev_done)](sim::Time t) {
-    if (prev) prev(t);
-    on_job_finished(index, /*failed=*/false);
-  };
-  auto prev_failed = std::move(job->on_failed);
-  job->on_failed = [this, index, prev = std::move(prev_failed)](
-                       sim::Time t, const std::string& why) {
-    if (prev) prev(t, why);
-    on_job_finished(index, /*failed=*/true);
-  };
+  job->append_hooks({
+      .on_maps_done = [this, job_id](sim::Time) { phases_.job_phase(job_id, 1); },
+      .on_shuffle_done = [this, job_id](sim::Time) { phases_.job_phase(job_id, 2); },
+      .on_done = [this, index](sim::Time) { on_job_finished(index, /*failed=*/false); },
+      .on_failed = [this, index](sim::Time, const std::string&) {
+        on_job_finished(index, /*failed=*/true);
+      }});
 
   emit_job_instant("job_admit", job_id, e.class_index, e.size_mb,
                    cl_.simr().now());
