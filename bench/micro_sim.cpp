@@ -41,6 +41,7 @@
 #include "cluster/runner.hpp"
 #include "obs/attribution.hpp"
 #include "sim/simulator.hpp"
+#include "sim/text.hpp"
 #include "virt/physical_host.hpp"
 
 using namespace iosim;
@@ -336,10 +337,15 @@ int main(int argc, char** argv) {
   int reps = 3;
   std::uint64_t scale = 1;  // divide workloads by this (for test smoke runs)
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) reps = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
+      if (!lex::parse_int(argv[++i], &reps) || reps < 1) {
+        std::fprintf(stderr, "micro_sim: --reps expects a positive integer, got '%s'\n",
+                     argv[i]);
+        return 2;
+      }
+    }
     if (std::strcmp(argv[i], "--quick") == 0) scale = 16;
   }
-  if (reps < 1) reps = 1;
 
   bench::print_header("micro_sim", "event-loop hot-path microbenchmarks");
   std::printf("reps: %d (reporting the best), scale divisor: %" PRIu64 "\n\n", reps,

@@ -17,19 +17,15 @@ using namespace iosim;
 int main(int argc, char** argv) {
   const std::string pair_str = argc > 1 ? argv[1] : "cc";
   const std::string out_path = argc > 2 ? argv[2] : "trace.csv";
-  if (pair_str.size() != 2) {
-    std::fprintf(stderr, "pair must be two letters from {n,d,a,c}\n");
-    return 1;
-  }
-  const auto vmm = iosched::scheduler_from_string(pair_str.substr(0, 1));
-  const auto guest = iosched::scheduler_from_string(pair_str.substr(1, 1));
-  if (!vmm || !guest) {
-    std::fprintf(stderr, "unknown scheduler letter in '%s'\n", pair_str.c_str());
+  const auto pair = iosched::SchedulerPair::from_letters(pair_str);
+  if (!pair) {
+    std::fprintf(stderr, "pair must be two letters from {n,d,a,c}, got '%s'\n",
+                 pair_str.c_str());
     return 1;
   }
 
   cluster::ClusterConfig cfg;
-  cfg.pair = {*vmm, *guest};
+  cfg.pair = *pair;
   const auto jc = workloads::make_job(workloads::stream_sort());
 
   std::vector<std::vector<double>> host_series;

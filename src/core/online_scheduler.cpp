@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "core/meta_scheduler.hpp"
+#include "iosched/pair.hpp"
 #include "iosched/scheduler.hpp"
 #include "mapred/job_conf.hpp"
 #include "trace/registry.hpp"
@@ -489,10 +490,8 @@ MetaStreamResult run_stream_with_policy(cluster::ClusterConfig cfg,
 
   if (m.policy == tenancy::MetaPolicy::kNone ||
       m.policy == tenancy::MetaPolicy::kStatic) {
-    if (m.policy == tenancy::MetaPolicy::kStatic && !m.pair.empty()) {
-      const auto vmm = iosched::scheduler_from_string(m.pair.substr(0, 1));
-      const auto guest = iosched::scheduler_from_string(m.pair.substr(1, 1));
-      if (vmm && guest) cfg.pair = {*vmm, *guest};
+    if (m.policy == tenancy::MetaPolicy::kStatic) {
+      if (const auto p = iosched::SchedulerPair::from_letters(m.pair)) cfg.pair = *p;
     }
     out.boot_pair = cfg.pair.letters();
     out.stream = tenancy::run_stream(cfg, spec);

@@ -12,7 +12,7 @@
 //
 // `iosim-sweep --resume` replays the journal's ok records into their
 // run_index slots, re-executes only the missing runs, and re-aggregates —
-// metrics round-trip losslessly (format_double -> strtod), so the final
+// metrics round-trip losslessly (format_double -> json_parse), so the final
 // BENCH JSON is byte-identical to an uninterrupted sweep.
 #pragma once
 

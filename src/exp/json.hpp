@@ -12,10 +12,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "sim/text.hpp"
 
 namespace iosim::exp {
 
@@ -96,18 +97,12 @@ class JsonWriter {
 
   const std::string& str() const { return out_; }
 
-  /// Shortest decimal that round-trips to exactly `v` (try 15, 16, 17
-  /// significant digits). Non-finite values have no JSON encoding; emit
-  /// null (never produced by the deterministic simulator, but the writer
-  /// must not emit invalid JSON either way).
+  /// Shortest decimal that round-trips to exactly `v` (lex::format_double).
+  /// Non-finite values have no JSON encoding; emit null (never produced by
+  /// the deterministic simulator, but the writer must not emit invalid JSON
+  /// either way).
   static std::string format_double(double v) {
-    if (!std::isfinite(v)) return "null";
-    char buf[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-      std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-      if (std::strtod(buf, nullptr) == v) break;
-    }
-    return buf;
+    return std::isfinite(v) ? lex::format_double(v) : "null";
   }
 
  private:

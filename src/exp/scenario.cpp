@@ -1,94 +1,45 @@
 #include "exp/scenario.hpp"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
+#include <set>
 
 #include "exp/artifact.hpp"
-
 #include "sim/random.hpp"
+#include "sim/text.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace iosim::exp {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t' || s.front() == '\r')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 /// Split on `sep`, trimming each piece; empty pieces are errors (a stray
 /// trailing comma silently shrinking an axis would corrupt the matrix).
 bool split_list(std::string_view v, char sep, std::vector<std::string>* out,
                 std::string* error) {
   out->clear();
-  while (true) {
-    const auto pos = v.find(sep);
-    const std::string_view item = trim(v.substr(0, pos));
+  for (const std::string_view piece : lex::split(v, sep)) {
+    const std::string_view item = lex::trim(piece);
     if (item.empty()) {
       if (error) *error = "empty list element";
       return false;
     }
     out->emplace_back(item);
-    if (pos == std::string_view::npos) return true;
-    v.remove_prefix(pos + 1);
   }
-}
-
-bool parse_u64(std::string_view v, std::uint64_t* out) {
-  if (v.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string s(v);
-  const unsigned long long x = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = x;
   return true;
 }
 
 bool parse_pos_int(std::string_view v, int* out) {
-  std::uint64_t x;
-  if (!parse_u64(v, &x) || x == 0 || x > 1'000'000) return false;
-  *out = static_cast<int>(x);
+  int x;
+  if (!lex::parse_int(v, &x) || x < 1 || x > 1'000'000) return false;
+  *out = x;
   return true;
 }
 
 /// Non-negative decimal seconds (0 disables the knob it configures).
 bool parse_seconds(std::string_view v, double* out) {
-  if (v.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const std::string s(v);
-  const double x = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  if (!(x >= 0.0) || x > 1e9) return false;  // also rejects NaN
+  double x;
+  if (!lex::parse_double(v, &x) || x < 0.0 || x > 1e9) return false;
   *out = x;
   return true;
-}
-
-/// Shortest round-trip rendering for canonical spec text (same discipline
-/// as JsonWriter::format_double, so to_string()->parse() is lossless).
-std::string seconds_to_string(double v) {
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-std::optional<iosched::SchedulerPair> parse_pair_code(std::string_view code) {
-  if (code.size() != 2) return std::nullopt;
-  const auto vmm = iosched::scheduler_from_string(std::string(1, code[0]));
-  const auto guest = iosched::scheduler_from_string(std::string(1, code[1]));
-  if (!vmm || !guest) return std::nullopt;
-  return iosched::SchedulerPair{*vmm, *guest};
 }
 
 }  // namespace
@@ -117,8 +68,8 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     if (error) *error = msg;
     return false;
   };
-  key = trim(key);
-  value = trim(value);
+  key = lex::trim(key);
+  value = lex::trim(value);
   if (value.empty()) return fail("empty value for '" + std::string(key) + "'");
 
   std::vector<std::string> items;
@@ -139,7 +90,7 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     return true;
   }
   if (key == "base_seed") {
-    if (!parse_u64(value, &base_seed)) {
+    if (!lex::parse_u64(value, &base_seed)) {
       return fail("bad base_seed '" + std::string(value) + "'");
     }
     return true;
@@ -171,7 +122,7 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     if (!split_list(value, ',', &items, &lerr)) return fail(lerr + " in pair");
     pairs.clear();
     for (const auto& it : items) {
-      const auto p = parse_pair_code(it);
+      const auto p = iosched::SchedulerPair::from_letters(it);
       if (!p) return fail("bad pair '" + it + "' (two of n/d/a/c, or all16)");
       pairs.push_back(*p);
     }
@@ -207,11 +158,11 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     if (!split_list(value, ',', &items, &lerr)) return fail(lerr + " in mb");
     mb.clear();
     for (const auto& it : items) {
-      std::uint64_t x;
-      if (!parse_u64(it, &x) || x == 0 || x > (1ULL << 30)) {
+      std::int64_t x;
+      if (!lex::parse_i64(it, &x) || x < 1 || x > (std::int64_t{1} << 30)) {
         return fail("bad mb value '" + it + "'");
       }
-      mb.push_back(static_cast<std::int64_t>(x));
+      mb.push_back(x);
     }
     return true;
   }
@@ -224,11 +175,9 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     return true;
   }
   if (key == "max_events") {
-    std::uint64_t x;
-    if (!parse_u64(value, &x)) {
+    if (!lex::parse_u64(value, &max_events)) {
       return fail("bad max_events '" + std::string(value) + "'");
     }
-    max_events = x;
     return true;
   }
   if (key == "max_sim_seconds") {
@@ -311,41 +260,23 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
 std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text,
                                                 std::string* error) {
   ScenarioSpec spec;
-  std::vector<std::string> seen;
-  int line_no = 0;
-  while (!text.empty()) {
-    const auto nl = text.find('\n');
-    std::string_view line = text.substr(0, nl);
-    text = nl == std::string_view::npos ? std::string_view{} : text.substr(nl + 1);
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string_view::npos) {
-      line = line.substr(0, hash);
-    }
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string_view::npos) {
-      if (error) {
-        *error = "line " + std::to_string(line_no) + ": expected key=value, got '" +
-                 std::string(line) + "'";
-      }
+  std::set<std::string_view> seen;
+  lex::LineReader lines(text);
+  while (lines.next()) {
+    const auto line_error = [&](const std::string& msg) {
+      if (error) *error = "line " + std::to_string(lines.number()) + ": " + msg;
       return std::nullopt;
+    };
+    const auto kv = lex::split_key_value(lines.line());
+    if (!kv) {
+      return line_error("expected key=value, got '" + std::string(lines.line()) + "'");
     }
-    const std::string key(trim(line.substr(0, eq)));
-    for (const auto& s : seen) {
-      if (s == key) {
-        if (error) {
-          *error = "line " + std::to_string(line_no) + ": duplicate key '" + key + "'";
-        }
-        return std::nullopt;
-      }
+    const std::string_view key = lex::trim(kv->key);
+    if (!seen.insert(key).second) {
+      return line_error("duplicate key '" + std::string(key) + "'");
     }
     std::string err;
-    if (!spec.apply(key, line.substr(eq + 1), &err)) {
-      if (error) *error = "line " + std::to_string(line_no) + ": " + err;
-      return std::nullopt;
-    }
-    seen.push_back(key);
+    if (!spec.apply(key, kv->value, &err)) return line_error(err);
   }
   {
     std::string err;
@@ -535,8 +466,8 @@ std::string ScenarioSpec::to_string() const {
     s += "\n";
   }
   s += "max_events=" + std::to_string(max_events) + "\n";
-  s += "max_sim_seconds=" + seconds_to_string(max_sim_seconds) + "\n";
-  s += "timeout=" + seconds_to_string(timeout_seconds) + "\n";
+  s += "max_sim_seconds=" + lex::format_double(max_sim_seconds) + "\n";
+  s += "timeout=" + lex::format_double(timeout_seconds) + "\n";
   return s;
 }
 

@@ -11,8 +11,9 @@
 // repeat index alone — shared seeds across points, for paired A/B axes.)
 //
 // Spec grammar (same style as fault_plan: flat text, all-or-nothing parse,
-// one-line diagnostics). One `key=value` per line; `#` starts a comment;
-// blank lines are skipped; a duplicate key is an error:
+// one-line diagnostics, the lexer rules of sim/text.hpp: finite numbers,
+// unsigned values without a sign). One `key=value` per line; `#` starts a
+// comment; blank lines are skipped; a duplicate key is an error:
 //
 //   name=fig7a            identifier used for BENCH_<name>.json
 //   mode=run|adapt        run: one job per point with the fixed pair

@@ -1,9 +1,9 @@
 #include "fault/fault_plan.hpp"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <set>
+
+#include "sim/text.hpp"
 
 namespace iosim::fault {
 
@@ -27,51 +27,34 @@ void set_error(std::string* error, std::string msg) {
   if (error != nullptr) *error = std::move(msg);
 }
 
-bool parse_double(std::string_view v, double* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const std::string s(v);
-  *out = std::strtod(s.c_str(), &end);
-  // Reject nan/inf here, once for every numeric key: NaN slips through
-  // range checks (every comparison is false) and non-finite seconds would
-  // hit undefined float→int64 conversion in Time::from_sec_f.
-  return end == s.c_str() + s.size() && std::isfinite(*out);
-}
-
-bool parse_int(std::string_view v, long long* out) {
-  if (v.empty()) return false;
-  char* end = nullptr;
-  const std::string s(v);
-  errno = 0;
-  *out = std::strtoll(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size() && errno != ERANGE;
-}
-
 bool parse_seconds(std::string_view v, sim::Time* out) {
   double secs = 0.0;
   // Time stores int64 nanoseconds, which overflows past ~9.22e9 s; beyond
   // that from_sec_f would be UB. 9.2e9 s ≈ 291 years keeps room for large
   // "never fires" sentinels (tests use from=9e9) while staying in range.
-  if (!parse_double(v, &secs) || !(secs >= 0.0) || secs > 9.2e9) return false;
+  if (!lex::parse_double(v, &secs) || secs < 0.0 || secs > 9.2e9) return false;
   *out = sim::Time::from_sec_f(secs);
   return true;
 }
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
+/// Seconds text that parses back to exactly `t`. Past ~4e6 s the double
+/// nearest t/1e9 can round to a neighbouring nanosecond in from_sec_f, so
+/// step to the adjacent double that lands on `t` (one step always does).
+std::string seconds_text(sim::Time t) {
+  double s = t.sec();
+  for (int i = 0; i < 4 && sim::Time::from_sec_f(s) != t; ++i) {
+    s = std::nextafter(s, sim::Time::from_sec_f(s) < t ? HUGE_VAL : -HUGE_VAL);
   }
-  return s;
+  return lex::format_double(s);
 }
 
 }  // namespace
 
 std::optional<FaultSpec> FaultPlan::parse_spec(std::string_view text,
                                                std::string* error) {
-  text = trim(text);
+  text = lex::trim(text);
   const auto colon = text.find(':');
-  const std::string_view kind_name = trim(text.substr(0, colon));
+  const std::string_view kind_name = lex::trim(text.substr(0, colon));
 
   FaultSpec s;
   if (kind_name == "transient") {
@@ -96,33 +79,28 @@ std::optional<FaultSpec> FaultPlan::parse_spec(std::string_view text,
   }
 
   bool saw_lba = false, saw_p = false, saw_factor = false, saw_delay = false;
-  std::vector<std::string_view> seen_keys;
-  std::string_view rest = colon == std::string_view::npos ? std::string_view{}
-                                                          : text.substr(colon + 1);
-  while (!rest.empty()) {
-    const auto comma = rest.find(',');
-    const std::string_view kv = trim(rest.substr(0, comma));
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
+  std::set<std::string_view> seen_keys;
+  const std::string_view fields = colon == std::string_view::npos
+                                      ? std::string_view{}
+                                      : text.substr(colon + 1);
+  for (const std::string_view field : lex::split(fields, ',')) {
+    const std::string_view kv = lex::trim(field);
     if (kv.empty()) continue;
-    const auto eq = kv.find('=');
-    if (eq == std::string_view::npos) {
+    const auto parts = lex::split_key_value(kv);
+    if (!parts) {
       set_error(error, "expected key=value, got '" + std::string(kv) + "'");
       return std::nullopt;
     }
-    const std::string_view key = kv.substr(0, eq);
-    const std::string_view val = kv.substr(eq + 1);
+    const std::string_view key = parts->key;
+    const std::string_view val = parts->value;
 
     // Silent last-wins on a repeated key hides typos in long plans; reject,
     // matching the ScenarioSpec grammar's all-or-nothing contract.
-    for (const auto k : seen_keys) {
-      if (k == key) {
-        set_error(error, "duplicate key '" + std::string(key) + "' in '" +
-                             std::string(text) + "'");
-        return std::nullopt;
-      }
+    if (!seen_keys.insert(key).second) {
+      set_error(error, "duplicate key '" + std::string(key) + "' in '" +
+                           std::string(text) + "'");
+      return std::nullopt;
     }
-    seen_keys.push_back(key);
 
     auto bad_value = [&] {
       set_error(error, "bad value for '" + std::string(key) + "': '" +
@@ -144,36 +122,36 @@ std::optional<FaultSpec> FaultPlan::parse_spec(std::string_view text,
       }
       if (!parse_seconds(val, &s.until)) return bad_value();
     } else if (key == "host" && disk_fault) {
-      long long h = 0;
-      if (!parse_int(val, &h) || h < -1) return bad_value();
+      std::int64_t h = 0;
+      if (!lex::parse_i64(val, &h) || h < -1) return bad_value();
       s.host = static_cast<int>(h);
     } else if (key == "host" && s.kind == FaultKind::kHostCrash) {
-      long long h = 0;
-      if (!parse_int(val, &h) || h < 0) return bad_value();
+      std::int64_t h = 0;
+      if (!lex::parse_i64(val, &h) || h < 0) return bad_value();
       s.host = static_cast<int>(h);
     } else if (key == "vm" && (s.kind == FaultKind::kVmOutage ||
                                s.kind == FaultKind::kVmCrash)) {
-      long long v = 0;
-      if (!parse_int(val, &v) || v < 0) return bad_value();
+      std::int64_t v = 0;
+      if (!lex::parse_i64(val, &v) || v < 0) return bad_value();
       s.vm = static_cast<int>(v);
     } else if (key == "p" && (s.kind == FaultKind::kTransientError ||
                               s.kind == FaultKind::kSwitchFail)) {
-      if (!parse_double(val, &s.probability) || s.probability < 0.0 ||
+      if (!lex::parse_double(val, &s.probability) || s.probability < 0.0 ||
           s.probability > 1.0) {
         return bad_value();
       }
       saw_p = true;
     } else if (key == "factor" && s.kind == FaultKind::kFailSlow) {
-      if (!parse_double(val, &s.factor) || s.factor < 1.0) return bad_value();
+      if (!lex::parse_double(val, &s.factor) || s.factor < 1.0) return bad_value();
       saw_factor = true;
     } else if (key == "delay" && s.kind == FaultKind::kSwitchDelay) {
       if (!parse_seconds(val, &s.delay)) return bad_value();
       saw_delay = true;
     } else if (key == "lba" && s.kind == FaultKind::kLatentSector) {
       const auto dash = val.find('-');
-      long long a = 0, b = 0;
-      if (dash == std::string_view::npos || !parse_int(val.substr(0, dash), &a) ||
-          !parse_int(val.substr(dash + 1), &b) || a < 0 || b <= a) {
+      std::int64_t a = 0, b = 0;
+      if (dash == std::string_view::npos || !lex::parse_i64(val.substr(0, dash), &a) ||
+          !lex::parse_i64(val.substr(dash + 1), &b) || a < 0 || b <= a) {
         return bad_value();
       }
       s.lba_begin = a;
@@ -229,19 +207,11 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text,
                                           std::string* error) {
   FaultPlan plan;
   std::vector<int> spec_line;  // line each accepted spec came from
-  int line_no = 0;
-  while (!text.empty()) {
-    ++line_no;
-    const auto nl = text.find('\n');
-    std::string_view line = text.substr(0, nl);
-    text = nl == std::string_view::npos ? std::string_view{} : text.substr(nl + 1);
-    if (auto hash = line.find('#'); hash != std::string_view::npos) {
-      line = line.substr(0, hash);
-    }
-    while (!line.empty()) {
-      const auto sep = line.find(';');
-      std::string_view item = trim(line.substr(0, sep));
-      line = sep == std::string_view::npos ? std::string_view{} : line.substr(sep + 1);
+  lex::LineReader lines(text);
+  while (lines.next()) {
+    const int line_no = lines.number();
+    for (const std::string_view piece : lex::split(lines.line(), ';')) {
+      const std::string_view item = lex::trim(piece);
       if (item.empty()) continue;
       std::string err;
       auto spec = parse_spec(item, &err);
@@ -318,43 +288,34 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view text,
 }
 
 std::string FaultSpec::to_string() const {
-  char buf[192];
   std::string out = fault::to_string(kind);
   switch (kind) {
     case FaultKind::kTransientError:
-      std::snprintf(buf, sizeof buf, ":host=%d,p=%g", host, probability);
+      out += ":host=" + std::to_string(host) + ",p=" + lex::format_double(probability);
       break;
     case FaultKind::kLatentSector:
-      std::snprintf(buf, sizeof buf, ":host=%d,lba=%lld-%lld", host,
-                    static_cast<long long>(lba_begin),
-                    static_cast<long long>(lba_end));
+      out += ":host=" + std::to_string(host) + ",lba=" + std::to_string(lba_begin) +
+             "-" + std::to_string(lba_end);
       break;
     case FaultKind::kFailSlow:
-      std::snprintf(buf, sizeof buf, ":host=%d,factor=%g", host, factor);
+      out += ":host=" + std::to_string(host) + ",factor=" + lex::format_double(factor);
       break;
     case FaultKind::kVmOutage:
     case FaultKind::kVmCrash:
-      std::snprintf(buf, sizeof buf, ":vm=%d", vm);
+      out += ":vm=" + std::to_string(vm);
       break;
     case FaultKind::kHostCrash:
-      std::snprintf(buf, sizeof buf, ":host=%d", host);
+      out += ":host=" + std::to_string(host);
       break;
     case FaultKind::kSwitchFail:
-      std::snprintf(buf, sizeof buf, ":p=%g", probability);
+      out += ":p=" + lex::format_double(probability);
       break;
     case FaultKind::kSwitchDelay:
-      std::snprintf(buf, sizeof buf, ":delay=%g", delay.sec());
+      out += ":delay=" + seconds_text(delay);
       break;
   }
-  out += buf;
-  if (from > sim::Time::zero()) {
-    std::snprintf(buf, sizeof buf, ",from=%g", from.sec());
-    out += buf;
-  }
-  if (until < sim::Time::max()) {
-    std::snprintf(buf, sizeof buf, ",until=%g", until.sec());
-    out += buf;
-  }
+  if (from > sim::Time::zero()) out += ",from=" + seconds_text(from);
+  if (until < sim::Time::max()) out += ",until=" + seconds_text(until);
   return out;
 }
 

@@ -23,8 +23,9 @@
 //   switchfail:p=P[,from=S,until=S]         elevator-switch commands fail
 //   switchdelay:delay=S[,from=S,until=S]    switch commands land S s late
 //
-// Times are (fractional) seconds of simulated time; windows are [from,
-// until). `until` defaults to forever, `from` to 0. Crash kinds are
+// Numbers follow the lexer rules of sim/text.hpp (finite, strict integers;
+// whitespace around specs and fields is trimmed). Times are (fractional)
+// seconds of simulated time; windows are [from, until). `until` defaults to forever, `from` to 0. Crash kinds are
 // permanent by construction; a plan that schedules a vmdown restart (a
 // finite `until`) for a VM that a vmcrash has already killed by that time
 // is rejected at parse with both line numbers — restarts cannot resurrect
@@ -70,6 +71,8 @@ struct FaultSpec {
   sim::Time delay = sim::Time::zero();   // kSwitchDelay latency
 
   bool active_at(sim::Time t) const { return t >= from && t < until; }
+  bool operator==(const FaultSpec&) const = default;
+  /// Canonical text: parse_spec(to_string()) reproduces every field.
   std::string to_string() const;
 };
 

@@ -5,6 +5,7 @@
 #include "iosched/cfq.hpp"
 #include "iosched/deadline.hpp"
 #include "iosched/noop.hpp"
+#include "iosched/pair.hpp"
 #include "iosched/scheduler.hpp"
 
 namespace iosim::iosched {
@@ -38,6 +39,14 @@ std::optional<SchedulerKind> scheduler_from_string(const std::string& s) {
   if (t == "anticipatory" || t == "as" || t == "a") return SchedulerKind::kAnticipatory;
   if (t == "cfq" || t == "c") return SchedulerKind::kCfq;
   return std::nullopt;
+}
+
+std::optional<SchedulerPair> SchedulerPair::from_letters(std::string_view code) {
+  if (code.size() != 2) return std::nullopt;
+  const auto vmm = scheduler_from_string(std::string(1, code[0]));
+  const auto guest = scheduler_from_string(std::string(1, code[1]));
+  if (!vmm || !guest) return std::nullopt;
+  return SchedulerPair{*vmm, *guest};
 }
 
 std::unique_ptr<IoScheduler> make_scheduler(SchedulerKind kind, const SchedTunables& tun) {

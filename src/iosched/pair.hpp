@@ -2,7 +2,9 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "iosched/scheduler.hpp"
 
@@ -34,6 +36,9 @@ struct SchedulerPair {
   std::string letters() const {
     return std::string{to_letter(vmm)} + to_letter(guest);
   }
+  /// Inverse of letters(): exactly two of n/d/a/c (either case), VMM first;
+  /// nullopt otherwise.
+  static std::optional<SchedulerPair> from_letters(std::string_view code);
 };
 
 inline constexpr int kNumSchedulerPairs = kNumSchedulerKinds * kNumSchedulerKinds;

@@ -38,8 +38,10 @@
 //        controller at all — byte-identical to the pre-meta stream engine.
 //
 // Parsing is all-or-nothing with diagnostics (the fuzz contract shared
-// with ScenarioSpec and FaultPlan), and to_string() renders the canonical
-// form: parse(s.to_string()) reproduces to_string() byte for byte.
+// with ScenarioSpec and FaultPlan) under the lexer rules of sim/text.hpp:
+// numbers are finite, integers are whole tokens, a key repeated within a
+// segment is an error, and nothing is trimmed. to_string() renders the
+// canonical form: parse(s.to_string()) reproduces to_string() byte for byte.
 #pragma once
 
 #include <cstdint>

@@ -239,6 +239,19 @@ TEST(FaultPlanParse, RoundTripsThroughToString) {
   ASSERT_TRUE(q.has_value());
   EXPECT_EQ(p->to_string(), q->to_string());
   EXPECT_EQ(q->specs.size(), 6u);
+
+  // Every field survives, at full precision: %g rendering once turned
+  // p=0.1234567 into p=0.123457 and from=4367106.4655739255 into a time one
+  // nanosecond off.
+  const auto exact = FaultPlan::parse(
+      "transient:host=0,p=0.1234567;switchdelay:delay=4367106.4655739255;"
+      "switchfail:p=1,from=8884203.12455709,until=9e9");
+  ASSERT_TRUE(exact.has_value());
+  EXPECT_EQ(exact->specs[0].to_string(), "transient:host=0,p=0.1234567");
+  const auto again = FaultPlan::parse(exact->to_string());
+  ASSERT_TRUE(again.has_value()) << exact->to_string();
+  EXPECT_EQ(again->specs, exact->specs) << exact->to_string();
+  EXPECT_EQ(again->to_string(), exact->to_string());
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Fuzzer for the fault-plan grammar (fault/fault_plan.hpp).
 //
 // Contract: FaultPlan::parse never crashes; an accepted plan's to_string()
-// re-parses to the same canonical text, and every accepted spec carries
-// finite, in-range numbers (NaN/inf seconds would be UB in Time::from_sec_f
-// — the original fuzzer-found bug this corpus pins).
+// re-parses to the same canonical text and to the same specs, field for
+// field (no digit is lost in the rendering), and every accepted spec
+// carries finite, in-range numbers (NaN/inf seconds would be UB in
+// Time::from_sec_f — the original fuzzer-found bug this corpus pins).
 
 #include <cmath>
 #include <string>
@@ -39,6 +40,9 @@ std::string check_fault_plan(const std::string& text) {
   if (re->to_string() != canon) return "to_string is not idempotent";
   if (re->specs.size() != plan->specs.size()) {
     return "round-trip changed the spec count";
+  }
+  if (re->specs != plan->specs) {
+    return "round-trip changed a field | canon: " + iosim::fuzz::escape_for_log(canon);
   }
   return "";
 }

@@ -1,11 +1,14 @@
 // Fuzzer for the job-stream grammar (tenancy/stream_spec.hpp).
 //
 // Contract: StreamSpec::parse never crashes; an accepted spec's canonical
-// to_string() re-parses byte-identically (idempotent canonical form) and
+// to_string() re-parses byte-identically (idempotent canonical form),
 // describes at least one job and one class, so the planner downstream can
-// never be handed an empty stream.
+// never be handed an empty stream, and carries only finite numbers (NaN
+// passes every range check and would poison the arrival plan).
 
+#include <cmath>
 #include <string>
+#include <vector>
 
 #include "fuzz_util.hpp"
 #include "tenancy/stream_spec.hpp"
@@ -21,11 +24,18 @@ std::string check_stream(const std::string& text) {
 
   if (spec->job_count() < 1) return "accepted spec with no jobs";
   if (spec->classes.empty()) return "accepted spec with no classes";
+  std::vector<double> numbers = {spec->rate_hz, spec->retry_backoff_s,
+                                 spec->meta.explore, spec->meta.decay};
+  numbers.insert(numbers.end(), spec->trace_times_s.begin(), spec->trace_times_s.end());
   for (const auto& c : spec->classes) {
     if (c.mb_min > c.mb_max) return "accepted class with mb_min > mb_max";
     if (!(c.weight > 0.0) || !(c.mix > 0.0) || !(c.alpha > 0.0)) {
       return "accepted class with non-positive weight/mix/alpha";
     }
+    numbers.insert(numbers.end(), {c.alpha, c.weight, c.share, c.deadline_s, c.mix});
+  }
+  for (const double x : numbers) {
+    if (!std::isfinite(x)) return "accepted spec with a non-finite number";
   }
 
   const std::string canon = spec->to_string();

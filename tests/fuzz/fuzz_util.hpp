@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "sim/random.hpp"
+#include "sim/text.hpp"
 
 namespace iosim::fuzz {
 
@@ -55,15 +56,6 @@ inline int usage(const char* argv0) {
 /// Strict flag parsing, same convention as the iosim CLIs: unknown or
 /// malformed flags return false and the caller exits 2 with usage.
 inline bool parse_args(int argc, char** argv, FuzzOptions* out) {
-  const auto parse_u64 = [](const char* s, std::uint64_t* v) {
-    if (s == nullptr || *s == '\0' || *s == '-') return false;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long x = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE) return false;
-    *v = x;
-    return true;
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
     const char* v = (i + 1 < argc) ? argv[i + 1] : nullptr;
@@ -71,14 +63,14 @@ inline bool parse_args(int argc, char** argv, FuzzOptions* out) {
       out->corpus_dir = v;
       ++i;
     } else if (a == "--seed" && v != nullptr) {
-      if (!parse_u64(v, &out->seed)) return false;
+      if (!lex::parse_u64(v, &out->seed)) return false;
       ++i;
     } else if (a == "--budget" && v != nullptr) {
-      if (!parse_u64(v, &out->budget)) return false;
+      if (!lex::parse_u64(v, &out->budget)) return false;
       ++i;
     } else if (a == "--max-len" && v != nullptr) {
       std::uint64_t n = 0;
-      if (!parse_u64(v, &n) || n == 0) return false;
+      if (!lex::parse_u64(v, &n) || n == 0) return false;
       out->max_len = static_cast<std::size_t>(n);
       ++i;
     } else {

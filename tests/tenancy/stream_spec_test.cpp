@@ -192,6 +192,42 @@ TEST(StreamSpec, RejectsMalformedMetaSegment) {
   reject((base + "meta,policy=ucb;meta,policy=ucb").c_str(), "duplicate meta segment");
 }
 
+TEST(StreamSpec, RejectsNonFiniteNonIntegralAndRepeatedValues) {
+  // The contract shared with the fault grammar: numbers are finite, integers
+  // are whole tokens in range, and a repeated key is an error rather than
+  // a silent last-wins.
+  std::string err;
+  auto reject = [&](const std::string& text, const char* needle) {
+    EXPECT_FALSE(StreamSpec::parse(text, &err).has_value()) << text;
+    EXPECT_NE(err.find(needle), std::string::npos) << text << " -> " << err;
+  };
+  const std::string cls = ";class,name=a,wl=sort,mb=8-8";
+  const std::string base = "arrive,poisson,jobs=2" + cls;
+  reject("arrive,poisson,rate=nan,jobs=2" + cls, "rate must be a positive number");
+  reject("arrive,poisson,rate=inf,jobs=2" + cls, "rate must be a positive number");
+  reject("arrive,trace,t=0:nan" + cls, "bad arrival time");
+  reject(base + ",deadline=nan", "deadline must be >= 0");
+  reject(base + ",share=nan", "share must be in [0,1]");
+  reject(base + ",alpha=inf", "alpha must be positive");
+  reject(base + ";meta,policy=ucb,explore=nan", "explore must be in [0,100]");
+  reject(base + ";meta,policy=ucb,decay=nan", "decay must be in (0,1]");
+  reject(base + ";admit,active=2,backoff=nan", "backoff must be >= 0");
+  reject("arrive,poisson,jobs=2.0" + cls, "jobs must be a positive integer");
+  reject("arrive,poisson,jobs=1e1" + cls, "jobs must be a positive integer");
+  reject("arrive,poisson,jobs=1e10" + cls, "jobs must be a positive integer");
+  reject("arrive,poisson,jobs=2147483648" + cls, "jobs must be a positive integer");
+  reject("arrive,poisson,jobs= 2" + cls, "jobs must be a positive integer");
+  reject(base + ",mb=16-16", "duplicate key 'mb' in class segment");
+  reject("arrive,poisson,rate=0.1,rate=0.2,jobs=2" + cls,
+         "duplicate key 'rate' in arrive segment");
+  reject("arrive,trace,t=0,t=5" + cls, "duplicate key 't' in arrive segment");
+  reject(base + ";admit,active=2,active=3", "duplicate key 'active' in admit segment");
+  reject(base + ";meta,policy=ucb,policy=egreedy",
+         "duplicate key 'policy' in meta segment");
+  reject("arrive,poisson,jobs=2;class,name=a,wl=sort,mb=8.5-9", "bad class size range");
+  reject(base + ",prio=1.5", "bad priority");
+}
+
 TEST(StreamSpec, PolicyNames) {
   EXPECT_EQ(policy_by_name("fifo"), Policy::kFifo);
   EXPECT_EQ(policy_by_name("fair"), Policy::kFair);

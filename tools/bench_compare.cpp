@@ -24,7 +24,6 @@
 // CI job runs this against bench/baselines/micro_sim.json (see
 // EXPERIMENTS.md "Reading the perf-smoke artifact").
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "exp/json_parse.hpp"
+#include "sim/text.hpp"
 
 namespace {
 
@@ -104,9 +104,9 @@ int main(int argc, char** argv) {
   double max_regress = 0.25;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--max-regress") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      max_regress = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || max_regress < 0.0) return usage();
+      if (!iosim::lex::parse_double(argv[++i], &max_regress) || max_regress < 0.0) {
+        return usage();
+      }
     } else if (!baseline_path) {
       baseline_path = argv[i];
     } else if (!fresh_path) {

@@ -35,12 +35,12 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "cli_util.hpp"
 #include "exp/artifact.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "obs/attribution.hpp"
 #include "sim/random.hpp"
+#include "sim/text.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -361,20 +361,16 @@ int main(int argc, char** argv) {
     const std::string_view a = argv[i];
     const char* v = (i + 1 < argc) ? argv[i + 1] : nullptr;
     if (a == "--seed" && v != nullptr) {
-      unsigned long long x = 0;
-      if (!iosim::tools::parse_u64_arg(v, &x)) {
+      if (!iosim::lex::parse_u64(v, &master)) {
         std::fprintf(stderr, "iosim-soak: --seed must be an unsigned integer, got '%s'\n", v);
         return usage(argv[0]);
       }
-      master = x;
       ++i;
     } else if (a == "--runs" && v != nullptr) {
-      unsigned long long x = 0;
-      if (!iosim::tools::parse_u64_arg(v, &x) || x == 0) {
+      if (!iosim::lex::parse_u64(v, &runs) || runs == 0) {
         std::fprintf(stderr, "iosim-soak: --runs must be a positive integer, got '%s'\n", v);
         return usage(argv[0]);
       }
-      runs = x;
       ++i;
     } else if (a == "--out-dir" && v != nullptr) {
       out_dir = v;

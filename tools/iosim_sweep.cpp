@@ -53,8 +53,7 @@
 #include "exp/journal.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
-
-#include "cli_util.hpp"
+#include "sim/text.hpp"
 
 using namespace iosim;
 
@@ -125,7 +124,7 @@ std::optional<Options> parse_args(int argc, char** argv) {
     } else if (s == "--workers") {
       const char* v = need_value("--workers");
       if (!v) return std::nullopt;
-      if (!tools::parse_int_arg(v, &o.workers) || o.workers < 1) {
+      if (!lex::parse_int(v, &o.workers) || o.workers < 1) {
         std::fprintf(stderr, "iosim-sweep: --workers must be an integer >= 1, got '%s'\n", v);
         return std::nullopt;
       }
@@ -136,14 +135,12 @@ std::optional<Options> parse_args(int argc, char** argv) {
     } else if (s == "--set") {
       const char* v = need_value("--set");
       if (!v) return std::nullopt;
-      const std::string kv = v;
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        std::fprintf(stderr, "iosim-sweep: --set expects key=value, got '%s'\n",
-                     kv.c_str());
+      const auto kv = lex::split_key_value(v);
+      if (!kv || kv->key.empty()) {
+        std::fprintf(stderr, "iosim-sweep: --set expects key=value, got '%s'\n", v);
         return std::nullopt;
       }
-      o.sets.emplace_back(kv.substr(0, eq), kv.substr(eq + 1));
+      o.sets.emplace_back(kv->key, kv->value);
     } else if (s == "--repeats") {
       const char* v = need_value("--repeats");
       if (!v) return std::nullopt;
@@ -159,7 +156,7 @@ std::optional<Options> parse_args(int argc, char** argv) {
     } else if (s == "--retries") {
       const char* v = need_value("--retries");
       if (!v) return std::nullopt;
-      if (!tools::parse_int_arg(v, &o.retries) || o.retries < 0) {
+      if (!lex::parse_int(v, &o.retries) || o.retries < 0) {
         std::fprintf(stderr, "iosim-sweep: --retries must be an integer >= 0, got '%s'\n", v);
         return std::nullopt;
       }

@@ -10,8 +10,9 @@
 //                     [--policy fifo|fair|capacity] [--jobs]
 //
 // Every command prints a table; `--csv` switches to CSV for scripting.
-// Unknown flags, stray positionals, and malformed `--fault` specs are
-// rejected with a diagnostic and exit code 2.
+// Unknown flags, stray positionals, non-integer numeric flags and malformed
+// `--fault` specs are rejected with a diagnostic and exit code 2.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,6 +35,7 @@
 #include "metrics/registry_table.hpp"
 #include "metrics/table.hpp"
 #include "obs/attribution.hpp"
+#include "sim/text.hpp"
 #include "tenancy/stream_runner.hpp"
 #include "tenancy/stream_spec.hpp"
 #include "trace/registry.hpp"
@@ -52,11 +54,16 @@ struct Args {
     auto it = kv.find(k);
     return it == kv.end() ? d : it->second;
   }
-  long num(const std::string& k, long d) const {
-    auto it = kv.find(k);
-    return it == kv.end() ? d : std::atol(it->second.c_str());
+  /// Integer flag value (parse() has rejected malformed ones) or `d`.
+  std::int64_t num(const std::string& k, std::int64_t d) const {
+    if (auto it = kv.find(k); it != kv.end()) lex::parse_i64(it->second, &d);
+    return d;
   }
 };
+
+/// Valued flags that take an integer.
+const std::set<std::string> kIntegerFlags = {"hosts", "vms", "mb", "seed", "seeds",
+                                             "phases"};
 
 /// Per-command flag whitelist: `valued` flags consume the next argv token,
 /// `boolean` flags stand alone.
@@ -119,6 +126,12 @@ std::optional<Args> parse(int argc, char** argv, int from, const std::string& cm
         return std::nullopt;
       }
       const std::string val = argv[++i];
+      std::int64_t n = 0;
+      if (kIntegerFlags.count(key) != 0 && !lex::parse_i64(val, &n)) {
+        std::fprintf(stderr, "iosimctl %s: --%s expects an integer, got '%s'\n",
+                     cmd.c_str(), key.c_str(), val.c_str());
+        return std::nullopt;
+      }
       if (key == "fault" && a.has("fault")) {
         a.kv["fault"] += ";" + val;  // --fault is repeatable
       } else {
@@ -289,16 +302,13 @@ cluster::ClusterConfig cluster_of(const Args& a) {
   cfg.vms_per_host = static_cast<int>(a.num("vms", 4));
   cfg.seed = static_cast<std::uint64_t>(a.num("seed", 1));
   const std::string p = a.str("pair", "cc");
-  const auto vmm = p.size() == 2 ? iosched::scheduler_from_string(p.substr(0, 1))
-                                 : std::nullopt;
-  const auto guest = p.size() == 2 ? iosched::scheduler_from_string(p.substr(1, 1))
-                                   : std::nullopt;
-  if (!vmm || !guest) {
+  const auto pair = iosched::SchedulerPair::from_letters(p);
+  if (!pair) {
     std::fprintf(stderr, "iosimctl: bad scheduler pair '%s' (two of n/d/a/c)\n",
                  p.c_str());
     std::exit(2);
   }
-  cfg.pair = {*vmm, *guest};
+  cfg.pair = *pair;
   cfg.faults = faults_of(a);
   return cfg;
 }

@@ -29,7 +29,6 @@
 // no gateable family found (a sweep with the axis missing must not turn
 // the job green).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -39,6 +38,7 @@
 #include <vector>
 
 #include "exp/json_parse.hpp"
+#include "sim/text.hpp"
 
 namespace {
 
@@ -57,12 +57,6 @@ int usage() {
   return 2;
 }
 
-bool parse_ratio(const char* s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s, &end);
-  return end != s && *end == '\0' && *out > 0.0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -71,9 +65,13 @@ int main(int argc, char** argv) {
   double beat_static = 1.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tol-offline") == 0 && i + 1 < argc) {
-      if (!parse_ratio(argv[++i], &tol_offline)) return usage();
+      if (!iosim::lex::parse_double(argv[++i], &tol_offline) || tol_offline <= 0.0) {
+        return usage();
+      }
     } else if (std::strcmp(argv[i], "--beat-static") == 0 && i + 1 < argc) {
-      if (!parse_ratio(argv[++i], &beat_static)) return usage();
+      if (!iosim::lex::parse_double(argv[++i], &beat_static) || beat_static <= 0.0) {
+        return usage();
+      }
     } else if (!path) {
       path = argv[i];
     } else {
