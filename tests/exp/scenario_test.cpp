@@ -393,6 +393,7 @@ constexpr GrammarPin kGrammarPins[] = {
     {"bench/specs/fig7c.spec", true, 0xb1e277b1e207d255ULL, 0x0ef5ed08e9cc6a75ULL},
     {"bench/specs/fig7d.spec", true, 0x2fd3279e0750c640ULL, 0x59ac551be5bc582cULL},
     {"bench/specs/meta_smoke.spec", true, 0xa03bf075e1bc0c8aULL, 0xc4f2942c5cea14a1ULL},
+    {"bench/specs/scale.spec", true, 0x6d2f7fda326c7bb4ULL, 0x0a33a352a08a47e8ULL},
     {"bench/specs/smoke.spec", true, 0xf18c221c05e02858ULL, 0xfb92908a45ace0c3ULL},
     {"bench/specs/table1.spec", true, 0x23d26efe9848d401ULL, 0xe62f2562528fd649ULL},
     {"tests/fuzz/corpus/scenario/adapt-all16.txt", true, 0xbd2e5a377987e067ULL, 0x6b6fee95999b212cULL},
