@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "sim/random.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -159,6 +162,78 @@ TEST(MetaScheduler, SingleScheduleExecutesWithoutSwitch) {
   derived.seed = sim::derive_run_seed(derived.seed, 0);
   const auto plain = cluster::run_job(derived, jc);
   EXPECT_NEAR(r.seconds, plain.seconds, 1e-9);
+}
+
+// Untraced single-job experiment results, pinned exactly: the default
+// pair's profile entry and a schedule that switches at every phase
+// boundary, for both phase plans and for one and two seeds per evaluation.
+// Any change to how the experiment runs, splits phases or averages seeds
+// moves them.
+struct SingleJobPins {
+  double profile_total;
+  std::vector<double> profile_phases;
+  double execute_seconds;
+  std::int64_t execute_maps_done_ns;
+  std::int64_t execute_done_ns;
+};
+
+void expect_single_job_pins(PhasePlan plan, int seeds, const SingleJobPins& pin) {
+  const auto jc = workloads::make_job(workloads::stream_sort(), 64 * mapred::kMiB);
+  MetaSchedulerOptions o;
+  o.plan = plan;
+  o.seeds_per_eval = seeds;
+  MetaScheduler ms(tiny(), jc, o);
+  const auto profile = ms.profile_all_pairs();
+  const ProfileEntry* def = nullptr;
+  for (const auto& e : profile) {
+    if (e.pair == iosched::kDefaultPair) def = &e;
+  }
+  ASSERT_NE(def, nullptr);
+  EXPECT_EQ(def->total_seconds, pin.profile_total);
+  EXPECT_EQ(def->phase_seconds, pin.profile_phases);
+
+  PairSchedule sched;
+  sched.phases.assign(static_cast<std::size_t>(plan.count()), std::nullopt);
+  sched.phases[0] = iosched::kDefaultPair;
+  sched.phases[1] = iosched::SchedulerPair{iosched::SchedulerKind::kDeadline,
+                                           iosched::SchedulerKind::kDeadline};
+  if (plan.count() > 2) {
+    sched.phases[2] = iosched::SchedulerPair{iosched::SchedulerKind::kAnticipatory,
+                                             iosched::SchedulerKind::kNoop};
+  }
+  const auto r = ms.execute(sched);
+  EXPECT_FALSE(r.failed);
+  EXPECT_EQ(r.seconds, pin.execute_seconds);
+  EXPECT_EQ(r.stats.t_maps_done.ns(), pin.execute_maps_done_ns);
+  EXPECT_EQ(r.stats.t_done.ns(), pin.execute_done_ns);
+}
+
+TEST(MetaScheduler, MergedPlanOneSeedResultsArePinned) {
+  expect_single_job_pins(
+      PhasePlan{true}, 1,
+      {0x1.a3b68077f94fap+4, {0x1.5f873f472c7e2p+4, 0x1.10bd04c33346p+2},
+       0x1.c3b7522f10a89p+4, 21970519331, 28232256111});
+}
+
+TEST(MetaScheduler, MergedPlanTwoSeedResultsArePinned) {
+  expect_single_job_pins(
+      PhasePlan{true}, 2,
+      {0x1.a26981b29d20cp+4, {0x1.5dee07142401fp+4, 0x1.11edea79e47b2p+2},
+       0x1.c26a5369d6d5cp+4, 21970519331, 28232256111});
+}
+
+TEST(MetaScheduler, ThreePhasePlanOneSeedResultsArePinned) {
+  expect_single_job_pins(
+      PhasePlan{false}, 1,
+      {0x1.a3b68077f94fap+4, {0x1.5f873f472c7e2p+4, 0x1.b6bf492301035p+0, 0x1.461a64f4e60a5p+1},
+       0x1.ce8cfb8e118c5p+4, 21970519331, 28909419589});
+}
+
+TEST(MetaScheduler, ThreePhasePlanTwoSeedResultsArePinned) {
+  expect_single_job_pins(
+      PhasePlan{false}, 2,
+      {0x1.a26981b29d20cp+4, {0x1.5dee07142401fp+4, 0x1.ba2927ce728bbp+0, 0x1.46c7410c8fb06p+1},
+       0x1.cd3652d2710ccp+4, 21970519331, 28909419589});
 }
 
 }  // namespace
