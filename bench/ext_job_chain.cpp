@@ -3,9 +3,11 @@
 // a 3-job chain), which is the paper's argument for the P x S heuristic
 // over brute force. This bench runs Algorithm 1 over a heterogeneous
 // 3-job chain (wordcount -> sort -> wordcount w/o combiner) and reports
-// the search cost and the gain.
+// the search cost and the gain. Exits 1 when the search breaks the paper's
+// P x S bound or ships a schedule slower than the best single pair.
+#include <cstdio>
+
 #include "bench_util.hpp"
-#include "cluster/chain_runner.hpp"
 #include "core/meta_scheduler.hpp"
 
 using namespace iosim;
@@ -22,7 +24,9 @@ int main(int argc, char** argv) {
   };
 
   core::MetaSchedulerOptions opts;
-  core::MetaScheduler ms(core::make_chain_experiment(paper_cluster(), confs), opts);
+  const core::Experiment exp = core::make_chain_experiment(paper_cluster(), confs);
+  const int bound = exp.phases * 16;  // P x S
+  core::MetaScheduler ms(exp, opts);
   const auto r = ms.optimize();
 
   metrics::Table tab("chain result");
@@ -54,5 +58,17 @@ int main(int argc, char** argv) {
       "heterogeneous chain — the scalability argument of Section IV-C. The "
       "absolute gain is capped by the CPU-bound wordcount stages of this "
       "particular chain.");
-  return 0;
+
+  int failed = 0;
+  if (r.heuristic_evaluations > bound) {
+    std::fprintf(stderr, "ext_job_chain: %d heuristic evaluations exceed P x S = %d\n",
+                 r.heuristic_evaluations, bound);
+    ++failed;
+  }
+  if (r.adaptive_seconds > r.best_single_seconds) {
+    std::fprintf(stderr, "ext_job_chain: adaptive %.6f s slower than best single %.6f s\n",
+                 r.adaptive_seconds, r.best_single_seconds);
+    ++failed;
+  }
+  return failed > 0 ? 1 : 0;
 }

@@ -5,103 +5,82 @@
 #include <cstdio>
 #include <limits>
 
-#include "cluster/chain_runner.hpp"
 #include "core/adaptive_controller.hpp"
+#include "sim/random.hpp"
 #include "trace/registry.hpp"
 #include "trace/trace.hpp"
 #include "virt/physical_host.hpp"
 
 namespace iosim::core {
 
-namespace {
-
-/// The paper's experiment: one job, profiled and executed on a fresh
-/// cluster per run.
-Experiment make_single_job_experiment(cluster::ClusterConfig cluster_cfg,
-                                      mapred::JobConf job_conf,
-                                      const MetaSchedulerOptions& opts) {
-  Experiment e;
-  const PhasePlan plan = opts.plan;
-  const int seeds = opts.seeds_per_eval;
-  e.phases = plan.count();
-
-  e.profile = [cluster_cfg, job_conf, plan, seeds](iosched::SchedulerPair p) {
-    cluster::ClusterConfig cfg = cluster_cfg;
-    cfg.pair = p;
-    const auto r = cluster::run_job_avg(cfg, job_conf, seeds);
-    ProfileEntry entry;
-    entry.pair = p;
-    entry.total_seconds = r.seconds;
-    if (plan.merge_shuffle_tail) {
-      entry.phase_seconds = {r.ph1_seconds, r.ph23_seconds};
-    } else {
-      entry.phase_seconds = {r.ph1_seconds, r.ph2_seconds, r.ph3_seconds};
-    }
-    return entry;
-  };
-
-  e.execute = [cluster_cfg, job_conf, plan, seeds](const PairSchedule& schedule) {
-    cluster::ClusterConfig cfg = cluster_cfg;
-    cfg.pair = schedule.initial();
-    return cluster::run_job_avg(
-        cfg, job_conf, seeds, [&schedule, plan](cluster::Cluster& cl, mapred::Job& job) {
-          AdaptiveController::attach(cl, job, schedule, plan);
-        });
-  };
-  return e;
-}
-
-}  // namespace
-
 Experiment make_chain_experiment(cluster::ClusterConfig cfg,
                                  std::vector<mapred::JobConf> confs,
-                                 int seeds_per_eval) {
+                                 int seeds_per_eval, PhasePlan plan) {
   Experiment e;
-  constexpr int per_job = 2;  // maps / rest, the paper's merged plan
-  e.phases = per_job * static_cast<int>(confs.size());
+  e.phases = plan.count() * static_cast<int>(confs.size());
 
-  e.profile = [cfg, confs, seeds_per_eval](iosched::SchedulerPair p) {
-    cluster::ClusterConfig c = cfg;
-    c.pair = p;
-    const auto r = cluster::run_job_chain_avg(c, confs, seeds_per_eval);
+  e.profile = [cfg, confs, seeds_per_eval, plan,
+               phases = e.phases](iosched::SchedulerPair p) {
     ProfileEntry entry;
     entry.pair = p;
-    entry.total_seconds = r.seconds;
-    sim::Time prev_end = sim::Time::zero();
-    for (const auto& js : r.jobs) {
-      // Phase 2k: previous job end -> this job's maps done (includes the
-      // scheduling gap); phase 2k+1: maps done -> job done.
-      entry.phase_seconds.push_back((js.t_maps_done - prev_end).sec());
-      entry.phase_seconds.push_back((js.t_done - js.t_maps_done).sec());
-      prev_end = js.t_done;
+    entry.phase_seconds.assign(static_cast<std::size_t>(phases), 0.0);
+    // Summed over seeds, then scaled by 1/n: run_job_avg's order, which
+    // keeps a one-job chain bit-identical to it.
+    for (int i = 0; i < seeds_per_eval; ++i) {
+      cluster::ClusterConfig c = cfg;
+      c.pair = p;
+      c.seed = sim::derive_run_seed(cfg.seed, static_cast<std::uint64_t>(i));
+      const auto r = cluster::run_job(c, confs);
+      entry.total_seconds += r.seconds;
+      // Job k's first phase runs from the previous job's end (the chain's
+      // start, for job 0) to its maps done, so every scheduling gap lands
+      // in a phase. A milestone an aborted job never reached ends its phase
+      // at zero length; phases of jobs that never started stay 0.
+      std::size_t k = 0;
+      sim::Time prev = r.jobs.front().t_start;
+      auto phase_to = [&](sim::Time end) {
+        end = std::max(end, prev);
+        entry.phase_seconds[k++] += (end - prev).sec();
+        prev = end;
+      };
+      for (const auto& js : r.jobs) {
+        phase_to(js.t_maps_done);
+        if (!plan.merge_shuffle_tail) phase_to(js.t_shuffle_done);
+        phase_to(js.t_done);
+      }
     }
+    const double scale = 1.0 / seeds_per_eval;
+    entry.total_seconds *= scale;
+    for (double& s : entry.phase_seconds) s *= scale;
     return entry;
   };
 
-  e.execute = [cfg, confs, seeds_per_eval](const PairSchedule& schedule) {
+  e.execute = [cfg, confs, seeds_per_eval, plan](const PairSchedule& schedule) {
     cluster::ClusterConfig c = cfg;
     c.pair = schedule.initial();
-    // One controller per chain run (each seed boots a fresh cluster); job k
-    // replays schedule phases 2k and 2k+1.
+    // One controller per run (each seed boots a fresh cluster); job k
+    // replays schedule phases from k * plan.count() on.
     std::shared_ptr<AdaptiveController> ctl;
-    const auto chain = cluster::run_job_chain_avg(
-        c, confs, seeds_per_eval,
-        [&schedule, &ctl](cluster::Cluster& cl, mapred::Job& job, int idx) {
-          if (idx == 0) ctl = AdaptiveController::create(cl, schedule);
-          ctl->attach_job(job, PhasePlan{/*merge_shuffle_tail=*/true},
-                          per_job * idx);
+    int offset = 0;
+    return cluster::run_job_avg(
+        c, confs, seeds_per_eval, [&](cluster::Cluster& cl, mapred::Job& job) {
+          // A run's first job is built at t = 0, every later one inside its
+          // predecessor's commit.
+          if (cl.simr().now() == sim::Time::zero()) {
+            ctl = AdaptiveController::create(cl, schedule);
+            offset = 0;
+          }
+          ctl->attach_job(job, plan, offset);
+          offset += plan.count();
         });
-    cluster::RunResult out;
-    out.seconds = chain.seconds;
-    if (!chain.jobs.empty()) out.stats = chain.jobs.back();
-    return out;
   };
   return e;
 }
 
 MetaScheduler::MetaScheduler(cluster::ClusterConfig cluster_cfg,
                              mapred::JobConf job_conf, MetaSchedulerOptions opts)
-    : exp_(make_single_job_experiment(std::move(cluster_cfg), std::move(job_conf), opts)),
+    : exp_(make_chain_experiment(std::move(cluster_cfg), {std::move(job_conf)},
+                                 opts.seeds_per_eval, opts.plan)),
       opts_(opts) {}
 
 MetaScheduler::MetaScheduler(Experiment experiment, MetaSchedulerOptions opts)

@@ -79,8 +79,8 @@ struct MetaResult {
 
 /// An abstract experiment the heuristic can optimize: something that can be
 /// run once per fixed pair (profiling) and once per arbitrary schedule
-/// (evaluation). The single-MapReduce-job experiment is the paper's case;
-/// the chain experiment (Pig-style, Section IV-C) reuses the same search.
+/// (evaluation). make_chain_experiment builds the paper's single-job case
+/// and the Pig-style chain (Section IV-C) alike.
 struct Experiment {
   int phases = 2;
   std::function<ProfileEntry(iosched::SchedulerPair)> profile;
@@ -89,7 +89,8 @@ struct Experiment {
 
 class MetaScheduler {
  public:
-  /// The paper's experiment: one MapReduce job on one cluster.
+  /// The paper's experiment: one MapReduce job on one cluster, a chain of
+  /// one under `opts.plan`.
   MetaScheduler(cluster::ClusterConfig cluster_cfg, mapred::JobConf job_conf,
                 MetaSchedulerOptions opts);
 
@@ -126,13 +127,14 @@ class MetaScheduler {
   mutable sim::Time meta_clock_ = sim::Time::zero();
 };
 
-/// Build the chain experiment: `confs` run back to back, two phases per job
-/// (maps / rest), adaptive switches at every job start and maps-done
-/// boundary after the first — one AdaptiveController per chain run, so the
-/// switches share the fault layer and retry of every other controller. See
-/// cluster/chain_runner.hpp.
+/// Build the chain experiment: `confs` run back to back on one cluster
+/// (cluster::run_job over the list), `plan.count()` phases per job, with
+/// adaptive switches at every job start and phase boundary after the first
+/// — one AdaptiveController per run, so the switches share the fault layer
+/// and retry of every other controller. The paper's single-job experiment
+/// is the chain of one under that job's plan.
 Experiment make_chain_experiment(cluster::ClusterConfig cfg,
                                  std::vector<mapred::JobConf> confs,
-                                 int seeds_per_eval = 1);
+                                 int seeds_per_eval = 1, PhasePlan plan = {});
 
 }  // namespace iosim::core

@@ -44,24 +44,22 @@ StreamRunner::StreamRunner(cluster::Cluster& cl, std::vector<PlannedEntry> plan,
     r.job_id = static_cast<int>(i);
     r.class_index = plan_[i].class_index;
     r.size_mb = plan_[i].size_mb;
-    r.t_arrive_s = opts_.sequential ? 0.0 : plan_[i].t_arrive_s;
+    r.t_arrive_s = plan_[i].t_arrive_s;
   }
   unfinished_ = static_cast<int>(plan_.size());
-  if (!opts_.sequential) {
-    // Slot capacity is a TaskTracker property, uniform across the stream:
-    // taken from the first entry's conf.
-    arbiter_ = std::make_unique<PolicyArbiter>(
-        opts_.policy, cl_.n_vms(), plan_[0].conf.map_slots,
-        plan_[0].conf.reduce_slots, &cl_.simr());
-    std::vector<double> shares;
-    shares.reserve(opts_.classes.size());
-    for (const ClassSpec& c : opts_.classes) shares.push_back(c.share);
-    arbiter_->set_class_shares(std::move(shares));
-    arbiter_->on_release = [this] { schedule_kick(); };
-    phases_.on_cluster_phase = [](int phase) {
-      if (auto* at = obs::attribution()) at->set_phase(phase);
-    };
-  }
+  // Slot capacity is a TaskTracker property, uniform across the stream:
+  // taken from the first entry's conf.
+  arbiter_ = std::make_unique<PolicyArbiter>(
+      opts_.policy, cl_.n_vms(), plan_[0].conf.map_slots,
+      plan_[0].conf.reduce_slots, &cl_.simr());
+  std::vector<double> shares;
+  shares.reserve(opts_.classes.size());
+  for (const ClassSpec& c : opts_.classes) shares.push_back(c.share);
+  arbiter_->set_class_shares(std::move(shares));
+  arbiter_->on_release = [this] { schedule_kick(); };
+  phases_.on_cluster_phase = [](int phase) {
+    if (auto* at = obs::attribution()) at->set_phase(phase);
+  };
 }
 
 StreamRunner::~StreamRunner() = default;
@@ -69,10 +67,6 @@ StreamRunner::~StreamRunner() = default;
 void StreamRunner::start() {
   assert(!started_);
   started_ = true;
-  if (opts_.sequential) {
-    admit(0);
-    return;
-  }
   if (auto* at = obs::attribution()) at->set_phase(0);
   for (std::size_t i = 0; i < plan_.size(); ++i) {
     const auto idx = static_cast<int>(i);
@@ -141,20 +135,6 @@ void StreamRunner::admit(int index) {
   auto& slot = jobs_[static_cast<std::size_t>(index)];
   slot = std::make_unique<mapred::Job>(cl_.env(), e.conf, e.seed);
   mapred::Job* job = slot.get();
-
-  if (opts_.sequential) {
-    // Legacy chain semantics: default identity, no arbiter, next job
-    // admitted inside this one's completion (byte-compat with the old
-    // chain runner — the pinned chain digest holds the line).
-    if (opts_.setup) opts_.setup(cl_, *job, index);
-    job->append_hooks({.on_done = [this, index](sim::Time) {
-      on_job_finished(index, /*failed=*/false);
-      if (static_cast<std::size_t>(index + 1) < plan_.size()) admit(index + 1);
-    }});
-    job->run();
-    return;
-  }
-
   ++active_;
   // Plan index for a first admission; a fresh id past the plan for retries,
   // so the superseded attempt's ctx window and auditor account stay closed.
@@ -198,11 +178,10 @@ void StreamRunner::on_job_finished(int index, bool failed) {
   StreamJobRecord& r = records_[static_cast<std::size_t>(index)];
   assert(!r.completed && !r.failed && "job finished twice");
   const sim::Time now = cl_.simr().now();
-  if (!opts_.sequential) --active_;
+  --active_;
 
   mapred::Job* job = jobs_[static_cast<std::size_t>(index)].get();
-  if (!opts_.sequential && failed && r.retries < opts_.job_retries &&
-      job->failed_on_dead_vm()) {
+  if (failed && r.retries < opts_.job_retries && job->failed_on_dead_vm()) {
     // The attempt died with its host, not on its own merits: retire this
     // incarnation and re-admit a fresh one through the gate after the
     // backoff. The record stays open (neither completed nor failed).
@@ -229,7 +208,6 @@ void StreamRunner::on_job_finished(int index, bool failed) {
   stats_[static_cast<std::size_t>(index)] =
       jobs_[static_cast<std::size_t>(index)]->stats();
   --unfinished_;
-  if (opts_.sequential) return;
 
   const int job_id = r.job_id;
   if (static_cast<std::size_t>(r.class_index) < opts_.classes.size()) {
@@ -248,7 +226,7 @@ void StreamRunner::on_job_finished(int index, bool failed) {
 }
 
 void StreamRunner::schedule_kick() {
-  if (kick_pending_ || opts_.sequential) return;
+  if (kick_pending_) return;
   kick_pending_ = true;
   // Coalesce: every release in the current event settles into one rescan,
   // in admission order (deterministic regardless of which release fired
@@ -269,18 +247,14 @@ StreamResult StreamRunner::finish() {
   StreamResult out;
   out.stop = cl_.simr().stop_reason();
   const bool drained = out.stop == sim::StopReason::kDrained;
-  if (!opts_.sequential) {
-    if (auto* ck = check::auditor()) {
-      check::verify_simulator(*ck, cl_.simr(), drained);
-      if (drained) ck->verify_end_of_run(cl_.simr().now().ns());
-    }
+  if (auto* ck = check::auditor()) {
+    check::verify_simulator(*ck, cl_.simr(), drained);
+    if (drained) ck->verify_end_of_run(cl_.simr().now().ns());
   }
   if (unfinished_ > 0) {
-    // A drained queue with unfinished jobs is a deadlock in open mode (a
-    // failed job still fires on_failed); in sequential mode it is the old
-    // chain-stall behavior and the caller's assert handles it.
-    assert((!drained || opts_.sequential) &&
-           "jobs unfinished on a drained stream");
+    // A drained queue with unfinished jobs is a deadlock (a failed job
+    // still fires on_failed).
+    assert(!drained && "jobs unfinished on a drained stream");
     out.ok = false;
     out.error = std::to_string(unfinished_) + " job(s) unfinished (" +
                 sim::to_string(out.stop) + ") after " +
@@ -370,7 +344,6 @@ StreamResult run_stream(const cluster::ClusterConfig& cfg, const StreamSpec& spe
   cluster::Cluster cl(cfg);
   cl.simr().set_budget(cfg.budget);
   StreamRunner::Options opts;
-  opts.sequential = false;
   opts.policy = spec.policy;
   opts.classes = spec.classes;
   opts.setup = setup;

@@ -1,22 +1,15 @@
 // iosim: the multi-tenant stream engine — an open-arrival MapReduce cluster.
 //
-// StreamRunner owns the job-sequencing machinery for every multi-job run in
-// the repo. Two modes share it:
-//
-//   * Open arrivals (run_stream): jobs arrive at planned times on a live
-//     cluster and *contend* — for map/reduce slots through a PolicyArbiter
-//     (FIFO / Fair / Capacity), for HDFS, and for the shared platter
-//     underneath every VM. Each job gets a private identity: its own task
-//     seed (derived from the run seed), its own elevator-context window
-//     (mapred::ctx::job_window — CFQ's per-process queues and the
-//     anticipation heuristics key on ctx, so cross-job ctx collisions would
-//     merge think-time histories), per-job auditor accounts, and per-class
-//     sojourn sketches for the SLA report.
-//   * Sequential chains (cluster::run_job_chain delegates here): the
-//     degenerate back-to-back stream — job k+1 is admitted inside job k's
-//     completion, no arbiter, legacy identity (job_id 0, ctx_base 0).
-//     Byte-identical to the pre-stream chain runner; the pinned chain
-//     digest in trace_digest_test enforces that.
+// StreamRunner runs open arrivals (run_stream): jobs arrive at planned
+// times on a live cluster and *contend* — for map/reduce slots through a
+// PolicyArbiter (FIFO / Fair / Capacity), for HDFS, and for the shared
+// platter underneath every VM. Each job gets a private identity: its own
+// task seed (derived from the run seed), its own elevator-context window
+// (mapred::ctx::job_window — CFQ's per-process queues and the anticipation
+// heuristics key on ctx, so cross-job ctx collisions would merge
+// think-time histories), per-job auditor accounts, and per-class sojourn
+// sketches for the SLA report. A back-to-back chain needs none of that: it
+// is cluster::run_job over a list of jobs.
 //
 // Determinism: admissions are simulator events at planned times, the plan
 // is a pure function of (spec, seed), per-job task streams use
@@ -119,8 +112,8 @@ using StreamSetupHook = std::function<void(cluster::Cluster&, mapred::Job&, int)
 StreamResult run_stream(const cluster::ClusterConfig& cfg, const StreamSpec& spec,
                         const StreamSetupHook& setup = {});
 
-/// The sequencing engine itself — exposed for the chain-compat shim and
-/// tests that need custom plans.
+/// The sequencing engine itself — exposed for tests and benchmarks that
+/// need custom plans.
 class StreamRunner {
  public:
   struct PlannedEntry {
@@ -133,13 +126,8 @@ class StreamRunner {
   };
 
   struct Options {
-    /// Chain mode: admit entry k+1 when entry k completes, with legacy
-    /// single-job identity and no arbiter (byte-compat with the old chain
-    /// runner). t_arrive_s is ignored.
-    bool sequential = false;
     Policy policy = Policy::kFifo;
-    /// Class attributes for the arbiter / SLA report; may be empty in
-    /// sequential mode.
+    /// Class attributes for the arbiter / SLA report.
     std::vector<ClassSpec> classes;
     StreamSetupHook setup;
     /// Overload protection (StreamSpec's admit segment). max_active == 0
@@ -156,8 +144,7 @@ class StreamRunner {
   StreamRunner(const StreamRunner&) = delete;
   StreamRunner& operator=(const StreamRunner&) = delete;
 
-  /// Schedule every admission (or admit job 0, in sequential mode). The
-  /// caller then drives cl.simr().run().
+  /// Schedule every admission. The caller then drives cl.simr().run().
   void start();
 
   /// Collect results and run end-of-run verification. Call once, after the
@@ -173,13 +160,13 @@ class StreamRunner {
   void pump_admissions();
   void on_job_finished(int index, bool failed);
   void schedule_kick();
-  bool gate_enabled() const { return !opts_.sequential && opts_.max_active > 0; }
+  bool gate_enabled() const { return opts_.max_active > 0; }
   int class_priority(int class_index) const;
 
   cluster::Cluster& cl_;
   std::vector<PlannedEntry> plan_;
   Options opts_;
-  std::unique_ptr<PolicyArbiter> arbiter_;  // null in sequential mode
+  std::unique_ptr<PolicyArbiter> arbiter_;
   PhaseAggregator phases_;
   std::vector<std::unique_ptr<mapred::Job>> jobs_;  // indexed like plan_
   /// Aborted attempts superseded by a retry. Membership and fault callbacks

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <string>
 
-#include "cluster/chain_runner.hpp"
 #include "cluster/runner.hpp"
 #include "exp/artifact.hpp"
 #include "trace/trace.hpp"
@@ -30,9 +29,9 @@ inline constexpr std::uint64_t kPreRefactorTraceDigest = 0x625ba9238ba4a87cULL;
 
 /// FNV-1a 64 of a seeded three-job chain's trace, captured on the
 /// dedicated chain runner immediately before it was rehosted onto
-/// tenancy::StreamRunner's sequential mode. Same contract as above: the
-/// stream engine may restructure the sequencing code, but a chained run's
-/// event order and timing must not move by a byte.
+/// tenancy::StreamRunner (chains now run on cluster::run_job). Same
+/// contract as above: the sequencing code may be restructured, but a
+/// chained run's event order and timing must not move by a byte.
 inline constexpr std::uint64_t kPreStreamChainDigest = 0x12b0952ebf45d35cULL;
 
 std::string traced_run_json() {
@@ -70,7 +69,7 @@ TEST(TraceDigest, ChainedRunMatchesPreStreamDigest) {
       workloads::make_job(workloads::stream_sort(), 16 * mapred::kMiB),
       workloads::make_job(workloads::wordcount_no_combiner(), 16 * mapred::kMiB),
   };
-  const auto r = cluster::run_job_chain(cfg, confs);
+  const auto r = cluster::run_job(cfg, confs);
   EXPECT_EQ(r.jobs.size(), confs.size());
   const std::string json = session.tracer().to_json();
   const std::uint64_t digest = exp::fnv1a64(json);
