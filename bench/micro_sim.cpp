@@ -1,9 +1,12 @@
 // micro_sim — events/sec microbenchmarks for the discrete-event hot path.
 //
-// Seven probes, lowest layer first:
+// Eight probes, lowest layer first:
 //   schedule-fire   — self-rescheduling event chains through the heap
 //   schedule-cancel — schedule + cancel churn (anticipatory-timeout pattern)
 //   bio-roundtrip   — submit -> elevator -> disk -> completion round trips
+//   blk-roundtrip   — the same spread round-robin over 1 and over 64 block
+//                     layers: the l64/l1 ratio is the cost of a working set
+//                     that spans many layers, as a cluster run's does
 //   domu-roundtrip  — the same through the whole split-driver path
 //                     (guest elevator -> blkfront ring -> Dom0 elevator ->
 //                     disk), once with attribution off and once with an
@@ -38,7 +41,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -216,6 +221,77 @@ double bench_bio_roundtrip(std::uint64_t total_bios, int depth) {
   if (st.completed != total_bios) {
     check_failed("bio-roundtrip: completed %" PRIu64 " != %" PRIu64 "\n", st.completed,
                  total_bios);
+  }
+  return wall;
+}
+
+// --- blk-roundtrip ---------------------------------------------------------
+//
+// bio-roundtrip over `n_layers` block layers, each over its own disk, with
+// kRrDepth bios outstanding per layer on average. Every completion submits
+// the next bio to the next layer in round-robin order, so consecutive
+// submissions always touch different layers, as the interleaved events of
+// a many-host cluster run do. Each layer keeps its own 7/8-sequential
+// stream. Reported as host ns per bio; l1 and l64 do the same per-bio work,
+// so their ratio isolates the cost of the larger working set.
+
+constexpr int kRrDepth = 8;
+
+struct RrLayer {
+  std::unique_ptr<blk::DiskDevice> dev;
+  std::unique_ptr<blk::BlockLayer> layer;
+  std::uint64_t rng;
+  disk::Lba next_lba = 0;
+};
+
+struct RrState {
+  std::vector<RrLayer> layers;
+  std::size_t turn = 0;
+  std::uint64_t remaining;
+  std::uint64_t completed = 0;
+};
+
+void submit_next_rr(RrState* st) {
+  if (st->remaining == 0) return;
+  --st->remaining;
+  RrLayer& l = st->layers[st->turn];
+  st->turn = (st->turn + 1) % st->layers.size();
+  const std::uint64_t r = mix(l.rng);
+  if ((r & 7u) == 0) l.next_lba = static_cast<disk::Lba>(r % 1'000'000'000);
+  blk::Bio bio;
+  bio.lba = l.next_lba;
+  bio.sectors = 256;
+  l.next_lba += bio.sectors;
+  bio.dir = (r & 8u) ? iosched::Dir::kWrite : iosched::Dir::kRead;
+  bio.ctx = r & 3u;
+  bio.on_complete = [st](sim::Time, iosched::IoStatus) {
+    ++st->completed;
+    submit_next_rr(st);
+  };
+  l.layer->submit(std::move(bio));
+}
+
+double bench_blk_roundtrip(std::uint64_t total_bios, int n_layers) {
+  sim::Simulator s;
+  RrState st{{}, 0, total_bios};
+  st.layers.resize(static_cast<std::size_t>(n_layers));
+  for (int i = 0; i < n_layers; ++i) {
+    RrLayer& l = st.layers[static_cast<std::size_t>(i)];
+    l.dev = std::make_unique<blk::DiskDevice>(s, disk::DiskParams{},
+                                              /*seed=*/11 + static_cast<std::uint64_t>(i));
+    blk::BlockLayerConfig cfg;
+    cfg.scheduler = iosched::SchedulerKind::kNoop;
+    cfg.name = "micro/rr" + std::to_string(i);
+    l.layer = std::make_unique<blk::BlockLayer>(s, *l.dev, cfg);
+    l.rng = 99 + static_cast<std::uint64_t>(i);
+  }
+  const double t0 = now_sec();
+  for (int i = 0; i < kRrDepth * n_layers && st.remaining > 0; ++i) submit_next_rr(&st);
+  s.run();
+  const double wall = now_sec() - t0;
+  if (st.completed != total_bios) {
+    check_failed("blk-roundtrip(l%d): completed %" PRIu64 " != %" PRIu64 "\n", n_layers,
+                 st.completed, total_bios);
   }
   return wall;
 }
@@ -455,6 +531,17 @@ int main(int argc, char** argv) {
   row("bio-roundtrip", bio_rate, bio_wall);
   bench::report().add("bio_roundtrip.bios_per_sec", bio_rate);
   bench::report().add("bio_roundtrip.wall_seconds", bio_wall);
+
+  for (const int n_layers : {1, 64}) {
+    const double rr_wall =
+        best_of_fn(reps, [&] { return bench_blk_roundtrip(n_bio, n_layers); });
+    const double ns_per_bio = 1e9 * rr_wall / static_cast<double>(n_bio);
+    std::printf("  %-18s %14.1f ns/bio best wall %8.3f s\n",
+                n_layers == 1 ? "blk-rt (l1)" : "blk-rt (l64)", ns_per_bio, rr_wall);
+    bench::report().add(n_layers == 1 ? "blk_roundtrip_l1.ns_per_bio"
+                                      : "blk_roundtrip_l64.ns_per_bio",
+                        ns_per_bio);
+  }
 
   const std::uint64_t n_domu = 200'000 / scale;
   const double domu_off_wall =

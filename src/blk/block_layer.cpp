@@ -103,11 +103,10 @@ void BlockLayer::submit(Bio bio) {
   // Back-merge: a queued request of the same direction/sync/context ending
   // exactly where this bio starts grows to absorb it (the common sequential
   // pattern; the kernel's dominant merge path).
-  if (auto it = merge_idx_.find(bio.lba); it != merge_idx_.end()) {
-    Request* rq = it->second;
+  if (Request* rq = merge_idx_.find(bio.lba)) {
     if (rq->dir == bio.dir && rq->sync == bio.sync && rq->ctx == bio.ctx &&
         rq->sectors + bio.sectors <= cfg_.max_request_sectors) {
-      merge_idx_.erase(it);
+      merge_idx_.erase(bio.lba);
       rq->sectors += bio.sectors;
       ++rq->n_bios;
       if (bio.on_complete) rq->completions.push_back(std::move(bio.on_complete));
@@ -134,8 +133,7 @@ void BlockLayer::submit(Bio bio) {
     }
   }
 
-  auto rq_owned = std::make_unique<Request>();
-  Request* rq = rq_owned.get();
+  Request* rq = acquire_request();
   rq->id = next_rq_id_++;
   rq->lba = bio.lba;
   rq->sectors = bio.sectors;
@@ -156,7 +154,6 @@ void BlockLayer::submit(Bio bio) {
   } else if (bio.attr != obs::kNoAttr) {
     rq->attrs.push_back(bio.attr);
   }
-  requests_.emplace(rq->id, std::move(rq_owned));
   merge_idx_.emplace(rq->end(), rq);
   ++queued_by_dir_[static_cast<int>(rq->dir)];
   sched_->add(rq, now);
@@ -166,6 +163,28 @@ void BlockLayer::submit(Bio bio) {
   }
   account_busy();
   kick();
+}
+
+Request* BlockLayer::acquire_request() {
+  if (free_.empty()) {
+    pool_.push_back(std::make_unique<Request>());
+    return pool_.back().get();
+  }
+  Request* rq = free_.back();
+  free_.pop_back();
+  return rq;
+}
+
+void BlockLayer::release_request(Request* rq) {
+  // Everything the next user does not overwrite goes back to its initial
+  // value. Clearing here (not at reuse) destroys the callbacks' captures
+  // right after they ran, as freeing the request used to.
+  rq->n_bios = 1;
+  rq->status = iosched::IoStatus::kOk;
+  rq->dispatch = Time{};
+  rq->completions.clear();
+  rq->attrs.clear();
+  free_.push_back(rq);
 }
 
 void BlockLayer::switch_scheduler(SchedulerKind kind) {
@@ -326,13 +345,11 @@ void BlockLayer::on_sink_complete(Request* rq, Time now) {
     observers_->completion[i].fn(*this, *rq, now);
   }
 
-  // Fire waiter callbacks, then free. Callbacks may submit new bios, so the
-  // request is detached from the table first.
-  auto it = requests_.find(rq->id);
-  assert(it != requests_.end());
-  auto owned = std::move(it->second);
-  requests_.erase(it);
-  for (auto& fn : owned->completions) fn(now, owned->status);
+  // Fire waiter callbacks, then recycle. Callbacks may submit new bios into
+  // this layer: those get other requests, because this one is not back in
+  // the pool yet (and, dispatched, it is no longer in the merge index).
+  for (auto& fn : rq->completions) fn(now, rq->status);
+  release_request(rq);
 
   account_busy();
   if (draining_) {

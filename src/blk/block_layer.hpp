@@ -13,10 +13,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "blk/bio.hpp"
+#include "blk/merge_index.hpp"
 #include "blk/request_sink.hpp"
 #include "iosched/scheduler.hpp"
 #include "obs/attr.hpp"
@@ -158,6 +158,10 @@ class BlockLayer {
   /// can change whether the layer has work on hand.
   void account_busy();
   void on_sink_complete(Request* rq, Time now);
+  /// A fresh request from the pool (reused when one is free).
+  Request* acquire_request();
+  /// Return a completed request to the pool, reset to the fresh state.
+  void release_request(Request* rq);
 
   sim::Simulator& simr_;
   RequestSink& sink_;
@@ -165,9 +169,15 @@ class BlockLayer {
   std::unique_ptr<IoScheduler> sched_;
 
   std::uint64_t next_rq_id_ = 1;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Request>> requests_;
+  /// Request pool: every request this layer ever built, plus the ones free
+  /// for reuse (LIFO, so the most recently completed, cache-warm one goes
+  /// out first). A request returns to the pool only after its completion
+  /// callbacks have run; the pool's size is the layer's peak number of
+  /// live requests.
+  std::vector<std::unique_ptr<Request>> pool_;
+  std::vector<Request*> free_;
   /// Back-merge index over *queued* requests: end LBA -> request.
-  std::unordered_map<Lba, Request*> merge_idx_;
+  MergeIndex merge_idx_;
 
   std::size_t in_flight_ = 0;
   std::size_t queued_by_dir_[iosched::kNumDirs] = {0, 0};

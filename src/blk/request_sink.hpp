@@ -6,9 +6,8 @@
 //     requests into the Dom0 block layer.
 #pragma once
 
-#include <functional>
-
 #include "iosched/request.hpp"
+#include "sim/event_fn.hpp"
 
 namespace iosim::blk {
 
@@ -30,8 +29,13 @@ class RequestSink {
   /// Completion/ready callbacks installed by the owning BlockLayer.
   /// `on_complete` fires once per request; `on_ready` fires when the sink
   /// transitions from full to accepting (so the layer can dispatch more).
-  void set_on_complete(std::function<void(Request*, Time)> fn) { on_complete_ = std::move(fn); }
-  void set_on_ready(std::function<void(Time)> fn) { on_ready_ = std::move(fn); }
+  /// Both are small-buffer callables: the layer's `[this]` captures stay
+  /// inline, so a completion is one indirect call with no allocator behind
+  /// it.
+  using CompleteFn = sim::SmallFn<void(Request*, Time)>;
+  using ReadyFn = sim::SmallFn<void(Time)>;
+  void set_on_complete(CompleteFn fn) { on_complete_ = std::move(fn); }
+  void set_on_ready(ReadyFn fn) { on_ready_ = std::move(fn); }
 
  protected:
   void complete(Request* rq, Time now) {
@@ -42,8 +46,8 @@ class RequestSink {
   }
 
  private:
-  std::function<void(Request*, Time)> on_complete_;
-  std::function<void(Time)> on_ready_;
+  CompleteFn on_complete_;
+  ReadyFn on_ready_;
 };
 
 }  // namespace iosim::blk

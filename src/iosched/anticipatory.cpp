@@ -1,6 +1,5 @@
 #include "iosched/anticipatory.hpp"
 
-#include <cassert>
 #include <cmath>
 
 namespace iosim::iosched {
@@ -17,14 +16,7 @@ void AnticipatoryScheduler::record_think_sample(CtxStats& st, double sample_ns) 
 }
 
 void AnticipatoryScheduler::add(Request* rq, Time now) {
-  const int d = idx(rq->dir);
-  auto sit = sorted_[d].emplace(rq->lba, rq);
-  fifo_[d].push_back(rq);
-  auto fit = std::prev(fifo_[d].end());
-  const Time expire =
-      now + (rq->dir == Dir::kRead ? tun_.read_expire : tun_.write_expire);
-  handles_.emplace(rq, Handles{sit, fit, expire});
-  ++count_;
+  q_.add(rq, now + (rq->dir == Dir::kRead ? tun_.read_expire : tun_.write_expire));
 
   if (rq->dir == Dir::kRead && rq->sync) {
     CtxStats& st = stats_[rq->ctx];
@@ -44,13 +36,7 @@ void AnticipatoryScheduler::add(Request* rq, Time now) {
 }
 
 void AnticipatoryScheduler::remove(Request* rq) {
-  auto it = handles_.find(rq);
-  assert(it != handles_.end());
-  const int d = idx(rq->dir);
-  sorted_[d].erase(it->second.sorted_it);
-  fifo_[d].erase(it->second.fifo_it);
-  handles_.erase(it);
-  --count_;
+  q_.remove(rq);
   if (antic_hit_ == rq) antic_hit_ = nullptr;
 }
 
@@ -69,29 +55,27 @@ Request* AnticipatoryScheduler::pick_candidate(Time now) {
   // Continue the current batch while its quantum lasts and the scan has not
   // run off the end of the queue.
   if (batch_active_) {
-    const int d = idx(batch_dir_);
-    if (now < batch_end_ && !sorted_[d].empty()) {
-      auto it = sorted_[d].lower_bound(batch_pos_);
-      if (it != sorted_[d].end()) return it->second;
+    const auto& sorted = q_.sorted(batch_dir_);
+    if (now < batch_end_ && !sorted.empty()) {
+      auto it = sorted.lower_bound(batch_pos_);
+      if (it != sorted.end()) return it->second;
     }
     batch_active_ = false;
   }
 
   // Start a new batch: prefer reads; switch to writes when reads are absent
   // or the oldest write has expired.
-  const bool reads = !sorted_[idx(Dir::kRead)].empty();
-  const bool writes = !sorted_[idx(Dir::kWrite)].empty();
+  const bool reads = !q_.empty(Dir::kRead);
+  const bool writes = !q_.empty(Dir::kWrite);
   if (!reads && !writes) return nullptr;
 
   Dir dir = Dir::kRead;
   if (!reads) {
     dir = Dir::kWrite;
   } else if (writes) {
-    Request* whead = fifo_[idx(Dir::kWrite)].front();
-    if (handles_.at(whead).expire <= now) dir = Dir::kWrite;
+    if (q_.oldest(Dir::kWrite)->elv.expire <= now) dir = Dir::kWrite;
   }
 
-  const int d = idx(dir);
   batch_active_ = true;
   batch_dir_ = dir;
   batch_end_ = now + (dir == Dir::kRead ? tun_.read_batch_expire
@@ -99,15 +83,16 @@ Request* AnticipatoryScheduler::pick_candidate(Time now) {
 
   // Deadline jump if the direction's oldest request expired, else continue
   // the one-way scan from the head position (wrap to lowest LBA).
-  Request* head = fifo_[d].front();
-  if (handles_.at(head).expire <= now) return head;
-  auto it = sorted_[d].lower_bound(head_pos_);
-  if (it == sorted_[d].end()) it = sorted_[d].begin();
+  Request* head = q_.oldest(dir);
+  if (head->elv.expire <= now) return head;
+  const auto& sorted = q_.sorted(dir);
+  auto it = sorted.lower_bound(head_pos_);
+  if (it == sorted.end()) it = sorted.begin();
   return it->second;
 }
 
 Request* AnticipatoryScheduler::dispatch(Time now) {
-  if (count_ == 0) return nullptr;
+  if (q_.size() == 0) return nullptr;
 
   if (anticipating_) {
     if (antic_hit_ != nullptr) {
@@ -165,20 +150,13 @@ void AnticipatoryScheduler::on_complete(const Request& rq, Time now) {
 
 std::optional<Time> AnticipatoryScheduler::wakeup(Time) const {
   if (anticipating_) return antic_until_;
-  if (batch_active_ && count_ > 0) return std::nullopt;
   return std::nullopt;
 }
 
 std::vector<Request*> AnticipatoryScheduler::drain() {
   std::vector<Request*> out;
-  out.reserve(count_);
-  for (int d = 0; d < kNumDirs; ++d) {
-    for (Request* rq : fifo_[d]) out.push_back(rq);
-    fifo_[d].clear();
-    sorted_[d].clear();
-  }
-  handles_.clear();
-  count_ = 0;
+  out.reserve(q_.size());
+  q_.drain_into(out);
   batch_active_ = false;
   anticipating_ = false;
   antic_armed_ = false;

@@ -14,11 +14,9 @@
 // AS being the best VMM-level scheduler in the paper's Table I.
 #pragma once
 
-#include <list>
-#include <map>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "iosched/expiry_queues.hpp"
 #include "iosched/scheduler.hpp"
 
 namespace iosim::iosched {
@@ -35,8 +33,8 @@ class AnticipatoryScheduler final : public IoScheduler {
   std::optional<Time> wakeup(Time) const override;
   void note_back_merge(Request*) override {}
 
-  bool empty() const override { return count_ == 0; }
-  std::size_t size() const override { return count_; }
+  bool empty() const override { return q_.size() == 0; }
+  std::size_t size() const override { return q_.size(); }
   std::vector<Request*> drain() override;
 
   /// True while the scheduler is inside an anticipation window (exposed for
@@ -44,15 +42,6 @@ class AnticipatoryScheduler final : public IoScheduler {
   bool anticipating() const { return anticipating_; }
 
  private:
-  using SortedQueue = std::multimap<Lba, Request*>;
-  using Fifo = std::list<Request*>;
-
-  struct Handles {
-    SortedQueue::iterator sorted_it;
-    Fifo::iterator fifo_it;
-    Time expire;
-  };
-
   /// Per-context behaviour statistics (kernel: struct as_io_context).
   struct CtxStats {
     bool has_completion = false;
@@ -63,17 +52,13 @@ class AnticipatoryScheduler final : public IoScheduler {
     Lba last_end = 0;
   };
 
-  int idx(Dir d) const { return static_cast<int>(d); }
   void remove(Request* rq);
   Request* pick_candidate(Time now);
   bool worth_anticipating(std::uint64_t ctx) const;
   void record_think_sample(CtxStats& st, double sample_ns);
 
   AnticipatoryTunables tun_;
-  SortedQueue sorted_[kNumDirs];
-  Fifo fifo_[kNumDirs];
-  std::unordered_map<Request*, Handles> handles_;
-  std::size_t count_ = 0;
+  ExpiryQueues q_;
 
   // Batch state: time-bounded one-way scan per direction.
   bool batch_active_ = false;

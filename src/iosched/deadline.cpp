@@ -5,57 +5,34 @@
 namespace iosim::iosched {
 
 void DeadlineScheduler::add(Request* rq, Time now) {
-  const int d = idx(rq->dir);
-  auto sit = sorted_[d].emplace(rq->lba, rq);
-  fifo_[d].push_back(rq);
-  auto fit = std::prev(fifo_[d].end());
-  const Time expire =
-      now + (rq->dir == Dir::kRead ? tun_.read_expire : tun_.write_expire);
-  handles_.emplace(rq, Handles{sit, fit, expire});
-  ++count_;
-}
-
-void DeadlineScheduler::remove(Request* rq) {
-  auto it = handles_.find(rq);
-  assert(it != handles_.end());
-  const int d = idx(rq->dir);
-  sorted_[d].erase(it->second.sorted_it);
-  fifo_[d].erase(it->second.fifo_it);
-  handles_.erase(it);
-  --count_;
+  q_.add(rq, now + (rq->dir == Dir::kRead ? tun_.read_expire : tun_.write_expire));
 }
 
 Request* DeadlineScheduler::next_in_batch() {
-  const int d = idx(batch_dir_);
-  auto it = sorted_[d].lower_bound(batch_pos_);
-  if (it == sorted_[d].end()) return nullptr;  // scan hit the end: batch over
+  const auto& sorted = q_.sorted(batch_dir_);
+  auto it = sorted.lower_bound(batch_pos_);
+  if (it == sorted.end()) return nullptr;  // scan hit the end: batch over
   return it->second;
 }
 
 Request* DeadlineScheduler::start_batch(Dir dir, Time now) {
-  const int d = idx(dir);
-  assert(!sorted_[d].empty());
+  const auto& sorted = q_.sorted(dir);
+  assert(!sorted.empty());
   batch_dir_ = dir;
   batch_remaining_ = tun_.fifo_batch;
 
   // A new batch honours deadlines: if the oldest request of this direction
   // has expired, the scan jumps to it; otherwise continue from the current
   // scan position (one-way elevator with wrap).
-  Request* head = fifo_[d].front();
-  Request* rq;
-  const Time expire = handles_.at(head).expire;
-  if (expire <= now) {
-    rq = head;
-  } else {
-    auto it = sorted_[d].lower_bound(batch_pos_);
-    if (it == sorted_[d].end()) it = sorted_[d].begin();  // wrap to lowest LBA
-    rq = it->second;
-  }
-  return rq;
+  Request* head = q_.oldest(dir);
+  if (head->elv.expire <= now) return head;
+  auto it = sorted.lower_bound(batch_pos_);
+  if (it == sorted.end()) it = sorted.begin();  // wrap to lowest LBA
+  return it->second;
 }
 
 Request* DeadlineScheduler::dispatch(Time now) {
-  if (count_ == 0) return nullptr;
+  if (q_.size() == 0) return nullptr;
 
   Request* rq = nullptr;
   if (batch_remaining_ > 0) {
@@ -65,8 +42,8 @@ Request* DeadlineScheduler::dispatch(Time now) {
   if (rq == nullptr) {
     // Pick the direction for a fresh batch. Reads win unless writes have
     // been starved `writes_starved` times in a row.
-    const bool reads = !sorted_[idx(Dir::kRead)].empty();
-    const bool writes = !sorted_[idx(Dir::kWrite)].empty();
+    const bool reads = !q_.empty(Dir::kRead);
+    const bool writes = !q_.empty(Dir::kWrite);
     Dir dir;
     if (reads && writes) {
       dir = (starved_ >= tun_.writes_starved) ? Dir::kWrite : Dir::kRead;
@@ -84,20 +61,14 @@ Request* DeadlineScheduler::dispatch(Time now) {
   assert(rq != nullptr);
   --batch_remaining_;
   batch_pos_ = rq->end();
-  remove(rq);
+  q_.remove(rq);
   return rq;
 }
 
 std::vector<Request*> DeadlineScheduler::drain() {
   std::vector<Request*> out;
-  out.reserve(count_);
-  for (int d = 0; d < kNumDirs; ++d) {
-    for (Request* rq : fifo_[d]) out.push_back(rq);
-    fifo_[d].clear();
-    sorted_[d].clear();
-  }
-  handles_.clear();
-  count_ = 0;
+  out.reserve(q_.size());
+  q_.drain_into(out);
   batch_remaining_ = 0;
   starved_ = 0;
   return out;

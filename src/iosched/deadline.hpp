@@ -7,10 +7,7 @@
 // deadline has passed. Reads are preferred, with a `writes_starved` bound.
 #pragma once
 
-#include <list>
-#include <map>
-#include <unordered_map>
-
+#include "iosched/expiry_queues.hpp"
 #include "iosched/scheduler.hpp"
 
 namespace iosim::iosched {
@@ -27,30 +24,16 @@ class DeadlineScheduler final : public IoScheduler {
   std::optional<Time> wakeup(Time) const override { return std::nullopt; }
   void note_back_merge(Request*) override {}
 
-  bool empty() const override { return count_ == 0; }
-  std::size_t size() const override { return count_; }
+  bool empty() const override { return q_.size() == 0; }
+  std::size_t size() const override { return q_.size(); }
   std::vector<Request*> drain() override;
 
  private:
-  using SortedQueue = std::multimap<Lba, Request*>;
-  using Fifo = std::list<Request*>;
-
-  struct Handles {
-    SortedQueue::iterator sorted_it;
-    Fifo::iterator fifo_it;
-    Time expire;  // absolute deadline
-  };
-
-  int idx(Dir d) const { return static_cast<int>(d); }
-  void remove(Request* rq);
   Request* next_in_batch();
   Request* start_batch(Dir d, Time now);
 
   DeadlineTunables tun_;
-  SortedQueue sorted_[kNumDirs];
-  Fifo fifo_[kNumDirs];
-  std::unordered_map<Request*, Handles> handles_;
-  std::size_t count_ = 0;
+  ExpiryQueues q_;
 
   // Batch state.
   int batch_remaining_ = 0;

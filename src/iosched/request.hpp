@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "disk/disk_model.hpp"
@@ -33,10 +34,26 @@ inline const char* to_string(IoStatus s) {
 /// which stays inline — no allocation per I/O (see sim/event_fn.hpp).
 using CompletionFn = sim::SmallFn<void(Time, IoStatus)>;
 
+struct Request;
+
+/// Per-request state of the expiry-FIFO elevators (deadline, AS): the
+/// FIFO deadline, the intrusive FIFO links and the request's entry in the
+/// LBA-sorted tree. Living in the request, it makes queueing and removal
+/// free of lookups and of FIFO nodes. Meaningful only while such an
+/// elevator holds the request (see iosched/expiry_queues.hpp).
+struct ElvState {
+  Time expire;               // absolute FIFO deadline
+  Request* prev = nullptr;   // FIFO neighbours (older / newer)
+  Request* next = nullptr;
+  std::multimap<Lba, Request*>::iterator sorted;
+};
+
 /// A queued block request. Created by the BlockLayer from submitted bios and
 /// owned by it for its whole life; schedulers and devices only see stable
 /// raw pointers. A request may represent several merged bios — completing
-/// the request fires every accumulated callback.
+/// the request fires every accumulated callback. The BlockLayer recycles
+/// request objects (blk/block_layer.hpp), so a pointer is only meaningful
+/// until the request's completion callbacks have run.
 struct Request {
   std::uint64_t id = 0;
 
@@ -79,6 +96,9 @@ struct Request {
   /// the ring segments merged into it. Kept as raw u32 so iosched/ stays
   /// independent of obs/.
   std::vector<std::uint32_t> attrs;
+
+  /// Owned by the elevator that holds the request (deadline, AS).
+  ElvState elv;
 
   Lba end() const { return lba + sectors; }
   std::int64_t bytes() const { return sectors * disk::kSectorBytes; }

@@ -1,5 +1,6 @@
 #include "mapred/merge_op.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "disk/disk_model.hpp"
@@ -89,15 +90,25 @@ void MergeOp::unit_read_done(std::shared_ptr<MergeOp> self, std::int64_t unit_by
       maybe_finish(vm_.simr->now());
       return;
     }
-    const auto sectors = (out_unit + disk::kSectorBytes - 1) / disk::kSectorBytes;
-    const disk::Lba at = out_next_;
-    out_next_ += sectors;
-    vm_.vm->submit_io(io_ctx_, at, sectors, iosched::Dir::kWrite, /*sync=*/false,
-                      [this, self](sim::Time t2, iosched::IoStatus st) {
-                        --cpu_write_inflight_;
-                        if (st != iosched::IoStatus::kOk) failed_ = true;
-                        maybe_finish(t2);
-                      });
+    // Write in bios of at most io_unit_bytes, the last one carrying the
+    // remainder, as IoStream does: with write_ratio > 1 one unit's output
+    // would otherwise exceed the block layer's largest request. Each bio
+    // holds one count of cpu_write_inflight_ until it completes.
+    cpu_write_inflight_ +=
+        static_cast<int>((out_unit + p_.io_unit_bytes - 1) / p_.io_unit_bytes) - 1;
+    for (std::int64_t left = out_unit; left > 0;) {
+      const std::int64_t bytes = std::min(left, p_.io_unit_bytes);
+      left -= bytes;
+      const auto sectors = (bytes + disk::kSectorBytes - 1) / disk::kSectorBytes;
+      const disk::Lba at = out_next_;
+      out_next_ += sectors;
+      vm_.vm->submit_io(io_ctx_, at, sectors, iosched::Dir::kWrite, /*sync=*/false,
+                        [this, self](sim::Time t2, iosched::IoStatus st) {
+                          --cpu_write_inflight_;
+                          if (st != iosched::IoStatus::kOk) failed_ = true;
+                          maybe_finish(t2);
+                        });
+    }
   });
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "blk/disk_device.hpp"
+#include "check/check.hpp"
 
 namespace iosim::blk {
 namespace {
@@ -279,6 +282,154 @@ TEST(BlockLayer, ObserverHandleOutlivingLayerIsSafe) {
   // freed memory — remove() degrades to a no-op.
   EXPECT_FALSE(handle.active());
   EXPECT_FALSE(handle.remove());
+}
+
+// --- request recycling -----------------------------------------------------
+
+/// Serves one request at a time, 1 ms each, and fails the first
+/// `fail_first` requests it receives.
+class ScriptedSink final : public RequestSink {
+ public:
+  ScriptedSink(sim::Simulator& simr, int fail_first)
+      : simr_(simr), fail_first_(fail_first) {}
+
+  bool can_accept() const override { return busy_ == nullptr; }
+
+  void submit(Request* rq, Time) override {
+    busy_ = rq;
+    if (served_++ < fail_first_) rq->status = IoStatus::kError;
+    simr_.after(1_ms, [this] {
+      Request* done = busy_;
+      busy_ = nullptr;
+      complete(done, simr_.now());
+    });
+  }
+
+ private:
+  sim::Simulator& simr_;
+  int fail_first_;
+  int served_ = 0;
+  Request* busy_ = nullptr;
+};
+
+struct SinkRig {
+  sim::Simulator simr;
+  ScriptedSink sink;
+  BlockLayer layer;
+  explicit SinkRig(int fail_first) : sink(simr, fail_first), layer(simr, sink, {}) {}
+
+  void submit(disk::Lba lba, obs::AttrHandle attr, std::function<void(IoStatus)> cb) {
+    Bio b;
+    b.lba = lba;
+    b.sectors = 8;
+    b.dir = Dir::kWrite;
+    b.sync = false;
+    b.ctx = 1;
+    b.attr = attr;
+    b.on_complete = [cb = std::move(cb)](Time, IoStatus st) { cb(st); };
+    layer.submit(std::move(b));
+  }
+};
+
+TEST(BlockLayerPool, RequestReusedAfterErrorStartsClean) {
+  SinkRig r(/*fail_first=*/2);
+  struct Seen {
+    const Request* rq;
+    IoStatus status;
+    std::uint32_t n_bios;
+    std::size_t completions;
+    std::size_t attrs;
+  };
+  std::vector<Seen> seen;
+  r.layer.add_dispatch_observer([&](const BlockLayer&, const Request& rq, Time) {
+    seen.push_back({&rq, rq.status, rq.n_bios, rq.completions.size(), rq.attrs.size()});
+  });
+  std::vector<IoStatus> outcomes;
+  auto record = [&](IoStatus st) { outcomes.push_back(st); };
+  // Request 1 goes straight to the sink; bios 2-4 merge behind it into one
+  // request carrying three callbacks and an attribution handle. The sink
+  // fails both.
+  r.submit(0, 5, record);
+  r.submit(1000, 5, record);
+  r.submit(1008, 6, record);
+  r.submit(1016, 6, record);
+  r.simr.run();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[1].n_bios, 3u);
+  EXPECT_EQ(seen[1].completions, 3u);
+  EXPECT_EQ(seen[1].attrs, 2u);
+  EXPECT_EQ(outcomes, std::vector<IoStatus>(4, IoStatus::kError));
+  EXPECT_EQ(r.layer.counters().requests_failed, 2u);
+
+  // A fresh bio gets a recycled request object with none of its old state.
+  r.submit(50'000, obs::kNoAttr, record);
+  r.simr.run();
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_TRUE(seen[2].rq == seen[0].rq || seen[2].rq == seen[1].rq);
+  EXPECT_EQ(seen[2].status, IoStatus::kOk);
+  EXPECT_EQ(seen[2].n_bios, 1u);
+  EXPECT_EQ(seen[2].completions, 1u);
+  EXPECT_EQ(seen[2].attrs, 0u);
+  ASSERT_EQ(outcomes.size(), 5u);
+  EXPECT_EQ(outcomes.back(), IoStatus::kOk);
+}
+
+TEST(BlockLayerPool, CallbackSubmittingIntoSameLayerFiresEachBioOnce) {
+  SinkRig r(/*fail_first=*/0);
+  std::vector<int> fired(4, 0);
+  int resubmitted_done = 0;
+  // Bio 0 occupies the sink; bios 1-3 merge into one request ending at
+  // 1024. Every callback of that request submits a bio starting at 1024 —
+  // adjacent to the request being completed, so it would merge into it if
+  // the request were still indexed — and the pool must hand those bios
+  // other request objects while the completing one finishes its callbacks.
+  r.submit(0, obs::kNoAttr, [&](IoStatus) { ++fired[0]; });
+  for (int i = 1; i <= 3; ++i) {
+    r.submit(1000 + (i - 1) * 8, obs::kNoAttr, [&, i](IoStatus) {
+      ++fired[static_cast<std::size_t>(i)];
+      r.submit(1024 + (i - 1) * 8, obs::kNoAttr, [&](IoStatus) { ++resubmitted_done; });
+    });
+  }
+  r.simr.run();
+  EXPECT_EQ(fired, std::vector<int>(4, 1));
+  EXPECT_EQ(resubmitted_done, 3);
+  EXPECT_EQ(r.layer.counters().bios_submitted, 7u);
+  EXPECT_EQ(r.layer.in_flight(), 0u);
+  EXPECT_EQ(r.layer.queued(), 0u);
+}
+
+TEST(BlockLayerPool, MidRunSwitchUnderReuseIsInvariantClean) {
+  check::AuditorSession cs(check::Auditor::Mode::kRecord);
+  BlockLayerConfig cfg;
+  cfg.switch_freeze = 20_ms;
+  Rig r(SchedulerKind::kCfq, cfg);
+  std::set<const Request*> objects;
+  r.layer.add_dispatch_observer(
+      [&](const BlockLayer&, const Request& rq, Time) { objects.insert(&rq); });
+  int completed = 0;
+  // Sequential-ish streams from three contexts, submitted over 400 ms; the
+  // elevator switches twice while they run.
+  for (int i = 0; i < 300; ++i) {
+    r.simr.after(sim::Time::from_us(i * 1300), [&r, &completed, i] {
+      Bio b;
+      b.lba = (i % 3) * 10'000'000 + (i / 3) * 64;
+      b.sectors = 64;
+      b.dir = i % 3 == 2 ? Dir::kWrite : Dir::kRead;
+      b.sync = b.dir == Dir::kRead;
+      b.ctx = static_cast<std::uint64_t>(i % 3);
+      b.on_complete = [&completed](Time, IoStatus) { ++completed; };
+      r.layer.submit(std::move(b));
+    });
+  }
+  r.simr.after(100_ms, [&] { r.layer.switch_scheduler(SchedulerKind::kAnticipatory); });
+  r.simr.after(250_ms, [&] { r.layer.switch_scheduler(SchedulerKind::kDeadline); });
+  r.simr.run();
+  cs.auditor().verify_end_of_run(r.simr.now().ns());
+  EXPECT_EQ(completed, 300);
+  EXPECT_EQ(r.layer.counters().scheduler_switches, 2u);
+  // Reuse happened: far fewer request objects than requests.
+  EXPECT_LT(objects.size() * 4, r.layer.counters().requests_dispatched);
+  EXPECT_EQ(cs.auditor().violations_total(), 0u) << cs.auditor().report().to_string();
 }
 
 }  // namespace

@@ -155,17 +155,23 @@ TEST(IoStream, SequentialReadFasterThanScattered) {
                     IoStreamParams{}, [&](Time t, iosched::IoStatus) { done = t; });
       r.simr.run();
     } else {
-      // 64 scattered 512 KB reads, serialized.
-      const std::int64_t unit = 1024;
+      // 64 scattered 512 KB reads, serialized. Each goes out as two
+      // adjacent 256 KB bios (a bio may not exceed the block layer's
+      // 512-sector request limit); the next read starts when both are done.
+      const std::int64_t half = 512;
       int i = 0;
-      std::function<void(Time, iosched::IoStatus)> next = [&](Time t, iosched::IoStatus) {
-        done = t;
-        if (++i < 64) {
-          r.host.vm(0).submit_io(9, (i * 7919) % 100000 * 1024, unit, Dir::kRead,
-                                 true, next);
-        }
+      int pending = 0;
+      std::function<void(Time, iosched::IoStatus)> next;
+      auto issue = [&](disk::Lba lba) {
+        pending = 2;
+        r.host.vm(0).submit_io(9, lba, half, Dir::kRead, true, next);
+        r.host.vm(0).submit_io(9, lba + half, half, Dir::kRead, true, next);
       };
-      r.host.vm(0).submit_io(9, 0, unit, Dir::kRead, true, next);
+      next = [&](Time t, iosched::IoStatus) {
+        done = t;
+        if (--pending == 0 && ++i < 64) issue((i * 7919) % 100000 * 1024);
+      };
+      issue(0);
       r.simr.run();
     }
     return done;
