@@ -100,6 +100,10 @@ struct Request {
   /// Owned by the elevator that holds the request (deadline, AS).
   ElvState elv;
 
+  /// Owned by the sink while the request is dispatched: the blkfront ring
+  /// counts the request's segments still in flight here.
+  std::int32_t sink_pending = 0;
+
   Lba end() const { return lba + sectors; }
   std::int64_t bytes() const { return sectors * disk::kSectorBytes; }
 };

@@ -147,6 +147,12 @@ class Simulator {
   /// and for asserting a simulation actually did work.
   std::uint64_t executed() const { return executed_; }
 
+  /// Total number of events ever scheduled, cancelled ones included: the
+  /// count of sequence numbers issued so far. Firing leaves it unchanged,
+  /// so two equal readings mean nothing was scheduled in between (the
+  /// blkfront ring batches on that, virt/blkfront_ring.hpp).
+  std::uint64_t scheduled() const { return next_seq_ - 1; }
+
   /// Event-slot arena occupancy. `slots` is the arena's high-water mark of
   /// *concurrent* events (never total events scheduled): a run that
   /// schedules and cancels a million timeouts one at a time holds one slot.

@@ -58,9 +58,9 @@ struct ScalePin {
 constexpr ScalePin kScalePins[] = {
     {8, false, 0, 0, 0, 0, 0, 0},
     {16, true, 45'447'357'104, 46'419'072'256, 51'775'043'718, 4'294'967'296,
-     4'294'967'296, 1'307'176},
+     4'294'967'296, 324'548},
     {32, true, 49'236'044'311, 50'196'626'164, 57'029'519'183, 8'589'934'592,
-     8'589'934'592, 2'631'229},
+     8'589'934'592, 666'131},
 };
 
 TEST(ScalePins, SortIsPinnedAndConservesBytes) {

@@ -153,6 +153,22 @@ TEST(Simulator, PendingCountsUncancelled) {
   EXPECT_EQ(s.pending(), 1u);
 }
 
+TEST(Simulator, ScheduledCountsCancelledEventsAndFiringLeavesItAlone) {
+  Simulator s;
+  EXPECT_EQ(s.scheduled(), 0u);
+  const EventId a = s.at(1_ms, [] {});
+  s.at(2_ms, [] {});
+  EXPECT_EQ(s.scheduled(), 2u);
+  s.cancel(a);
+  EXPECT_EQ(s.scheduled(), 2u);  // a cancelled event keeps its number
+  s.run();
+  EXPECT_EQ(s.scheduled(), 2u);  // firing issues none
+  EXPECT_EQ(s.executed(), 1u);
+  s.at(3_ms, [&] { s.after(1_ms, [] {}); });
+  s.run();
+  EXPECT_EQ(s.scheduled(), 4u);
+}
+
 TEST(Simulator, ZeroDelayEventRunsAtCurrentTime) {
   Simulator s;
   Time fired = Time::max();
