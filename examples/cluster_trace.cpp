@@ -9,7 +9,7 @@
 #include <string>
 
 #include "cluster/runner.hpp"
-#include "metrics/throughput_probe.hpp"
+#include "metrics/iostat_sampler.hpp"
 #include "workloads/benchmarks.hpp"
 
 using namespace iosim;
@@ -31,19 +31,21 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> host_series;
   sim::Time t_maps, t_shuffle, t_done;
   const auto r = cluster::run_job(cfg, jc, [&](cluster::Cluster& cl, mapred::Job& job) {
-    auto probes = std::make_shared<std::vector<std::unique_ptr<metrics::ThroughputProbe>>>();
-    for (std::size_t h = 0; h < cl.n_hosts(); ++h) {
-      probes->push_back(std::make_unique<metrics::ThroughputProbe>(cl.host(h).dom0_layer()));
-    }
-    job.on_done = [&, probes](sim::Time t) {
-      t_done = t;
-      for (const auto& p : *probes) {
-        host_series.push_back(
-            p->windowed_mb_s(sim::Time::zero(), t + sim::Time::from_ns(1),
-                             sim::Time::from_sec(1))
-                .raw());
+    auto sampler = std::make_shared<metrics::IostatSampler>(cl.simr());
+    for (std::size_t h = 0; h < cl.n_hosts(); ++h) sampler->watch(cl.host(h).dom0_layer());
+    // The first tick after the job ends records the last, partial window.
+    sampler->stop_when([&, s = sampler.get()] {
+      if (!job.done()) return false;
+      for (std::size_t h = 0; h < s->n_layers(); ++h) {
+        auto& series = host_series.emplace_back();
+        for (const auto& w : s->series(h)) series.push_back(w.read_mb_s + w.write_mb_s);
       }
-    };
+      return true;
+    });
+    sampler->start();
+    // The hook owns the sampler, so it dies with the job, before the
+    // simulator it has a tick pending on.
+    job.on_done = [&t_done, sampler](sim::Time t) { t_done = t; };
   });
   t_maps = r.stats.t_maps_done;
   t_shuffle = r.stats.t_shuffle_done;

@@ -143,7 +143,7 @@ class BlockLayer {
   /// layers and key off `layer.name()`), the request, and the event time.
   using Observer = detail::ObserverList::Fn;
 
-  /// Observer invoked on every request completion (throughput probes).
+  /// Observer invoked on every request completion.
   ObserverHandle add_completion_observer(Observer fn);
   /// Observer invoked when a request is handed to the sink (queue-depth and
   /// dispatch-latency probes; `rq.dispatch` has just been stamped).

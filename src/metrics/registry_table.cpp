@@ -19,9 +19,11 @@ Table registry_table(const trace::Registry& reg, std::string title) {
       }
       case trace::Registry::Kind::kHistogram: {
         const auto& h = reg.histogram_at(item.idx);
-        tab.row({item.name, "histogram", Table::num(h.mean(), 1),
-                 std::to_string(h.count()), Table::num(h.quantile(0.5), 1),
-                 Table::num(h.quantile(0.99), 1), std::to_string(h.max())});
+        const double mean =
+            h.count() ? static_cast<double>(h.sum()) / static_cast<double>(h.count()) : 0.0;
+        tab.row({item.name, "histogram", Table::num(mean, 1), std::to_string(h.count()),
+                 std::to_string(h.quantile(0.5)), std::to_string(h.quantile(0.99)),
+                 std::to_string(h.max())});
         break;
       }
     }

@@ -1,12 +1,13 @@
 // iosim: mergeable streaming quantile sketches for latency attribution.
 //
 // QuantileSketch is a log-linear histogram over non-negative integers
-// (latencies in ns): the major bucket is the value's bit width — the same
-// power-of-two ladder as trace::Histogram — but each major is split into
-// four linear minor buckets, tightening the worst-case quantile error from
-// "within a factor of 2" to ~12.5% relative. That is the precision the
-// future bandit meta-scheduler needs to rank scheduler pairs by tail
-// latency without keeping raw samples.
+// (latencies in ns, queue depths, MB/s): the major bucket is the value's bit
+// width, a power-of-two ladder, and each major is split into four linear
+// minor buckets, which caps the quantile error at ~12.5% relative. It is
+// the simulator's one streaming quantile estimator: attribution lanes,
+// stream-job sojourn tails and the metrics registry's histograms all use
+// it. Header-only, so iosim_trace (the registry) can use it without linking
+// iosim_obs, which links iosim_trace.
 //
 // Determinism rules (DESIGN.md §9): buckets are integer counts, record()
 // and merge() are integer-only, sums are exact int64 nanoseconds, and
@@ -23,8 +24,11 @@
 // started ten seconds ago).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -61,7 +65,10 @@ class QuantileSketch {
   }
 
   /// Exclusive upper bound of bucket b.
-  static std::int64_t bucket_hi(int b);
+  static std::int64_t bucket_hi(int b) {
+    if (b + 1 >= kBuckets) return std::numeric_limits<std::int64_t>::max();
+    return bucket_lo(b + 1);
+  }
 
   void record(std::int64_t v) {
     ++buckets_[static_cast<std::size_t>(bucket_of(v))];
@@ -75,9 +82,24 @@ class QuantileSketch {
   /// Fold another sketch in (bucket-wise add). Merging is order-independent:
   /// any grouping of partial sketches reproduces the combined stream's
   /// sketch byte for byte.
-  void merge(const QuantileSketch& o);
+  void merge(const QuantileSketch& o) {
+    if (o.n_ == 0) return;
+    for (int b = 0; b < kBuckets; ++b) {
+      buckets_[static_cast<std::size_t>(b)] += o.buckets_[static_cast<std::size_t>(b)];
+    }
+    if (n_ == 0 || o.min_ < min_) min_ = o.min_;
+    if (n_ == 0 || o.max_ > max_) max_ = o.max_;
+    n_ += o.n_;
+    sum_ += o.sum_;
+  }
 
-  void clear();
+  void clear() {
+    std::memset(buckets_, 0, sizeof buckets_);
+    n_ = 0;
+    sum_ = 0;
+    min_ = 0;
+    max_ = 0;
+  }
 
   std::uint64_t count() const { return n_; }
   /// Exact integer sum of recorded values (ns) — no float accumulation.
@@ -92,7 +114,26 @@ class QuantileSketch {
   /// interpolation inside the selected bucket, clamped to observed
   /// min/max — exact for single-bucket distributions, within one minor
   /// bucket (~12.5%) otherwise.
-  std::int64_t quantile(double q) const;
+  std::int64_t quantile(double q) const {
+    if (n_ == 0) return 0;
+    if (min_ == max_) return min_;  // degenerate: exact
+    q = std::clamp(q, 0.0, 1.0);
+    // Target rank in [1, n]; walk the cumulative distribution.
+    const double rank = q * static_cast<double>(n_ - 1) + 1.0;
+    std::uint64_t cum = 0;
+    for (int b = 0; b < kBuckets; ++b) {
+      const std::uint64_t c = buckets_[static_cast<std::size_t>(b)];
+      if (c == 0) continue;
+      if (rank <= static_cast<double>(cum + c)) {
+        const double frac = (rank - static_cast<double>(cum)) / static_cast<double>(c);
+        const auto lo = static_cast<double>(std::max(bucket_lo(b), min_));
+        const auto hi = static_cast<double>(std::min(bucket_hi(b), max_ + 1));
+        return static_cast<std::int64_t>(lo + (hi - lo) * std::clamp(frac, 0.0, 1.0));
+      }
+      cum += c;
+    }
+    return max_;
+  }
 
  private:
   std::uint64_t buckets_[kBuckets] = {};

@@ -39,70 +39,10 @@ class RunningStat {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Reservoir of raw samples with quantile queries. For the sample counts in
-/// this repo (tens of thousands) storing everything is fine and exact.
-class SampleSet {
- public:
-  void add(double x) {
-    xs_.push_back(x);
-    sorted_ = false;
-  }
-
-  std::size_t size() const { return xs_.size(); }
-  bool empty() const { return xs_.empty(); }
-
-  /// q in [0,1]; linear interpolation between order statistics.
-  double quantile(double q) const {
-    if (xs_.empty()) return 0.0;
-    sort_if_needed();
-    q = std::clamp(q, 0.0, 1.0);
-    const double pos = q * static_cast<double>(xs_.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, xs_.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return xs_[lo] * (1.0 - frac) + xs_[hi] * frac;
-  }
-
-  double mean() const {
-    if (xs_.empty()) return 0.0;
-    double s = 0.0;
-    for (double x : xs_) s += x;
-    return s / static_cast<double>(xs_.size());
-  }
-
-  double min() const { return quantile(0.0); }
-  double max() const { return quantile(1.0); }
-
-  /// Empirical CDF evaluated at sorted sample points: pairs (x, F(x)).
-  std::vector<std::pair<double, double>> cdf() const {
-    sort_if_needed();
-    std::vector<std::pair<double, double>> out;
-    out.reserve(xs_.size());
-    const auto n = static_cast<double>(xs_.size());
-    for (std::size_t i = 0; i < xs_.size(); ++i) {
-      out.emplace_back(xs_[i], static_cast<double>(i + 1) / n);
-    }
-    return out;
-  }
-
-  const std::vector<double>& raw() const { return xs_; }
-
- private:
-  void sort_if_needed() const {
-    if (!sorted_) {
-      std::sort(xs_.begin(), xs_.end());
-      sorted_ = true;
-    }
-  }
-  mutable std::vector<double> xs_;
-  mutable bool sorted_ = true;
-};
-
 /// Nearest-rank percentile: the value at rank ⌈p·n⌉ of the sorted samples
-/// (p in [0,1]; p=0 returns the minimum). Unlike SampleSet::quantile this
-/// never interpolates — the result is always an observed sample, which
-/// keeps small-n aggregates (the experiment engine's 3-repeat points)
-/// honest and byte-stable.
+/// (p in [0,1]; p=0 returns the minimum). It never interpolates — the
+/// result is always an observed sample, which keeps small-n aggregates (the
+/// experiment engine's 3-repeat points) honest and byte-stable.
 inline double percentile_nearest_rank(std::vector<double> xs, double p) {
   if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());

@@ -1,31 +1,6 @@
 #include "trace/registry.hpp"
 
-#include <algorithm>
-
 namespace iosim::trace {
-
-double Histogram::quantile(double q) const {
-  if (n_ == 0) return 0.0;
-  if (min_ == max_) return static_cast<double>(min_);  // degenerate: exact
-  q = std::clamp(q, 0.0, 1.0);
-  // Target rank in [1, n]; walk the cumulative distribution.
-  const double rank = q * static_cast<double>(n_ - 1) + 1.0;
-  std::uint64_t cum = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    const std::uint64_t c = buckets_[static_cast<std::size_t>(b)];
-    if (c == 0) continue;
-    if (rank <= static_cast<double>(cum + c)) {
-      // Linear interpolation inside the bucket, clamped to observed extremes
-      // so single-bucket distributions report exact min/max.
-      const double frac = (rank - static_cast<double>(cum)) / static_cast<double>(c);
-      const auto lo = static_cast<double>(std::max(bucket_lo(b), min_));
-      const auto hi = static_cast<double>(std::min(bucket_hi(b), max_ + 1));
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-    }
-    cum += c;
-  }
-  return static_cast<double>(max_);
-}
 
 Counter& Registry::counter(const std::string& name) {
   auto& ids = by_name_[static_cast<int>(Kind::kCounter)];
@@ -47,7 +22,7 @@ Gauge& Registry::gauge(const std::string& name) {
   return gauges_[idx];
 }
 
-Histogram& Registry::histogram(const std::string& name) {
+obs::QuantileSketch& Registry::histogram(const std::string& name) {
   auto& ids = by_name_[static_cast<int>(Kind::kHistogram)];
   if (auto it = ids.find(name); it != ids.end()) return histograms_[it->second];
   const std::size_t idx = histograms_.size();

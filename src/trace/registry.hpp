@@ -1,5 +1,5 @@
-// iosim: named metrics registry — counters, gauges, and log-bucketed
-// histograms, registered by name on first touch and flushed as a table at
+// iosim: named metrics registry — counters, gauges, and histograms
+// (obs::QuantileSketch), registered by name on first touch and flushed as a table at
 // the end of a run (metrics::registry_table renders it through
 // metrics::Table).
 //
@@ -9,14 +9,13 @@
 // deterministic for a deterministic run.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <deque>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/sketch.hpp"
 #include "trace/hint.hpp"
 
 namespace iosim::trace {
@@ -41,54 +40,6 @@ class Gauge {
   double v_ = 0.0;
 };
 
-/// Log2-bucketed histogram of non-negative integers (latencies in ns, sizes
-/// in bytes, ...). Bucket b holds values in [2^(b-1), 2^b); bucket 0 holds
-/// everything <= 0. Quantiles are estimated by linear interpolation inside
-/// the selected bucket, so they are exact to within a factor of 2 — plenty
-/// for order-of-magnitude latency reporting at O(1) memory.
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  /// Bucket index for a value: 0 for v <= 0, else bit_width(v) (1..63).
-  static int bucket_of(std::int64_t v) {
-    if (v <= 0) return 0;
-    return static_cast<int>(std::bit_width(static_cast<std::uint64_t>(v)));
-  }
-  /// Inclusive lower bound of bucket b (0 for b == 0).
-  static std::int64_t bucket_lo(int b) { return b <= 0 ? 0 : std::int64_t{1} << (b - 1); }
-  /// Exclusive upper bound of bucket b (1 for b == 0).
-  static std::int64_t bucket_hi(int b) {
-    return b <= 0 ? 1 : (b >= 63 ? std::numeric_limits<std::int64_t>::max()
-                                 : std::int64_t{1} << b);
-  }
-
-  void record(std::int64_t v) {
-    ++buckets_[static_cast<std::size_t>(bucket_of(v))];
-    ++n_;
-    sum_ += static_cast<double>(v);
-    if (n_ == 1 || v < min_) min_ = v;
-    if (n_ == 1 || v > max_) max_ = v;
-  }
-
-  std::uint64_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  std::int64_t min() const { return n_ ? min_ : 0; }
-  std::int64_t max() const { return n_ ? max_ : 0; }
-  std::uint64_t bucket_count(int b) const { return buckets_[static_cast<std::size_t>(b)]; }
-
-  /// Estimated q-quantile (q in [0,1]).
-  double quantile(double q) const;
-
- private:
-  std::uint64_t buckets_[kBuckets] = {};
-  std::uint64_t n_ = 0;
-  double sum_ = 0.0;
-  std::int64_t min_ = 0;
-  std::int64_t max_ = 0;
-};
-
 class Registry {
  public:
   enum class Kind { kCounter, kGauge, kHistogram };
@@ -102,20 +53,20 @@ class Registry {
   /// registry's lifetime (deque storage).
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
+  obs::QuantileSketch& histogram(const std::string& name);
 
   /// All registered metrics in first-touch order.
   const std::vector<Item>& items() const { return items_; }
   const Counter& counter_at(std::size_t idx) const { return counters_[idx]; }
   const Gauge& gauge_at(std::size_t idx) const { return gauges_[idx]; }
-  const Histogram& histogram_at(std::size_t idx) const { return histograms_[idx]; }
+  const obs::QuantileSketch& histogram_at(std::size_t idx) const { return histograms_[idx]; }
   std::size_t size() const { return items_.size(); }
 
  private:
   std::vector<Item> items_;
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
-  std::deque<Histogram> histograms_;
+  std::deque<obs::QuantileSketch> histograms_;
   std::unordered_map<std::string, std::size_t> by_name_[3];  // per Kind
 };
 

@@ -1,9 +1,11 @@
-// Tests of the NCQ-capable disk device and the latency probe.
+// Tests of the NCQ-capable disk device and the queueing latency it shows.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "blk/block_layer.hpp"
 #include "blk/disk_device.hpp"
-#include "metrics/latency_probe.hpp"
+#include "sim/stats.hpp"
 
 namespace iosim::blk {
 namespace {
@@ -94,40 +96,62 @@ TEST(Ncq, SatfReordersScatteredRequestsFaster) {
   EXPECT_LT(elapsed_with(16), elapsed_with(1) * 0.9);
 }
 
-TEST(LatencyProbe, RecordsPerDirection) {
+/// Block-layer residence (submit -> completion, ms) of every request
+/// completing at a layer, by direction and sync class.
+struct Latencies {
+  std::vector<double> all, reads, writes, sync;
+  ObserverHandle handle;
+
+  explicit Latencies(BlockLayer& layer) {
+    handle = layer.add_completion_observer(
+        [this](const BlockLayer&, const iosched::Request& rq, Time now) {
+          const double ms = (now - rq.submit).ms();
+          all.push_back(ms);
+          (rq.dir == Dir::kRead ? reads : writes).push_back(ms);
+          if (rq.sync) sync.push_back(ms);
+        });
+  }
+  ~Latencies() { handle.remove(); }
+};
+
+double pct(const std::vector<double>& xs, double p) {
+  return sim::percentile_nearest_rank(xs, p);
+}
+
+TEST(Ncq, LatencyRecordedPerDirection) {
   Rig r(1);
-  metrics::LatencyProbe probe(r.layer);
+  Latencies lat(r.layer);
   r.submit(1000, Dir::kRead);
   r.submit(500'000'000, Dir::kWrite);
   r.simr.run();
-  EXPECT_EQ(probe.reads().size(), 1u);
-  EXPECT_EQ(probe.writes().size(), 1u);
-  EXPECT_EQ(probe.sync().size(), 1u);
-  EXPECT_EQ(probe.all().size(), 2u);
-  EXPECT_GT(probe.read_p50(), 0.0);
-  EXPECT_GT(probe.write_p50(), 0.0);
+  EXPECT_EQ(lat.reads.size(), 1u);
+  EXPECT_EQ(lat.writes.size(), 1u);
+  EXPECT_EQ(lat.sync.size(), 1u);
+  EXPECT_EQ(lat.all.size(), 2u);
+  EXPECT_GT(pct(lat.reads, 0.5), 0.0);
+  EXPECT_GT(pct(lat.writes, 0.5), 0.0);
 }
 
-TEST(LatencyProbe, QueueingInflatesLatency) {
+TEST(Ncq, QueueingInflatesLatency) {
   Rig r(1);
-  metrics::LatencyProbe probe(r.layer);
+  Latencies lat(r.layer);
   for (int i = 0; i < 50; ++i) r.submit(i * 10'000'000, Dir::kWrite);
   r.simr.run();
   // The last-completing requests waited behind dozens of seeks.
-  EXPECT_GT(probe.writes().quantile(0.95), 5.0 * probe.writes().quantile(0.05));
+  EXPECT_GT(pct(lat.writes, 0.95), 5.0 * pct(lat.writes, 0.05));
 }
 
-TEST(LatencyProbe, PercentilesOrdered) {
+TEST(Ncq, LatencyPercentilesOrdered) {
   Rig r(1, SchedulerKind::kDeadline);
-  metrics::LatencyProbe probe(r.layer);
+  Latencies lat(r.layer);
   sim::Rng rng(9);
   for (int i = 0; i < 100; ++i) {
     r.submit(static_cast<disk::Lba>(rng.below(1'000'000'000)),
              i % 2 ? Dir::kRead : Dir::kWrite);
   }
   r.simr.run();
-  EXPECT_LE(probe.read_p50(), probe.read_p99());
-  EXPECT_LE(probe.write_p50(), probe.write_p99());
+  EXPECT_LE(pct(lat.reads, 0.5), pct(lat.reads, 0.99));
+  EXPECT_LE(pct(lat.writes, 0.5), pct(lat.writes, 0.99));
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include "blk/block_layer.hpp"
 #include "blk/disk_device.hpp"
+#include "blk/request_sink.hpp"
+#include "metrics/iostat_sampler.hpp"
 #include "metrics/table.hpp"
-#include "metrics/throughput_probe.hpp"
 
 namespace iosim::metrics {
 namespace {
 
 using namespace iosim::sim::literals;
+using iosched::Dir;
 using sim::Time;
 
 TEST(Table, CsvRoundTrip) {
@@ -35,70 +38,111 @@ TEST(Table, PrintDoesNotCrashOnRaggedRows) {
   std::fclose(sink);
 }
 
-struct ProbeRig {
-  sim::Simulator simr;
-  blk::DiskDevice disk{simr, disk::DiskParams{}, 1};
-  blk::BlockLayer layer{simr, disk, blk::BlockLayerConfig{}};
-  ThroughputProbe probe{layer};
+/// Capacity-1 sink that completes every request exactly `latency` after
+/// dispatch — timings become pencil-and-paper checkable, unlike DiskDevice
+/// whose service time depends on seek distance.
+class FixedLatencySink : public blk::RequestSink {
+ public:
+  FixedLatencySink(sim::Simulator& simr, Time latency)
+      : simr_(simr), latency_(latency) {}
 
-  void submit(disk::Lba lba, std::int64_t sectors) {
+  bool can_accept() const override { return !busy_; }
+
+  void submit(blk::Request* rq, Time) override {
+    busy_ = true;
+    simr_.after(latency_, [this, rq] {
+      const Time t = simr_.now();
+      busy_ = false;
+      complete(rq, t);
+      ready(t);
+    });
+  }
+
+ private:
+  sim::Simulator& simr_;
+  Time latency_;
+  bool busy_ = false;
+};
+
+struct FixedLatencyRig {
+  sim::Simulator simr;
+  FixedLatencySink sink;
+  blk::BlockLayer layer;
+
+  explicit FixedLatencyRig(Time latency = Time::from_ms(2))
+      : sink(simr, latency), layer(simr, sink, [] {
+          blk::BlockLayerConfig cfg;
+          cfg.scheduler = iosched::SchedulerKind::kNoop;
+          return cfg;
+        }()) {}
+
+  void submit(disk::Lba lba, std::int64_t sectors, Dir dir, bool sync) {
     blk::Bio b;
     b.lba = lba;
     b.sectors = sectors;
-    b.dir = iosched::Dir::kWrite;
-    b.sync = false;
-    b.ctx = 1;
+    b.dir = dir;
+    b.sync = sync;
     layer.submit(std::move(b));
   }
 };
 
-TEST(ThroughputProbe, CountsAllBytes) {
-  ProbeRig r;
-  for (int i = 0; i < 10; ++i) r.submit(i * 100000, 512);
-  r.simr.run();
-  EXPECT_EQ(r.probe.total_bytes(), 10 * 512 * disk::kSectorBytes);
-  EXPECT_GT(r.probe.completions(), 0u);
+/// Σ over the windows of MB/s × period, in bytes.
+double window_bytes(const IostatSampler& s, Time period) {
+  double bytes = 0;
+  for (const auto& w : s.series(0)) bytes += (w.read_mb_s + w.write_mb_s) * period.sec() * 1e6;
+  return bytes;
 }
 
-TEST(ThroughputProbe, MeanThroughputPositive) {
-  ProbeRig r;
-  for (int i = 0; i < 20; ++i) r.submit(1'000'000 + i * 512, 512);
-  r.simr.run();
-  EXPECT_GT(r.probe.mean_bps(), 0.0);
-  // Sequential stream: should be within the disk's media-rate ballpark.
-  EXPECT_LT(r.probe.mean_bps(), 200e6);
+TEST(IostatSampler, HandComputedTwoRequestWindows) {
+  // Sink latency 2ms, noop, capacity 1, 1ms sampling period:
+  //   t=0ms: sync read submitted, completes t=2ms;
+  //   t=1ms: async write submitted, waits for the sink, completes t=4ms.
+  // A completion at a tick's instant lands in that tick's window (the
+  // completion was scheduled before the tick), so window (1ms, 2ms] holds
+  // the read and (3ms, 4ms] the write: 4096 B / 1ms = 4.096 MB/s each.
+  FixedLatencyRig r;
+  IostatSampler sampler(r.simr, {.period = 1_ms});
+  sampler.watch(r.layer);
+  sampler.start();
+  r.submit(1'000, 8, Dir::kRead, /*sync=*/true);
+  r.simr.after(1_ms, [&] { r.submit(50'000, 8, Dir::kWrite, /*sync=*/false); });
+  r.simr.run();  // the drain guard stops the sampler at the first idle tick
+
+  const auto& s = sampler.series(0);
+  ASSERT_EQ(s.size(), 4u);
+  const double read[] = {0.0, 4.096, 0.0, 0.0};
+  const double write[] = {0.0, 0.0, 0.0, 4.096};
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    EXPECT_EQ(s[i].t, Time::from_ms(static_cast<std::int64_t>(i) + 1)) << "window " << i;
+    EXPECT_DOUBLE_EQ(s[i].read_mb_s, read[i]) << "window " << i;
+    EXPECT_DOUBLE_EQ(s[i].write_mb_s, write[i]) << "window " << i;
+  }
+  EXPECT_DOUBLE_EQ(window_bytes(sampler, 1_ms), 2.0 * 8 * disk::kSectorBytes);
 }
 
-TEST(ThroughputProbe, WindowedSamplesCoverTheRun) {
-  ProbeRig r;
-  for (int i = 0; i < 20; ++i) r.submit(1'000'000 + i * 512, 512);
-  r.simr.run();
-  const Time end = r.simr.now() + Time::from_ns(1);  // half-open window range
-  auto samples = r.probe.windowed_mb_s(Time::zero(), end, 10_ms);
-  ASSERT_FALSE(samples.empty());
-  // Total bytes reconstructed from windows matches the probe.
-  double mb = 0;
-  for (double s : samples.raw()) mb += s * 0.010;  // MB per 10ms window
-  EXPECT_NEAR(mb * 1e6, static_cast<double>(r.probe.total_bytes()),
-              static_cast<double>(r.probe.total_bytes()) * 0.02);
-}
+TEST(IostatSampler, WindowBytesSumToBytesCompleted) {
+  sim::Simulator simr;
+  blk::DiskDevice disk(simr, disk::DiskParams{}, 1);
+  blk::BlockLayer layer(simr, disk, blk::BlockLayerConfig{});
+  IostatSampler sampler(simr, {.period = 10_ms});
+  sampler.watch(layer);
+  sampler.start();
+  for (int i = 0; i < 20; ++i) {
+    blk::Bio b;
+    b.lba = 1'000'000 + i * 512;
+    b.sectors = 512;
+    b.dir = i % 3 ? Dir::kWrite : Dir::kRead;
+    b.ctx = 1;
+    layer.submit(std::move(b));
+  }
+  simr.run();
 
-TEST(ThroughputProbe, IdleWindowsOptional) {
-  ProbeRig r;
-  r.submit(0, 512);
-  r.simr.run();
-  const Time end = r.simr.now() + 1_sec;  // force idle windows at the tail
-  const auto with_idle = r.probe.windowed_mb_s(Time::zero(), end, 10_ms, true);
-  const auto without = r.probe.windowed_mb_s(Time::zero(), end, 10_ms, false);
-  EXPECT_GT(with_idle.size(), without.size());
-}
-
-TEST(ThroughputProbe, EmptyRangeYieldsNothing) {
-  ProbeRig r;
-  r.submit(0, 512);
-  r.simr.run();
-  EXPECT_EQ(r.probe.windowed_mb_s(1_sec, 1_sec, 10_ms).size(), 0u);
-  EXPECT_EQ(r.probe.windowed_mb_s(2_sec, 1_sec, 10_ms).size(), 0u);
+  const auto& c = layer.counters();
+  const auto completed = c.bytes_completed[0] + c.bytes_completed[1];
+  ASSERT_EQ(completed, 20 * 512 * disk::kSectorBytes);
+  EXPECT_GT(sampler.series(0).size(), 1u);
+  EXPECT_NEAR(window_bytes(sampler, 10_ms), static_cast<double>(completed),
+              static_cast<double>(completed) * 1e-9);
 }
 
 }  // namespace

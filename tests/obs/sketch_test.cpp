@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace iosim::obs {
@@ -17,6 +18,25 @@ TEST(QuantileSketch, SmallValuesGetExactBuckets) {
     EXPECT_EQ(QuantileSketch::bucket_lo(static_cast<int>(v)), v);
   }
   EXPECT_EQ(QuantileSketch::bucket_of(-17), 0);  // negatives clamp
+}
+
+TEST(QuantileSketch, BucketOfInt64Extremes) {
+  EXPECT_EQ(QuantileSketch::bucket_of(std::numeric_limits<std::int64_t>::min()), 0);
+  EXPECT_EQ(QuantileSketch::bucket_of(-1), 0);
+  EXPECT_EQ(QuantileSketch::bucket_of(std::numeric_limits<std::int64_t>::max()),
+            QuantileSketch::kBuckets - 1);
+}
+
+TEST(QuantileSketch, CountSumMinMax) {
+  QuantileSketch s;
+  EXPECT_EQ(s.count(), 0u);
+  EXPECT_EQ(s.min(), 0);
+  EXPECT_EQ(s.max(), 0);
+  for (std::int64_t v : {5, 100, 3, 1000, 7}) s.record(v);
+  EXPECT_EQ(s.count(), 5u);
+  EXPECT_EQ(s.sum(), 1115);  // exact integer sum
+  EXPECT_EQ(s.min(), 3);
+  EXPECT_EQ(s.max(), 1000);
 }
 
 TEST(QuantileSketch, BucketBoundsAreMonotoneAndContinuous) {

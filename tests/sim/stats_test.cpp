@@ -67,62 +67,6 @@ TEST(RunningStat, MatchesNaiveOnRandomData) {
   EXPECT_NEAR(s.variance(), var, 1e-6);
 }
 
-TEST(SampleSet, EmptyQuantiles) {
-  SampleSet s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
-TEST(SampleSet, QuantilesOfKnownSet) {
-  SampleSet s;
-  for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.25), 2.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 3.0);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-}
-
-TEST(SampleSet, QuantileInterpolates) {
-  SampleSet s;
-  s.add(0.0);
-  s.add(10.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.75), 7.5);
-}
-
-TEST(SampleSet, QuantileClampsArgument) {
-  SampleSet s;
-  s.add(1.0);
-  s.add(2.0);
-  EXPECT_DOUBLE_EQ(s.quantile(-1.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.quantile(2.0), 2.0);
-}
-
-TEST(SampleSet, CdfIsMonotoneAndEndsAtOne) {
-  SampleSet s;
-  Rng r(2);
-  for (int i = 0; i < 100; ++i) s.add(r.uniform(0, 50));
-  const auto cdf = s.cdf();
-  ASSERT_EQ(cdf.size(), 100u);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].first, cdf[i - 1].first);
-    EXPECT_GT(cdf[i].second, cdf[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-}
-
-TEST(SampleSet, AddAfterQuantileStillSorted) {
-  SampleSet s;
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 3.0);
-  s.add(1.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 1.0);
-}
-
 TEST(JainFairness, PerfectlyFair) {
   EXPECT_DOUBLE_EQ(jain_fairness({5, 5, 5, 5}), 1.0);
 }
@@ -166,6 +110,9 @@ TEST(PercentileNearestRank, TwoSamples) {
   EXPECT_DOUBLE_EQ(percentile_nearest_rank({3.0, 9.0}, 0.5), 3.0);
   EXPECT_DOUBLE_EQ(percentile_nearest_rank({9.0, 3.0}, 0.51), 9.0);
   EXPECT_DOUBLE_EQ(percentile_nearest_rank({3.0, 9.0}, 1.0), 9.0);
+  // p outside [0, 1] clamps to the extremes.
+  EXPECT_DOUBLE_EQ(percentile_nearest_rank({3.0, 9.0}, -1.0), 3.0);
+  EXPECT_DOUBLE_EQ(percentile_nearest_rank({3.0, 9.0}, 2.0), 9.0);
 }
 
 TEST(PercentileNearestRank, AlwaysAnObservedSample) {

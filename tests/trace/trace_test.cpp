@@ -1,14 +1,13 @@
 // Tests for the flight-recorder tracer, the metrics registry, and the
-// iostat sampler: histogram bucketing edges, ring overflow semantics,
-// exported JSON validity (checked with a real parser), and byte-identical
-// determinism of same-seed cluster-run traces.
+// iostat sampler: registry histograms printed as quantile sketches, ring
+// overflow semantics, exported JSON validity (checked with a real parser),
+// and byte-identical determinism of same-seed cluster-run traces.
 #include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,76 +27,6 @@ using trace::Event;
 using trace::Ph;
 using trace::Tracer;
 using trace::TracerConfig;
-
-// ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-TEST(Histogram, BucketOfEdges) {
-  using H = trace::Histogram;
-  EXPECT_EQ(H::bucket_of(std::numeric_limits<std::int64_t>::min()), 0);
-  EXPECT_EQ(H::bucket_of(-1), 0);
-  EXPECT_EQ(H::bucket_of(0), 0);
-  EXPECT_EQ(H::bucket_of(1), 1);
-  EXPECT_EQ(H::bucket_of(2), 2);
-  EXPECT_EQ(H::bucket_of(3), 2);
-  EXPECT_EQ(H::bucket_of(4), 3);
-  EXPECT_EQ(H::bucket_of(7), 3);
-  EXPECT_EQ(H::bucket_of(8), 4);
-  EXPECT_EQ(H::bucket_of((std::int64_t{1} << 62) - 1), 62);
-  EXPECT_EQ(H::bucket_of(std::int64_t{1} << 62), 63);
-  EXPECT_EQ(H::bucket_of(std::numeric_limits<std::int64_t>::max()), 63);
-}
-
-TEST(Histogram, BucketBoundsArePartition) {
-  using H = trace::Histogram;
-  // Every bucket's lo is the previous bucket's hi: values cannot fall
-  // between buckets or land in two.
-  for (int b = 1; b < H::kBuckets; ++b) {
-    EXPECT_EQ(H::bucket_lo(b), H::bucket_hi(b - 1)) << "bucket " << b;
-  }
-  for (int b = 0; b < H::kBuckets - 1; ++b) {
-    EXPECT_EQ(H::bucket_of(H::bucket_lo(b)), b == 0 ? 0 : b);
-    EXPECT_EQ(H::bucket_of(H::bucket_hi(b) - 1), b);
-  }
-}
-
-TEST(Histogram, CountSumMinMax) {
-  trace::Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0);
-  EXPECT_EQ(h.max(), 0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-  for (std::int64_t v : {5, 100, 3, 1000, 7}) h.record(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.min(), 3);
-  EXPECT_EQ(h.max(), 1000);
-  EXPECT_DOUBLE_EQ(h.sum(), 1115.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 223.0);
-}
-
-TEST(Histogram, QuantilesClampedAndMonotone) {
-  trace::Histogram h;
-  for (int i = 0; i < 1000; ++i) h.record(i);
-  double prev = -1.0;
-  for (double q : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    const double v = h.quantile(q);
-    EXPECT_GE(v, static_cast<double>(h.min()));
-    EXPECT_LE(v, static_cast<double>(h.max()) + 1.0);
-    EXPECT_GE(v, prev) << "q=" << q;
-    prev = v;
-  }
-  // Log-bucketed: exact to within a factor of 2.
-  EXPECT_GT(h.quantile(0.5), 250.0);
-  EXPECT_LT(h.quantile(0.5), 1000.0);
-}
-
-TEST(Histogram, SingleValueQuantileIsExact) {
-  trace::Histogram h;
-  for (int i = 0; i < 10; ++i) h.record(42);
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 42.0);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 42.0);
-}
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -137,12 +66,20 @@ TEST(Registry, TableRendersEveryItem) {
   trace::Registry reg;
   reg.counter("jobs").inc(2);
   reg.gauge("load").set(0.75);
-  for (int i = 1; i <= 100; ++i) reg.histogram("lat_ns").record(i * 1000);
+  obs::QuantileSketch ref;
+  for (int i = 1; i <= 100; ++i) {
+    reg.histogram("lat_ns").record(i * 1000);
+    ref.record(i * 1000);
+  }
   auto tab = metrics::registry_table(reg);
   const std::string csv = tab.to_csv();
   EXPECT_NE(csv.find("jobs"), std::string::npos);
   EXPECT_NE(csv.find("load"), std::string::npos);
-  EXPECT_NE(csv.find("lat_ns"), std::string::npos);
+  // Histograms are QuantileSketches: the printed percentiles are the
+  // sketch's own.
+  const std::string row = "\nlat_ns,histogram,50500.0,100," + std::to_string(ref.quantile(0.5)) +
+                          "," + std::to_string(ref.quantile(0.99)) + ",100000\n";
+  EXPECT_NE(csv.find(row), std::string::npos) << csv;
 }
 
 // ---------------------------------------------------------------------------
