@@ -38,8 +38,7 @@ inline ClusterConfig paper_cluster() { return ClusterConfig{}; }
 inline constexpr int kSeeds = 3;
 
 /// Machine-readable bench results. Every bench accumulates flat
-/// (name, value) metrics here — explicitly via report().add(), or
-/// implicitly through print_pair_matrix / print_outcome_row — and
+/// (name, value) metrics here via report().add(), and
 /// `--json FILE` (parsed by Telemetry) dumps them as versioned JSON in
 /// emission order next to the human tables. Without `--json` the report is
 /// collected and discarded: zero cost, no behavior change.
@@ -152,70 +151,6 @@ inline void print_header(const char* id, const char* what) {
 
 inline void print_expectation(const char* text) {
   std::printf("\npaper expectation: %s\n", text);
-}
-
-/// Render a 4x4 (guest rows x VMM cols) seconds matrix like Table I. With a
-/// non-null `json_key`, each cell also lands in the bench report as
-/// `<json_key>.<guest-letter><vmm-letter>` (e.g. "measured.ca").
-inline void print_pair_matrix(const char* title, const double t[4][4],
-                              const char* json_key = nullptr) {
-  metrics::Table tab(title);
-  tab.headers({"VM \\ VMM", "cfq", "deadline", "anticipatory", "noop"});
-  for (int g = 0; g < 4; ++g) {
-    std::vector<std::string> row{iosched::to_string(kPaperOrder[g])};
-    for (int v = 0; v < 4; ++v) {
-      row.push_back(metrics::Table::num(t[g][v], 1));
-      if (json_key) {
-        report().add(std::string(json_key) + "." + iosched::to_letter(kPaperOrder[g]) +
-                         iosched::to_letter(kPaperOrder[v]),
-                     t[g][v]);
-      }
-    }
-    tab.row(row);
-  }
-  tab.print();
-}
-
-/// Run the full 16-pair sweep for a job; t[guest][vmm] in paper order.
-inline void sweep_pairs(const ClusterConfig& base, const mapred::JobConf& jc,
-                        double t[4][4], int seeds = kSeeds) {
-  for (int g = 0; g < 4; ++g) {
-    for (int v = 0; v < 4; ++v) {
-      ClusterConfig cfg = base;
-      cfg.pair = {kPaperOrder[v], kPaperOrder[g]};
-      t[g][v] = cluster::run_job_avg(cfg, jc, seeds).seconds;
-    }
-  }
-}
-
-struct MatrixSummary {
-  double def = 0;             // (cfq, cfq)
-  double best = 1e300;
-  SchedulerPair best_pair;
-  double best_ex_noop = 1e300;
-  double worst_ex_noop = 0;
-  double noop_col_avg = 0;
-  double col_avg[4] = {0, 0, 0, 0};
-};
-
-inline MatrixSummary summarize(const double t[4][4]) {
-  MatrixSummary s;
-  s.def = t[0][0];
-  for (int g = 0; g < 4; ++g) {
-    for (int v = 0; v < 4; ++v) {
-      s.col_avg[v] += t[g][v] / 4.0;
-      if (t[g][v] < s.best) {
-        s.best = t[g][v];
-        s.best_pair = {kPaperOrder[v], kPaperOrder[g]};
-      }
-      if (v < 3) {
-        s.best_ex_noop = std::min(s.best_ex_noop, t[g][v]);
-        s.worst_ex_noop = std::max(s.worst_ex_noop, t[g][v]);
-      }
-    }
-  }
-  s.noop_col_avg = s.col_avg[3];
-  return s;
 }
 
 }  // namespace iosim::bench

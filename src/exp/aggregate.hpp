@@ -24,6 +24,7 @@ inline constexpr int kBenchFormat = 1;
 struct MetricSummary {
   std::string name;
   sim::Summary s;
+  std::vector<double> samples;  // per successful repeat, in repeat order
 };
 
 struct PointAggregate {
@@ -45,12 +46,34 @@ SweepAggregate aggregate(const ScenarioSpec& spec,
                          const std::vector<ScenarioPoint>& points,
                          const std::vector<RunTask>& tasks, const ExecResult& exec);
 
+enum class Verdict : std::uint8_t { kHolds, kWithinNoise, kFails };
+
+/// One resolved `expect` check judged on the points' per-repeat samples.
+struct CheckResult {
+  std::string expect;  // canonical text
+  std::string group;   // "" without `per`
+  Verdict verdict = Verdict::kFails;
+  double lhs = 0.0, rhs = 0.0;  // each term's mean over the repeats
+  sim::Summary d;               // rhs_r - lhs_r
+  std::string note;             // why a check without data fails
+};
+
+/// Judge every check (rules in scenario.hpp); one whose points have a failed
+/// or missing run, or lack the metric, fails with a note.
+std::vector<CheckResult> evaluate_checks(const ScenarioSpec& spec,
+                                         const std::vector<ResolvedCheck>& checks,
+                                         const SweepAggregate& agg);
+
+/// "holds         [workload=sort] per workload: a < b  (lhs 1.00, ...)"
+std::string verdict_line(const CheckResult& c);
+
 /// Versioned BENCH JSON of the whole sweep. `partial` marks an artifact
 /// written by a gracefully cancelled sweep (SIGINT/SIGTERM): the key is
 /// emitted only when true, so complete sweeps stay byte-identical to
-/// pre-robustness outputs (and to a resumed run of the same spec).
+/// pre-robustness outputs (and to a resumed run of the same spec). The
+/// "checks" array is emitted only when the spec has `expect` lines.
 std::string to_json(const ScenarioSpec& spec, const SweepAggregate& agg,
-                    bool partial = false);
+                    bool partial = false, const std::vector<CheckResult>& checks = {});
 
 /// Human table: one row per point, the named metric's summary columns.
 /// Empty `metric` selects the mode's primary metric (seconds /

@@ -1,5 +1,8 @@
 #include "exp/scenario.hpp"
 
+#include <algorithm>
+#include <array>
+#include <map>
 #include <set>
 
 #include "exp/artifact.hpp"
@@ -42,7 +45,104 @@ bool parse_seconds(std::string_view v, double* out) {
   return true;
 }
 
+/// The axes an `expect` filter or `per` clause may name: expand()'s nested
+/// loop order, then vmm and guest, the two letters of pair.
+constexpr std::string_view kCheckAxes[] = {"workload", "hosts", "vms",           "mb",
+                                           "pair",     "fault", "stream",        "stream_policy",
+                                           "meta",     "vmm",   "guest"};
+constexpr const char* kReducers[] = {"", "min(", "max(", "mean("};
+constexpr std::string_view kMetricChars =
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_";
+
+int axis_index(std::string_view axis) {
+  const auto* it = std::find(std::begin(kCheckAxes), std::end(kCheckAxes), axis);
+  return it == std::end(kCheckAxes) ? -1 : static_cast<int>(it - std::begin(kCheckAxes));
+}
+
+bool parse_term(std::string_view t, ExpectTerm* out, std::string* error) {
+  std::string_view rest = lex::trim(t);
+  const auto fail = [&](const std::string& msg) {
+    if (error) *error = msg + " in term '" + std::string(lex::trim(t)) + "'";
+    return false;
+  };
+  // Values reject the operator characters, so the first one is the operator.
+  if (const auto star = rest.find('*'); star != std::string_view::npos) {
+    const std::string_view num = lex::trim(rest.substr(0, star));
+    if (!lex::parse_double(num, &out->factor) || out->factor <= 0.0) {
+      return fail("bad factor '" + std::string(num) + "' (finite, > 0)");
+    }
+    rest = lex::trim(rest.substr(star + 1));
+  }
+  for (int r = 1; r <= 3; ++r) {
+    const std::string_view open = kReducers[r];
+    if (rest.rfind(open, 0) == 0 && rest.back() == ')') {
+      out->reduce = static_cast<ExpectTerm::Reduce>(r);
+      rest = lex::trim(rest.substr(open.size(), rest.size() - open.size() - 1));
+      break;
+    }
+  }
+  const std::size_t bracket = rest.find('[');
+  out->metric = std::string(lex::trim(rest.substr(0, bracket)));
+  if (out->metric.empty() || out->metric.find_first_not_of(kMetricChars) != std::string::npos) {
+    return fail("bad metric '" + out->metric + "'");
+  }
+  if (bracket == std::string_view::npos) return true;
+  const std::string_view filter = rest.substr(bracket + 1, rest.size() - bracket - 2);
+  if (rest.back() != ']' || filter.find_first_of("[]()<*") != std::string_view::npos) {
+    return fail("bad filter");
+  }
+  for (const std::string_view entry : lex::split(filter, ',')) {
+    const auto kv = lex::split_key_value(entry);
+    const std::string axis(kv ? lex::trim(kv->key) : "");
+    if (axis_index(axis) < 0) return fail("unknown axis '" + axis + "'");
+    auto& values = out->filter.emplace_back(axis, std::vector<std::string>{}).second;
+    std::string lerr;
+    if (!split_list(kv->value, '|', &values, &lerr)) return fail(lerr);
+    for (auto& v : values) {
+      const auto model = workloads::by_name(v);
+      if (model && axis == "workload") v = model->name;
+    }
+  }
+  return true;
+}
+
+std::string term_to_string(const ExpectTerm& t) {
+  std::string s = t.factor == 1.0 ? "" : lex::format_double(t.factor) + " * ";
+  s += kReducers[static_cast<int>(t.reduce)] + t.metric;
+  for (std::size_t i = 0; i < t.filter.size(); ++i) {
+    s += (i ? "," : "[") + t.filter[i].first + "=";
+    for (std::size_t j = 0; j < t.filter[i].second.size(); ++j) {
+      s += (j ? "|" : "") + t.filter[i].second[j];
+    }
+  }
+  return s + (t.filter.empty() ? "" : "]") +
+         (t.reduce == ExpectTerm::Reduce::kNone ? "" : ")");
+}
+
+/// A point's value on every check axis, in kCheckAxes order.
+std::array<std::string, 11> coordinates(const ScenarioPoint& p) {
+  const auto text = [](const std::string& x) { return x.empty() ? "none" : x; };
+  const std::string l = p.pair.letters();
+  return {p.workload, std::to_string(p.hosts), std::to_string(p.vms), std::to_string(p.mb), l,
+          text(p.fault_text), text(p.stream_text), text(p.stream_policy), text(p.meta_text),
+          l.substr(0, 1), l.substr(1)};
+}
+
+/// Whether filter value `w` selects coordinates `c` on `axis`: exactly, or
+/// on the text axes (fault, stream, meta) by prefix.
+bool matches(const std::array<std::string, 11>& c, const std::string& axis, const std::string& w) {
+  const int k = axis_index(axis);
+  return c[k] == w || ((k == 5 || k == 6 || k == 8) && c[k] != "none" && c[k].rfind(w, 0) == 0);
+}
+
 }  // namespace
+
+std::string Expectation::to_string() const {
+  std::string s;
+  for (std::size_t i = 0; i < per.size(); ++i) s += (i ? "," : "per ") + per[i];
+  if (!per.empty()) s += ": ";
+  return s + term_to_string(lhs) + (or_equal ? " <= " : " < ") + term_to_string(rhs);
+}
 
 const char* to_string(RunMode m) {
   return m == RunMode::kRun ? "run" : "adapt";
@@ -188,6 +288,30 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     max_sim_seconds = s;
     return true;
   }
+  if (key == "expect") {
+    Expectation e;
+    if (value.rfind("per ", 0) == 0) {
+      const std::size_t colon = value.find(':');
+      if (colon == std::string_view::npos) return fail("expected ':' after the per axes");
+      if (!split_list(value.substr(4, colon - 4), ',', &e.per, &lerr)) return fail(lerr);
+      for (const auto& axis : e.per) {
+        if (axis_index(axis) < 0 || std::count(e.per.begin(), e.per.end(), axis) > 1) {
+          return fail("bad per axis '" + axis + "'");
+        }
+      }
+      value = value.substr(colon + 1);
+    }
+    const std::size_t lt = value.find('<');
+    if (lt == std::string_view::npos) return fail("expected TERM < TERM or TERM <= TERM");
+    e.or_equal = lt + 1 < value.size() && value[lt + 1] == '=';
+    const std::string_view rhs = value.substr(lt + (e.or_equal ? 2 : 1));
+    if (rhs.find('<') != std::string_view::npos) return fail("more than one comparison");
+    if (!parse_term(value.substr(0, lt), &e.lhs, error) || !parse_term(rhs, &e.rhs, error)) {
+      return false;
+    }
+    expects.push_back(std::move(e));
+    return true;
+  }
   if (key == "fault") {
     // Alternatives are `|`-separated because the fault-plan grammar itself
     // uses `,` and `;`.
@@ -272,7 +396,7 @@ std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text,
       return line_error("expected key=value, got '" + std::string(lines.line()) + "'");
     }
     const std::string_view key = lex::trim(kv->key);
-    if (!seen.insert(key).second) {
+    if (key != "expect" && !seen.insert(key).second) {
       return line_error("duplicate key '" + std::string(key) + "'");
     }
     std::string err;
@@ -347,7 +471,11 @@ bool ScenarioSpec::validate(std::string* error) const {
     return fail("scenario matrix exceeds " + std::to_string(kMaxRuns) +
                 " runs (points x repeats)");
   }
-  return true;
+  if (expects.empty()) return true;
+  if (expects.size() > kMaxCheckedPoints / points) {
+    return fail("scenario checks x points exceed " + std::to_string(kMaxCheckedPoints));
+  }
+  return resolve_checks(*this, expand(), error).has_value();
 }
 
 std::vector<ScenarioPoint> ScenarioSpec::expand() const {
@@ -468,16 +596,16 @@ std::string ScenarioSpec::to_string() const {
   s += "max_events=" + std::to_string(max_events) + "\n";
   s += "max_sim_seconds=" + lex::format_double(max_sim_seconds) + "\n";
   s += "timeout=" + lex::format_double(timeout_seconds) + "\n";
+  for (const auto& e : expects) s += "expect=" + e.to_string() + "\n";
   return s;
 }
 
 std::uint64_t ScenarioSpec::fingerprint() const {
-  // Canonical text minus the wall-clock-only trailing line. to_string()
-  // deliberately renders `timeout=` last so the result-determining prefix
-  // is a clean cut.
+  // Canonical text minus the lines that never change a result. to_string()
+  // deliberately renders `timeout=` and then the `expect=` lines last, so
+  // the result-determining prefix is a clean cut.
   std::string s = to_string();
-  const auto pos = s.rfind("timeout=");
-  if (pos != std::string::npos) s.resize(pos);
+  s.resize(s.find("\ntimeout=") + 1);
   return fnv1a64(s);
 }
 
@@ -499,6 +627,61 @@ std::vector<RunTask> build_run_matrix(const ScenarioSpec& spec) {
     }
   }
   return tasks;
+}
+
+std::optional<std::vector<ResolvedCheck>> resolve_checks(
+    const ScenarioSpec& spec, const std::vector<ScenarioPoint>& points, std::string* error) {
+  std::vector<ResolvedCheck> out;
+  if (spec.expects.empty()) return out;
+  std::vector<std::array<std::string, 11>> at;
+  for (const auto& p : points) at.push_back(coordinates(p));
+  const auto selects = [](const ExpectTerm& term, const std::array<std::string, 11>& c) {
+    return std::all_of(term.filter.begin(), term.filter.end(), [&](const auto& f) {
+      return std::any_of(f.second.begin(), f.second.end(),
+                         [&](const std::string& w) { return matches(c, f.first, w); });
+    });
+  };
+  for (std::size_t ei = 0; ei < spec.expects.size(); ++ei) {
+    const Expectation& e = spec.expects[ei];
+    const auto fail = [&](const std::string& msg) {
+      if (error) *error = "expect '" + e.to_string() + "': " + msg;
+      return std::nullopt;
+    };
+    for (const ExpectTerm* term : {&e.lhs, &e.rhs}) {
+      for (const auto& [axis, wanted] : term->filter) {
+        for (const auto& w : wanted) {
+          const auto has = [&](const auto& c) { return matches(c, axis, w); };
+          if (std::none_of(at.begin(), at.end(), has)) {
+            return fail("no point has " + axis + "=" + w);
+          }
+        }
+      }
+    }
+    std::map<std::string, std::size_t> group_of;  // label -> index into out
+    const std::size_t first = out.size();
+    for (std::size_t p = 0; p < at.size(); ++p) {
+      std::string label;
+      for (const auto& axis : e.per) {
+        label += (label.empty() ? "" : " ") + axis + "=" + at[p][axis_index(axis)];
+      }
+      const auto it = group_of.emplace(label, out.size()).first;
+      if (it->second == out.size()) out.push_back({ei, label, {}, {}});
+      if (selects(e.lhs, at[p])) out[it->second].lhs.push_back(p);
+      if (selects(e.rhs, at[p])) out[it->second].rhs.push_back(p);
+    }
+    for (std::size_t c = first; c < out.size(); ++c) {
+      for (const auto& [term, n] : {std::pair{&e.lhs, out[c].lhs.size()},
+                                    std::pair{&e.rhs, out[c].rhs.size()}}) {
+        const bool bare = term->reduce == ExpectTerm::Reduce::kNone;
+        if (n == 0 || (bare && n != 1)) {
+          return fail("'" + term_to_string(*term) + "' selects " + std::to_string(n) +
+                      " points" + (out[c].group.empty() ? "" : " in " + out[c].group) +
+                      (bare ? " (a bare term needs exactly 1)" : ""));
+        }
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace iosim::exp

@@ -13,7 +13,8 @@
 // Spec grammar (same style as fault_plan: flat text, all-or-nothing parse,
 // one-line diagnostics, the lexer rules of sim/text.hpp: finite numbers,
 // unsigned values without a sign). One `key=value` per line; `#` starts a
-// comment; blank lines are skipped; a duplicate key is an error:
+// comment; blank lines are skipped; a duplicate key other than `expect` is
+// an error:
 //
 //   name=fig7a            identifier used for BENCH_<name>.json
 //   mode=run|adapt        run: one job per point with the fixed pair
@@ -58,6 +59,16 @@
 //                         livelocked run fails deterministically once it
 //                         executes N events
 //   max_sim_seconds=S     simulated-time budget per simulation (0 = off)
+//   expect=[per AXIS[,AXIS]:] TERM (<|<=) TERM     a paper claim, judged
+//     after the runs (repeatable; like timeout, not in the fingerprint).
+//     TERM = [NUMBER *] METRIC[FILTER] or [NUMBER *] min|max|mean(METRIC[FILTER]),
+//     FILTER = [AXIS=VALUE[|VALUE...],...]; AXIS is a spec axis or vmm/guest
+//     (a letter of pair); VALUE matches exactly, on fault/stream/meta as a
+//     prefix (`none` = empty). Each `per` group is checked alone. A bare term
+//     selects one point; min/max the point with the extreme mean; mean
+//     averages the points per repeat. With d_r = rhs_r - lhs_r, a check
+//     fails when mean(d) is on the wrong side of 0, holds when d's Student-t
+//     95% CI is above 0, and is within noise otherwise.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +118,24 @@ struct ScenarioPoint {
   std::string label() const;
 };
 
+/// One side of an `expect` line: factor * [reducer](metric[filter]).
+struct ExpectTerm {
+  enum class Reduce : std::uint8_t { kNone, kMin, kMax, kMean };
+  Reduce reduce = Reduce::kNone;
+  double factor = 1.0;
+  std::string metric;
+  std::vector<std::pair<std::string, std::vector<std::string>>> filter;  // axis, values
+};
+
+/// One `expect` line: lhs < rhs (or <=) within each group of the `per` axes.
+struct Expectation {
+  std::vector<std::string> per;
+  ExpectTerm lhs, rhs;
+  bool or_equal = false;  // `<=`
+
+  std::string to_string() const;
+};
+
 struct ScenarioSpec {
   std::string name = "sweep";
   RunMode mode = RunMode::kRun;
@@ -114,7 +143,7 @@ struct ScenarioSpec {
   int repeats = 3;
   /// seed_mode=repeat: derive each run's seed from the repeat index alone,
   /// so all points share one seed set and cross-point comparisons are
-  /// paired (tools/policy_compare relies on this in fig7_online).
+  /// paired (fig7_online's `expect` checks rely on this).
   bool paired_seeds = false;
   std::vector<iosched::SchedulerPair> pairs{iosched::kDefaultPair};
   std::vector<std::string> workloads{"sort"};
@@ -141,6 +170,8 @@ struct ScenarioSpec {
   /// participate in the resume fingerprint.
   std::uint64_t max_events = 0;
   double max_sim_seconds = 0.0;
+  /// Paper claims judged after the runs; not part of the fingerprint.
+  std::vector<Expectation> expects;
 
   /// Parse a whole spec file. All-or-nothing: any malformed line fails the
   /// parse and `error` (when non-null) gets a one-line diagnostic with the
@@ -163,8 +194,9 @@ struct ScenarioSpec {
   }
   std::size_t n_runs() const { return n_points() * static_cast<std::size_t>(repeats); }
 
-  /// Matrix-size sanity check: the point cross product (and the run count
-  /// with repeats) must stay within kMaxPoints/kMaxRuns. Each axis value is
+  /// Matrix-size sanity check: the point cross product must stay within
+  /// kMaxPoints, the run count with repeats within kMaxRuns, checks x points
+  /// within kMaxCheckedPoints, and every `expect` must resolve. Each axis value is
   /// individually bounded, but six unbounded list *lengths* multiply —
   /// without this check a hostile or typo'd spec can overflow size_t in
   /// n_points() or OOM-abort in expand()'s reserve. Called by parse();
@@ -173,6 +205,7 @@ struct ScenarioSpec {
 
   static constexpr std::size_t kMaxPoints = 1'000'000;
   static constexpr std::size_t kMaxRuns = 10'000'000;
+  static constexpr std::size_t kMaxCheckedPoints = 100'000;
 
   /// Canonical spec text (round-trips through parse).
   std::string to_string() const;
@@ -195,5 +228,19 @@ struct RunTask {
 
 /// The full run matrix for a spec's expansion, in run_index order.
 std::vector<RunTask> build_run_matrix(const ScenarioSpec& spec);
+
+/// One `expect` line on one `per` group: the expand() indices each term selects.
+struct ResolvedCheck {
+  std::size_t expect = 0;  // index into spec.expects
+  std::string group;       // "workload=sort" ("" without `per`)
+  std::vector<std::size_t> lhs, rhs;
+};
+
+/// Every check over the spec's expand() points, by expect then group (first
+/// appearance). nullopt + diagnostic when a filter value matches no point or
+/// a term selects no point (a bare term: not exactly one) in a group.
+std::optional<std::vector<ResolvedCheck>> resolve_checks(
+    const ScenarioSpec& spec, const std::vector<ScenarioPoint>& points,
+    std::string* error = nullptr);
 
 }  // namespace iosim::exp

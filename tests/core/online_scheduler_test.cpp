@@ -224,7 +224,7 @@ TEST(OnlineScheduler, OnlineStaysCompetitiveWithOfflineOnStationaryStream) {
   // A stationary single-class stream is the offline pipeline's best case:
   // its profiled corpus never goes stale. The bandit pays for exploration
   // out of the same makespan, so parity-within-slack is the bar here — the
-  // policy_compare CI gate holds the tighter fig7 tolerance.
+  // fig7_online spec's expect checks hold the tighter fig7 tolerance.
   MetaStreamResult off, ucb;
   traced_policy_digest(spec_with_meta("policy=offline"), 11, &off);
   traced_policy_digest(spec_with_meta("policy=ucb"), 11, &ucb);

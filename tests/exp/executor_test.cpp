@@ -347,31 +347,37 @@ const char* kTinySpec =
     "repeats=2\n"
     "pair=cc,ad\n"
     "workload=sort\n"
-    "hosts=2\nvms=2\nmb=32\n";
+    "hosts=2\nvms=2\nmb=32\n"
+    "expect = seconds[pair=ad] < seconds[pair=cc]\n"
+    "expect = per pair: ph1_seconds < 0.5 * seconds\n";
 
 TEST(ExecutorIntegration, ByteIdenticalJsonAcrossWorkerCounts) {
   // The determinism-under-parallelism contract: same spec + base seed at
-  // --workers 1 and --workers 8 must yield byte-identical BENCH JSON.
+  // --workers 1, 4 and 8 must yield byte-identical BENCH JSON, checks
+  // included.
   const auto spec = ScenarioSpec::parse(kTinySpec);
   ASSERT_TRUE(spec.has_value());
   const auto points = spec->expand();
   const auto tasks = build_run_matrix(*spec);
+  const auto checks = resolve_checks(*spec, points);
+  ASSERT_TRUE(checks.has_value());
   const auto fn = make_run_fn(points);
 
-  ExecutorOptions serial;
-  serial.workers = 1;
-  ExecutorOptions wide;
-  wide.workers = 8;
-  const auto a = execute_all(tasks, fn, serial);
-  const auto b = execute_all(tasks, fn, wide);
-  ASSERT_TRUE(a.all_ok()) << a.first_error;
-  ASSERT_TRUE(b.all_ok()) << b.first_error;
-
-  const std::string ja = to_json(*spec, aggregate(*spec, points, tasks, a));
-  const std::string jb = to_json(*spec, aggregate(*spec, points, tasks, b));
-  EXPECT_EQ(ja, jb);
+  std::vector<std::string> jsons;
+  for (const int workers : {1, 8, 4}) {
+    ExecutorOptions opts;
+    opts.workers = workers;
+    const auto res = execute_all(tasks, fn, opts);
+    ASSERT_TRUE(res.all_ok()) << res.first_error;
+    const auto agg = aggregate(*spec, points, tasks, res);
+    jsons.push_back(to_json(*spec, agg, false, evaluate_checks(*spec, *checks, agg)));
+  }
+  const std::string& ja = jsons[0];
+  EXPECT_EQ(ja, jsons[1]);
+  EXPECT_EQ(ja, jsons[2]);
   EXPECT_NE(ja.find("\"bench_format\""), std::string::npos);
   EXPECT_NE(ja.find("\"seconds\""), std::string::npos);
+  EXPECT_NE(ja.find("\"group\":\"pair=ad\""), std::string::npos);
 }
 
 TEST(ExecutorIntegration, ByteIdenticalJsonWithMultiJobStreamPoints) {

@@ -256,19 +256,28 @@ TEST(Journal, FingerprintIgnoresTimeoutOnly) {
 TEST(Journal, ResumeMergeReproducesUninterruptedJson) {
   // The acceptance criterion, end to end in-process: run half the matrix
   // into a journal, replay it, execute only the missing runs, merge, and the
-  // aggregated BENCH JSON must be byte-identical to a one-shot sweep.
+  // aggregated BENCH JSON, checks included, must be byte-identical to a
+  // one-shot sweep.
   const std::string path = temp_path("resume.journal");
   std::remove(path.c_str());
-  const auto spec = parsed_spec();
+  auto spec = parsed_spec();
+  ASSERT_TRUE(spec.apply("expect", "ph1_seconds < seconds"));
+  ASSERT_TRUE(spec.apply("expect", "ph23_seconds <= 0.5 * seconds"));
   const auto points = spec.expand();
   const auto tasks = build_run_matrix(spec);
+  const auto checks = resolve_checks(spec, points);
+  ASSERT_TRUE(checks.has_value());
   const auto fn = make_run_fn(points);
   const auto header = journal_header_for(spec);
+  EXPECT_EQ(header, journal_header_for(parsed_spec()));
 
   // Reference: uninterrupted sweep.
   const auto full = execute_all(tasks, fn);
   ASSERT_TRUE(full.all_ok()) << full.first_error;
-  const std::string want = to_json(spec, aggregate(spec, points, tasks, full));
+  const auto full_agg = aggregate(spec, points, tasks, full);
+  const std::string want =
+      to_json(spec, full_agg, false, evaluate_checks(spec, *checks, full_agg));
+  EXPECT_NE(want.find("\"checks\""), std::string::npos);
 
   // "Crashed" sweep: only the even runs made it into the journal.
   {
@@ -301,7 +310,9 @@ TEST(Journal, ResumeMergeReproducesUninterruptedJson) {
       ++merged.completed;
     }
   }
-  const std::string got = to_json(spec, aggregate(spec, points, tasks, merged));
+  const auto merged_agg = aggregate(spec, points, tasks, merged);
+  const std::string got =
+      to_json(spec, merged_agg, false, evaluate_checks(spec, *checks, merged_agg));
   EXPECT_EQ(got, want);
   std::remove(path.c_str());
 }

@@ -384,23 +384,25 @@ struct GrammarPin {
 };
 
 constexpr GrammarPin kGrammarPins[] = {
-    {"bench/specs/fig2.spec", true, 0xe4f6000ea0363e7bULL, 0x1f3b909fe20bad2bULL},
+    {"bench/specs/fig2.spec", true, 0xe4f6000ea0363e7bULL, 0x0c37a17c4b867131ULL},
     {"bench/specs/fig7_degraded.spec", true, 0x13faa0acfe7dfb44ULL, 0x7416dd306043194eULL},
-    {"bench/specs/fig7_online.spec", true, 0xf8f529f529acada5ULL, 0xcc03f0809d958dbbULL},
+    {"bench/specs/fig7_online.spec", true, 0xf8f529f529acada5ULL, 0xdb9f297a344af465ULL},
     {"bench/specs/fig7_stream.spec", true, 0x5c4bfbc28b48f7f2ULL, 0x094d244e6db93e00ULL},
-    {"bench/specs/fig7a.spec", true, 0x3d2138f98c4a4b3eULL, 0x21309ca776368feaULL},
-    {"bench/specs/fig7b.spec", true, 0xade9e92de8859132ULL, 0x7c28cd01e4cbdd26ULL},
-    {"bench/specs/fig7c.spec", true, 0xb1e277b1e207d255ULL, 0x0ef5ed08e9cc6a75ULL},
-    {"bench/specs/fig7d.spec", true, 0x2fd3279e0750c640ULL, 0x59ac551be5bc582cULL},
+    {"bench/specs/fig7a.spec", true, 0x3d2138f98c4a4b3eULL, 0x997a7eb98e4ef188ULL},
+    {"bench/specs/fig7b.spec", true, 0xade9e92de8859132ULL, 0x1396def3d61cf4beULL},
+    {"bench/specs/fig7c.spec", true, 0xb1e277b1e207d255ULL, 0xcf1b4ba43231200eULL},
+    {"bench/specs/fig7d.spec", true, 0x2fd3279e0750c640ULL, 0x98def4951308a67fULL},
     {"bench/specs/meta_smoke.spec", true, 0xa03bf075e1bc0c8aULL, 0xc4f2942c5cea14a1ULL},
     {"bench/specs/scale.spec", true, 0x6d2f7fda326c7bb4ULL, 0x0a33a352a08a47e8ULL},
     {"bench/specs/smoke.spec", true, 0xf18c221c05e02858ULL, 0xfb92908a45ace0c3ULL},
-    {"bench/specs/table1.spec", true, 0x23d26efe9848d401ULL, 0xe62f2562528fd649ULL},
     {"tests/fuzz/corpus/scenario/adapt-all16.txt", true, 0xbd2e5a377987e067ULL, 0x6b6fee95999b212cULL},
     {"tests/fuzz/corpus/scenario/adversarial-dup-key.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"tests/fuzz/corpus/scenario/adversarial-expect-ambiguous.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
+    {"tests/fuzz/corpus/scenario/adversarial-expect-inf-factor.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
     {"tests/fuzz/corpus/scenario/adversarial-unknown-key.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
     {"tests/fuzz/corpus/scenario/basic-run.txt", true, 0x8d13ccf5e8016f79ULL, 0x3146e8af199a0bb1ULL},
     {"tests/fuzz/corpus/scenario/comments-blanks.txt", true, 0xe9bf20bfed80c74dULL, 0xe864b4b16b758c3dULL},
+    {"tests/fuzz/corpus/scenario/expect-checks.txt", true, 0x55fa7054663d830eULL, 0x845a8a7bc1e02f32ULL},
     {"tests/fuzz/corpus/scenario/fault-axis.txt", true, 0xbb2229b8971d3d1aULL, 0x4069da638bb3a07eULL},
     {"tests/fuzz/corpus/scenario/meta-axis.txt", true, 0x98eb1302381510b9ULL, 0x2d3dc390ddf4c671ULL},
     {"tests/fuzz/corpus/scenario/regress-axis-product-overflow.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},

@@ -1,8 +1,9 @@
 // Fuzzer for the scenario-spec grammar (exp/scenario.hpp).
 //
 // Contract: ScenarioSpec::parse never crashes; an accepted spec's canonical
-// to_string() re-parses, is idempotent, keeps its fingerprint, and its
-// expansion respects the validate() matrix caps.
+// to_string() re-parses, is idempotent, keeps its fingerprint and its
+// `expect` checks, its expansion respects the validate() matrix caps, and
+// its checks never move the fingerprint.
 
 #include <string>
 
@@ -38,6 +39,22 @@ std::string check_scenario(const std::string& text) {
   if (re->fingerprint() != spec->fingerprint()) {
     return "fingerprint changed across a round-trip";
   }
+  if (re->expects.size() != spec->expects.size()) {
+    return "expect lines changed across a round-trip";
+  }
+  for (std::size_t i = 0; i < spec->expects.size(); ++i) {
+    if (re->expects[i].to_string() != spec->expects[i].to_string()) {
+      return "expect line " + std::to_string(i) + " changed across a round-trip";
+    }
+  }
+  ScenarioSpec unchecked = *spec;
+  unchecked.expects.clear();
+  if (unchecked.fingerprint() != spec->fingerprint()) {
+    return "expect lines moved the fingerprint";
+  }
+  if (!spec->expects.empty() && !iosim::exp::resolve_checks(*spec, spec->expand())) {
+    return "accepted spec has an unresolvable check";
+  }
 
   // Expanding a huge-but-legal matrix is valid and slow; only materialize
   // small ones to verify the expansion really matches n_points().
@@ -62,6 +79,9 @@ int main(int argc, char** argv) {
        "none", "transient:host=0,p=0.1", "lse:host=0,lba=0-100", "|", ",", ";",
        "stream=", "stream_policy=", "arrive,poisson,rate=0.1,jobs=4",
        "class,name=a,wl=sort,mb=8-8", "policy,fair", "fifo", "fair", "capacity",
+       "expect=", "per workload:", "per pair,fault:", "seconds", "min(", "max(",
+       "mean(", ")", "[", "]", "<", "<=", "*", "2 *", "[pair=cc]", "[vmm=n|c]",
+       "[fault=none]", "[workload=sort]", "vmm", "guest",
        "\n", "#", "=", "9e9", "1e10", "nan", "inf", "-1", "0",
        "18446744073709551615", "999999999999999999999"});
 }

@@ -13,7 +13,8 @@
 // per scenario point (mean / min / max / p50 / p95 / 95% CI), writes the
 // versioned BENCH JSON, and prints a human table. The JSON is byte-identical
 // for any --workers value: per-run seeds depend only on (base_seed,
-// run_index) and aggregation walks runs in matrix order.
+// run_index) and aggregation walks runs in matrix order. The spec's `expect`
+// checks resolve before any run and are judged after: a verdict line each.
 //
 // Robustness:
 //  * Every finished run is appended (fsynced) to `<out>.journal` — a JSONL
@@ -32,8 +33,8 @@
 //  * All artifacts are written atomically (tmp + fsync + rename) and every
 //    write failure (disk-full, unwritable path) is a hard error.
 //
-// Exit codes: 0 success, 1 a run failed or an artifact could not be written,
-// 2 bad usage / malformed spec / unusable journal, 130 cancelled by signal.
+// Exit codes: 0 success, 1 a run or a check failed or an artifact could not
+// be written, 2 bad usage / malformed spec / unusable journal, 130 cancelled by signal.
 #include <csignal>
 #include <unistd.h>
 
@@ -84,11 +85,11 @@ int usage() {
       "  --retries N      infra-failure retries per run (default 2; sim failures\n"
       "                   are deterministic and never retried)\n"
       "  --resume         replay <out>.journal, re-execute only missing runs\n"
-      "  --dry-run        validate spec + fault plans, print the run matrix, exit\n"
+      "  --dry-run        validate spec, fault plans and checks, print them, exit\n"
       "  --list           print the expanded run matrix and exit\n"
       "  --csv            print the aggregate table as CSV\n"
       "  --quiet          suppress per-run progress lines\n"
-      "exit codes: 0 ok, 1 run/write failure, 2 usage/spec/journal error,\n"
+      "exit codes: 0 ok, 1 run/check/write failure, 2 usage/spec/journal error,\n"
       "            130 cancelled by SIGINT/SIGTERM (partial BENCH written)\n");
   return 2;
 }
@@ -226,6 +227,7 @@ int main(int argc, char** argv) {
 
   const auto points = spec->expand();
   const auto tasks = exp::build_run_matrix(*spec);
+  const auto checks = *exp::resolve_checks(*spec, points);  // validate() resolved them
   const int workers = opt->workers > 0 ? opt->workers : exp::default_workers();
   const std::string out_path =
       !opt->out_path.empty() ? opt->out_path : "BENCH_" + spec->name + ".json";
@@ -267,6 +269,10 @@ int main(int argc, char** argv) {
     }
     for (std::size_t p = 0; p < points.size(); ++p) {
       std::printf("  point %3zu  %s\n", p, points[p].label().c_str());
+    }
+    for (const auto& c : checks) {
+      std::printf("  check [%s] %s\n", c.group.c_str(),
+                  spec->expects[c.expect].to_string().c_str());
     }
     std::printf("  artifacts: %s (+ %s during the run)\n", out_path.c_str(),
                 journal_path.c_str());
@@ -397,7 +403,8 @@ int main(int argc, char** argv) {
     // Graceful cancellation: dispatch stopped, in-flight runs drained and
     // are already journaled. Write an honest partial artifact and exit 130.
     const auto agg = exp::aggregate(*spec, points, tasks, merged);
-    const std::string json = exp::to_json(*spec, agg, /*partial=*/true);
+    const std::string json =
+        exp::to_json(*spec, agg, /*partial=*/true, exp::evaluate_checks(*spec, checks, agg));
     if (!exp::write_file_atomic(out_path, json, &err)) {
       std::fprintf(stderr, "iosim-sweep: %s\n", err.c_str());
     } else {
@@ -410,7 +417,8 @@ int main(int argc, char** argv) {
   }
 
   const auto agg = exp::aggregate(*spec, points, tasks, merged);
-  const std::string json = exp::to_json(*spec, agg);
+  const auto results = exp::evaluate_checks(*spec, checks, agg);
+  const std::string json = exp::to_json(*spec, agg, /*partial=*/false, results);
   if (!exp::write_file_atomic(out_path, json, &err)) {
     std::fprintf(stderr, "iosim-sweep: %s\n", err.c_str());
     return 1;
@@ -424,6 +432,11 @@ int main(int argc, char** argv) {
   } else {
     tab.print();
   }
+  std::size_t failed_checks = 0;
+  for (const auto& c : results) {
+    std::fprintf(opt->csv ? stderr : stdout, "%s\n", exp::verdict_line(c).c_str());
+    failed_checks += c.verdict == exp::Verdict::kFails;
+  }
   if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
     std::fprintf(stderr, "iosim-sweep: writing the table to stdout failed\n");
     return 1;
@@ -432,5 +445,8 @@ int main(int argc, char** argv) {
                pending.size(), wall,
                wall > 0 ? static_cast<double>(pending.size()) / wall : 0.0, workers,
                out_path.c_str());
-  return 0;
+  if (failed_checks > 0) {
+    std::fprintf(stderr, "iosim-sweep: %zu of %zu checks fail\n", failed_checks, results.size());
+  }
+  return failed_checks > 0 ? 1 : 0;
 }

@@ -1,7 +1,6 @@
 // iosimctl — command-line front end for the simulator.
 //
 //   iosimctl run      --workload sort --hosts 4 --vms 4 --mb 512 --pair ad
-//   iosimctl sweep    --workload sort [--seeds 3]          (all 16 pairs)
 //   iosimctl adapt    --workload sort [--phases 2|3]       (meta-scheduler)
 //   iosimctl finegrained --workload sort                   (online controller)
 //   iosimctl sysbench --vms 3 --mb 1024 --pair cc
@@ -74,7 +73,7 @@ struct FlagSet {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: iosimctl <run|sweep|adapt|finegrained|sysbench|switchcost|stream> "
+               "usage: iosimctl <run|adapt|finegrained|sysbench|switchcost|stream> "
                "[--workload sort|wordcount|wc-nocombiner] [--hosts N] [--vms N] "
                "[--mb N] [--pair xy] [--seeds N] [--phases 2|3] [--csv] "
                "[--trace FILE] [--metrics] [--fault SPEC] [--fault-file FILE] "
@@ -360,29 +359,6 @@ int cmd_run(const Args& a) {
   return 0;
 }
 
-int cmd_sweep(const Args& a) {
-  const auto base = cluster_of(a);
-  const auto jc = workload_of(a);
-  const int seeds = static_cast<int>(a.num("seeds", 1));
-  metrics::Table tab("16-pair sweep (seconds)");
-  tab.headers({"VM \\ VMM", "cfq", "deadline", "anticipatory", "noop"});
-  const iosched::SchedulerKind order[4] = {
-      iosched::SchedulerKind::kCfq, iosched::SchedulerKind::kDeadline,
-      iosched::SchedulerKind::kAnticipatory, iosched::SchedulerKind::kNoop};
-  for (auto g : order) {
-    std::vector<std::string> row{iosched::to_string(g)};
-    for (auto v : order) {
-      cluster::ClusterConfig cfg = base;
-      cfg.pair = {v, g};
-      const auto r = cluster::run_job_avg(cfg, jc, seeds);
-      row.push_back(r.failed ? "FAIL" : metrics::Table::num(r.seconds, 1));
-    }
-    tab.row(row);
-  }
-  emit(a, tab);
-  return 0;
-}
-
 int cmd_adapt(const Args& a) {
   const auto cfg = cluster_of(a);
   const auto jc = workload_of(a);
@@ -572,9 +548,6 @@ int main(int argc, char** argv) {
   if (cmd == "run") {
     flags = &cluster_flags;
     handler = cmd_run;
-  } else if (cmd == "sweep") {
-    flags = &cluster_flags;
-    handler = cmd_sweep;
   } else if (cmd == "adapt") {
     flags = &adapt_flags;
     handler = cmd_adapt;
