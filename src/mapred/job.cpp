@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 #include "check/check.hpp"
@@ -10,6 +11,9 @@
 namespace iosim::mapred {
 
 namespace {
+/// The milestone check runs the full in-order sum at least this often.
+constexpr int kProgressSumEvery = 1024;
+
 // `what` selects a pre-interned name from the *installed* tracer, which the
 // call site cannot touch before the null check.
 void job_instant(trace::Str trace::Tracer::CommonIds::* what, sim::Time t) {
@@ -102,6 +106,12 @@ void Job::run() {
     reduces_.push_back(std::make_unique<ReduceTask>(*this, r, r % n_vms));
   }
   reduce_failures_.assign(static_cast<std::size_t>(stats_.reduces_total), 0);
+  // Error bound of the running progress estimate (DESIGN.md §8.8): with R
+  // reducers and at most N deltas since the last full sum, the estimate is
+  // within (2R + 2N + 8) unit roundoffs of the full sum; twice that is the
+  // slack.
+  progress_slack_ = 4.0 * (static_cast<double>(reduces_.size()) + kProgressSumEvery + 4) *
+                    (std::numeric_limits<double>::epsilon() / 2);
   reduce_shuffle_counted_.assign(static_cast<std::size_t>(stats_.reduces_total), 0);
   reduce_assigned_.assign(static_cast<std::size_t>(stats_.reduces_total), 0);
 
@@ -411,6 +421,7 @@ void Job::map_output_lost(int map_id) {
   // Roll the commit back: the map must produce fresh output on a live VM.
   map_done_flags_[idx] = 0;
   --maps_done_;
+  resync_progress();
   for (auto it = completed_outputs_.begin(); it != completed_outputs_.end(); ++it) {
     if (it->map_id == map_id) {
       completed_outputs_.erase(it);
@@ -474,7 +485,6 @@ void Job::reduce_finished(ReduceTask& task) {
     pump_queued_reducers();
   }
 
-  update_progress();
   if (reduces_done_ == stats_.reduces_total && !done_) {
     done_ = true;
     unregister_blocks();  // the job's files leave the namespace
@@ -514,6 +524,7 @@ void Job::reduce_attempt_failed(ReduceTask& task) {
   int v = resolve_reduce_vm(task.vm());
   if (v < 0) v = task.vm();  // nowhere schedulable: park on the old VM
   reduces_[idx] = std::make_unique<ReduceTask>(*this, id, v, fails + 1);
+  resync_progress();  // the estimate still counts the failed attempt
   if (auto* tr = trace::tracer()) {
     tr->instant(tr->track("mapred"), tr->ids.task_retry, tr->ids.cat_mapred,
                 simr().now(), tr->ids.task, 100'000 + id, tr->ids.attempt,
@@ -720,29 +731,52 @@ void Job::note_replica_write_lost(int) {
   ++stats_.replica_writes_lost;
 }
 
-double Job::progress() const {
+double Job::progress() const { return progress_at(reduce_progress_sum()); }
+
+double Job::reduce_progress_sum() const {
+  double sum = 0.0;
+  for (const auto& rt : reduces_) {
+    if (rt) sum += rt->progress();
+  }
+  return sum;
+}
+
+double Job::progress_at(double reduce_sum) const {
   const double map_p =
       stats_.maps_total > 0
           ? static_cast<double>(maps_done_) / stats_.maps_total
           : 1.0;
-  double red_p = 0.0;
-  if (!reduces_.empty()) {
-    for (const auto& rt : reduces_) {
-      if (rt) red_p += rt->progress();
-    }
-    red_p /= static_cast<double>(reduces_.size());
-  } else {
-    red_p = 1.0;
-  }
+  const double red_p =
+      reduces_.empty() ? 1.0 : reduce_sum / static_cast<double>(reduces_.size());
   return 0.5 * map_p + 0.5 * red_p;
 }
 
+void Job::resync_progress() {
+  ++progress_sums_;
+  updates_since_sum_ = 0;
+  reduce_sum_est_ = reduce_progress_sum();
+}
+
 void Job::update_progress() {
-  const double p = progress();
+  resync_progress();
+  const double p = progress_at(reduce_sum_est_);
   while (p + 1e-12 >= next_milestone_ && next_milestone_ <= 1.0 + 1e-12) {
     stats_.milestones.push_back({next_milestone_, simr().now()});
     next_milestone_ += 0.05;
   }
+}
+
+void Job::reduce_progressed(double delta) {
+  reduce_sum_est_ += delta;
+  const bool none_left = next_milestone_ > 1.0 + 1e-12;
+  if (++updates_since_sum_ < kProgressSumEvery &&
+      (none_left ||
+       progress_at(reduce_sum_est_) + 1e-12 + progress_slack_ < next_milestone_)) {
+    // Skipped: the full sum would not fire a milestone either.
+    assert(none_left || progress() + 1e-12 < next_milestone_);
+    return;
+  }
+  update_progress();
 }
 
 }  // namespace iosim::mapred

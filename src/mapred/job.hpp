@@ -110,8 +110,13 @@ class Job {
   /// goes through here.
   void append_hooks(Hooks h);
 
-  /// Hadoop-style job progress in [0,1].
+  /// Hadoop-style job progress in [0,1]: the full in-order sum over the
+  /// reducers.
   double progress() const;
+
+  /// How many full in-order sums of reducer progress the milestone check has
+  /// run; a deterministic work count (DESIGN.md §8.8).
+  std::uint64_t progress_sums() const { return progress_sums_; }
 
  private:
   friend class MapTask;
@@ -145,7 +150,15 @@ class Job {
   void reduce_finished(ReduceTask& task);
   void reduce_attempt_failed(ReduceTask& task);
   void reducer_shuffle_finished(ReduceTask& task);
+  // Progress milestones (DESIGN.md §8.8). update_progress runs the full sum
+  // and fires milestones; resync_progress only re-anchors the estimate;
+  // reduce_progressed moves the estimate by one reducer's delta and runs
+  // the full sum only when a milestone may be near.
   void update_progress();
+  void resync_progress();
+  void reduce_progressed(double delta);
+  double reduce_progress_sum() const;
+  double progress_at(double reduce_sum) const;
 
   // Failure-path plumbing.
   Time backoff_delay(int failures) const;
@@ -218,6 +231,10 @@ class Job {
 
   JobStats stats_;
   double next_milestone_ = 0.05;
+  double reduce_sum_est_ = 0.0;   // running estimate of reduce_progress_sum()
+  double progress_slack_ = 0.0;   // error bound of progress_at(reduce_sum_est_)
+  int updates_since_sum_ = 0;
+  std::uint64_t progress_sums_ = 0;
 };
 
 }  // namespace iosim::mapred

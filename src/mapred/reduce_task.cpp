@@ -128,7 +128,7 @@ void ReduceTask::fetch_arrived(int map_id, std::int64_t bytes) {
   if (mem_used_ >= c.shuffle_mem_bytes) flush_memory();
   pump_fetches();
   maybe_shuffle_done();
-  job_.update_progress();
+  report_progress();
 }
 
 void ReduceTask::fetch_failed(const MapOutput& mo) {
@@ -227,7 +227,7 @@ void ReduceTask::start_merge_reduce() {
     mp.on_progress = [this](std::int64_t done, std::int64_t) {
       if (cancelled_) return;
       merged_ = done;
-      job_.update_progress();
+      report_progress();
     };
     MergeOp::run(me, io_ctx_, std::move(mp), [this](sim::Time, iosched::IoStatus st) {
       if (cancelled_) return;
@@ -310,7 +310,8 @@ void ReduceTask::part_done() {
                    tr->ids.cat_mapred, t_shuffle_done_, job_.simr().now(),
                    tr->ids.task, task_id_, tr->ids.bytes, merge_total_);
     }
-    job_.update_progress();
+    reported_progress_ = progress();
+    job_.update_progress();  // a structural change: the full sum
     job_.reduce_finished(*this);
   }
 }
@@ -324,6 +325,13 @@ void ReduceTask::fail_attempt() {
                 tr->ids.attempt, attempt_);
   }
   job_.reduce_attempt_failed(*this);
+}
+
+void ReduceTask::report_progress() {
+  const double p = progress();
+  const double delta = p - reported_progress_;
+  reported_progress_ = p;
+  job_.reduce_progressed(delta);
 }
 
 double ReduceTask::progress() const {

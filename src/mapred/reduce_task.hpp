@@ -74,6 +74,8 @@ class ReduceTask {
   void maybe_shuffle_done();
   void start_merge_reduce();
   void part_done();
+  /// Hand the job the change in progress() since the last report.
+  void report_progress();
 
   Job& job_;
   int task_id_;
@@ -101,6 +103,7 @@ class ReduceTask {
   std::int64_t merge_total_ = 0;
   int parts_left_ = 0;              // local merge + mem CPU + replication
   bool finished_ = false;
+  double reported_progress_ = 0.0;  // progress() at the last report
 };
 
 }  // namespace iosim::mapred

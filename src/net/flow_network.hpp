@@ -7,12 +7,14 @@
 // every arrival and departure, and flow completions are simulated exactly
 // from the resulting piecewise-constant rates.
 //
-// The water-fill allocates nothing in steady state: the link table is sized
-// in the constructor and the per-link flow buckets grow to the peak flow
-// count, each flow's links are resolved once in start_flow, and a
-// bottleneck round touches only the links that still carry unfixed flows
-// and the flows of the bottleneck link (DESIGN.md §8.5). Rates are
-// bit-identical to the textbook all-links, all-flows loop, which
+// A re-level touches only the connected components of the flow-link graph
+// that contain a link of a flow just started or finished; every other
+// component keeps the rates it has, which are the rates a full re-level
+// would give it (DESIGN.md §8.5). The water-fill allocates nothing in steady
+// state: flows live in stable slots, each link keeps the slots of its flows
+// in ascending id, and the scratch lists are sized in the constructor or
+// grow to their peak and stay there.
+// Rates are bit-identical to the textbook all-links, all-flows loop, which
 // tests/net/water_fill_oracle.* keeps as the reference.
 //
 // This is the substrate for HDFS remote reads, shuffle fetches, and output
@@ -53,7 +55,7 @@ class FlowNetwork {
                     std::function<void(Time)> on_done);
 
   /// Number of flows currently in the system.
-  std::size_t active_flows() const { return flows_.size(); }
+  std::size_t active_flows() const { return order_.size(); }
 
   /// Total bytes delivered since construction.
   std::int64_t bytes_delivered() const { return bytes_delivered_; }
@@ -64,52 +66,95 @@ class FlowNetwork {
 
   const NetParams& params() const { return params_; }
 
+  /// Deterministic work counts since construction: the same on every
+  /// machine, so a test can pin them exactly.
+  struct Work {
+    std::uint64_t relevels = 0;          // re-levels: one per start or completion
+    std::uint64_t flows_relevelled = 0;  // flows in the re-leveled components
+    std::uint64_t rounds = 0;            // bottleneck rounds
+    std::uint64_t link_visits = 0;       // links examined by bottleneck searches
+  };
+  const Work& work() const { return work_; }
+
  private:
   static constexpr std::uint32_t kNoLink = 0xffffffffu;
 
   struct Flow {
-    FlowId id;
-    std::uint32_t up;    // uplink, or the loopback link
-    std::uint32_t down;  // downlink, or kNoLink for loopback
-    double total = 0.0;  // payload bytes (for accounting)
-    double remaining;    // bytes
-    double rate = 0.0;   // bytes/sec, valid since last_update_
+    FlowId id = 0;
+    double total = 0.0;      // payload bytes (for accounting)
+    double remaining = 0.0;  // bytes
+    double rate = 0.0;       // bytes/sec, valid since last_update_
     std::function<void(Time)> on_done;
   };
 
+  /// The links of the flow in the same slot and its fixed stamp, apart
+  /// from Flow so a bottleneck round reads only these.
+  struct Ends {
+    std::uint32_t up = kNoLink;    // uplink, or the loopback link
+    std::uint32_t down = kNoLink;  // downlink, or kNoLink for loopback
+    std::uint64_t fixed_at = 0;    // == stamp_: rate fixed in this re-level
+  };
+
   void advance(Time now);       // progress all flows to `now`
-  void recompute_rates();       // max-min fair share
+  void recompute_rates();       // max-min fair share around seeds_
+  // Add the flow in `slot` to link l (`other` is its other link, or
+  // kNoLink), or remove it; either way l becomes a seed.
+  void link(std::uint32_t slot, std::uint32_t l, std::uint32_t other);
+  void unlink(std::uint32_t slot, std::uint32_t l);
   void schedule_next_completion(Time now);
+  std::uint32_t first_loopback() const { return static_cast<std::uint32_t>(2 * n_hosts_); }
 
   sim::Simulator& simr_;
   int n_hosts_;
   NetParams params_;
   FlowId next_id_ = 1;
-  /// Active flows in ascending id: start_flow appends, completion compacts
-  /// in place.
-  std::vector<Flow> flows_;
+  /// Flow storage; a slot is reused once its flow has finished.
+  std::vector<Flow> slots_;
+  std::vector<Ends> ends_;  // per slot
+  std::vector<std::uint32_t> free_slots_;
+  /// Slots of the active flows in ascending id: start_flow appends,
+  /// completion compacts in place.
+  std::vector<std::uint32_t> order_;
   Time last_update_;
   sim::EventId completion_ev_ = sim::kInvalidEvent;
   std::int64_t bytes_delivered_ = 0;
 
+  /// A flow on a link, with the flow's other link (kNoLink for loopback).
+  struct Member {
+    std::uint32_t slot;
+    std::uint32_t other;
+  };
+
   /// Water-fill state of one link, kept across calls.
   struct Link {
-    double cap;
+    double cap = 0.0;
     double used = 0.0;
     int unfixed = 0;          // flows on the link not fixed yet
-    std::uint32_t first = 0;  // its flows are bucket_[first, first + count)
-    std::uint32_t count = 0;
+    std::uint32_t open = 0;   // its entry in open_, while it has one
+    std::uint64_t mark = 0;   // == stamp_: in a component being re-leveled
+    std::vector<Member> flows;  // its flows, ascending id
+  };
+
+  /// A link of the components being re-leveled that still carries unfixed
+  /// flows, with its share (cap - used) / unfixed.
+  struct Open {
+    double share;
+    std::uint32_t link;
   };
 
   /// [0, n) uplinks, [n, 2n) downlinks, [2n, 3n) loopbacks; sized in the
   /// constructor.
   std::vector<Link> links_;
-  /// Flow indices grouped by link, ascending within each link.
-  std::vector<std::uint32_t> bucket_;
-  /// Links that still carry unfixed flows, ascending.
-  std::vector<std::uint32_t> busy_;
-  std::vector<char> fixed_;  // per flow
+  std::size_t busy_host_links_ = 0;  // up- and downlinks that carry a flow
+  std::size_t host_link_flows_ = 0;  // their flow lists' total length
+  /// Links of the flows started or finished since the last re-level.
+  std::vector<std::uint32_t> seeds_;
+  /// The re-leveled components' links: the walk's queue, then the open
+  /// links in no particular order. Sized 3n + 1 in the constructor.
+  std::vector<Open> open_;
+  std::uint64_t stamp_ = 0;  // one per re-level
   std::vector<std::function<void(Time)>> done_;  // completion callbacks
+  Work work_;
 };
 
 }  // namespace iosim::net

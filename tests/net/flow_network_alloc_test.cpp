@@ -1,9 +1,12 @@
-// net::FlowNetwork allocates nothing in steady state: once a shuffle wave
-// has grown the flow table and the water-fill arrays to their peak, an
-// identical second wave — every start_flow, every re-leveling, every
-// completion — runs without a single call to operator new. This binary
-// replaces the global operator new to count calls; the completion callbacks
-// capture one pointer, which std::function stores inline.
+// net::FlowNetwork allocates nothing in steady state: once a wave of flows
+// has grown the flow table, the per-link flow lists and the water-fill's
+// scratch lists (seed links, open links of the components) to their peak,
+// an identical second wave — every start_flow, every re-leveling, every
+// completion — runs without a single call to operator new. Two wave shapes:
+// an all-to-all shuffle (one component) and many small components that a
+// bridging flow merges and splits. This binary replaces the global operator
+// new to count calls; the completion callbacks capture one pointer, which
+// std::function stores inline.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,6 +42,21 @@ void start_wave(FlowNetwork& net, int* done) {
   }
 }
 
+/// Twin flows h -> h+1 for every even h, finishing together in every
+/// component at once, plus a loopback on each odd host; a bridging flow
+/// 0 -> 3 started from the first completion merges two components and
+/// splits them when it finishes.
+void start_components(sim::Simulator& simr, FlowNetwork& net, int* done) {
+  for (int h = 0; h + 1 < kHosts; h += 2) {
+    net.start_flow(h, h + 1, 1'000'000, [done](sim::Time) { ++*done; });
+    net.start_flow(h, h + 1, 1'000'000, [done](sim::Time) { ++*done; });
+    net.start_flow(h + 1, h + 1, 300'000, [done](sim::Time) { ++*done; });
+  }
+  simr.after(sim::Time::from_ms(2), [&net, done] {
+    net.start_flow(0, 3, 200'000, [done](sim::Time) { ++*done; });
+  });
+}
+
 TEST(FlowNetworkAlloc, SecondWaveAllocatesNothing) {
   sim::Simulator simr;
   FlowNetwork net(simr, kHosts, NetParams{});
@@ -52,6 +70,24 @@ TEST(FlowNetworkAlloc, SecondWaveAllocatesNothing) {
   simr.run();
   const std::uint64_t news = g_news - before;
   ASSERT_EQ(done, 2 * kHosts * kHosts);
+  EXPECT_EQ(news, 0u) << "operator new calls during the second wave";
+  EXPECT_EQ(net.active_flows(), 0u);
+}
+
+TEST(FlowNetworkAlloc, SecondComponentWaveAllocatesNothing) {
+  sim::Simulator simr;
+  FlowNetwork net(simr, kHosts, NetParams{});
+  int done = 0;
+  start_components(simr, net, &done);
+  simr.run();
+  constexpr int kFlows = kHosts / 2 * 3 + 1;
+  ASSERT_EQ(done, kFlows);
+
+  const std::uint64_t before = g_news;
+  start_components(simr, net, &done);
+  simr.run();
+  const std::uint64_t news = g_news - before;
+  ASSERT_EQ(done, 2 * kFlows);
   EXPECT_EQ(news, 0u) << "operator new calls during the second wave";
   EXPECT_EQ(net.active_flows(), 0u);
 }

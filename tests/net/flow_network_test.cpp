@@ -145,5 +145,42 @@ TEST(FlowNetwork, MaxMinIsWorkConserving) {
   for (const Time& t : done) EXPECT_NEAR(t.sec(), 1.0, 0.03);
 }
 
+TEST(FlowNetwork, ReLevelsOnlyTheComponentsAFlowTouches) {
+  // Flows are edges between links; a start or a finish re-levels the
+  // connected components that contain its links and nothing else.
+  sim::Simulator simr;
+  FlowNetwork net(simr, 8, fast_latency());
+  std::uint64_t seen = 0;
+  const auto relevelled = [&net, &seen] {
+    const std::uint64_t d = net.work().flows_relevelled - seen;
+    seen = net.work().flows_relevelled;
+    return d;
+  };
+  const std::int64_t mb10 = 10'000'000;
+  net.start_flow(0, 1, mb10, nullptr);  // A: up0, down1
+  EXPECT_EQ(relevelled(), 1u);
+  net.start_flow(2, 1, mb10, nullptr);  // A grows: up2
+  EXPECT_EQ(relevelled(), 2u);
+  net.start_flow(4, 5, mb10, nullptr);  // B: up4, down5
+  EXPECT_EQ(relevelled(), 1u);
+  net.start_flow(7, 7, 10 * mb10, nullptr);  // a loopback of its own
+  EXPECT_EQ(relevelled(), 1u);
+  std::uint64_t at_bridge_done = 0;
+  net.start_flow(0, 5, 100'000, [&](Time) { at_bridge_done = relevelled(); });
+  EXPECT_EQ(relevelled(), 4u);  // the bridge merges A and B
+  net.start_flow(6, 3, mb10, nullptr);  // C
+  EXPECT_EQ(relevelled(), 1u);
+  EXPECT_EQ(net.work().relevels, 6u);
+
+  simr.run();
+  EXPECT_EQ(at_bridge_done, 3u);  // its finish splits A and B again
+  EXPECT_EQ(net.active_flows(), 0u);
+  // One re-level per start and per completion event. A's two flows always
+  // run at the same rate, so they finish in one event.
+  EXPECT_EQ(net.work().relevels, 11u);
+  EXPECT_GE(net.work().rounds, net.work().relevels - 1);
+  EXPECT_GE(net.work().link_visits, net.work().rounds);
+}
+
 }  // namespace
 }  // namespace iosim::net
