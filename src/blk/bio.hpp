@@ -26,7 +26,8 @@ struct Bio {
   std::uint64_t ctx = 0;
   /// Attribution record handle (obs/attr.hpp); kNoAttr when attribution is
   /// off or the bio is outside the DomU->Dom0 path. Guest layers allocate
-  /// it, the blkfront ring copies it onto each Dom0 segment bio.
+  /// it, the blkfront ring copies it onto the guest request's Dom0 run
+  /// (every segment of it carries the handle).
   obs::AttrHandle attr = obs::kNoAttr;
   /// Invoked exactly once when the containing request completes, with the
   /// request's outcome (kOk unless the device failed the request).

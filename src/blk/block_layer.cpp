@@ -66,28 +66,90 @@ ObserverHandle BlockLayer::add_dispatch_observer(Observer fn) {
 }
 
 void BlockLayer::submit(Bio bio) {
-  assert(bio.sectors > 0);
-  assert(bio.sectors <= cfg_.max_request_sectors);
+  const std::int64_t sectors = bio.sectors;
+  submit_segments(std::move(bio), sectors);
+}
 
-  // The queue is stopped during an elevator switch: arriving bios are held
-  // back and their submitters stall — the dominant component of the
-  // paper's measured switch cost.
-  if (draining_ || frozen_) {
-    held_.push_back(std::move(bio));
-    account_busy();
-    return;
-  }
-
-  ++counters_.bios_submitted;
+void BlockLayer::submit_segments(Bio&& run, std::int64_t segment_sectors) {
+  assert(run.sectors > 0);
+  assert(segment_sectors > 0 && segment_sectors <= cfg_.max_request_sectors);
   const Time now = simr_.now();
+  const Lba end = run.lba + run.sectors;
+  Lba lba = run.lba;
+  while (lba < end) {
+    // The queue is stopped during an elevator switch: arriving bios are
+    // held back and their submitters stall — the dominant component of
+    // the paper's measured switch cost.
+    if (draining_ || frozen_) {
+      run.lba = lba;
+      run.sectors = end - lba;
+      held_.push_back({std::move(run), segment_sectors});
+      account_busy();
+      return;
+    }
+
+    const std::int64_t sectors = std::min(segment_sectors, end - lba);
+    note_bio(run, lba, sectors, now);
+
+    // Back-merge: a queued request of the same direction/sync/context
+    // ending exactly where this bio starts grows to absorb it (the common
+    // sequential pattern; the kernel's dominant merge path).
+    if (Request* rq = merge_idx_.find(lba)) {
+      if (rq->dir == run.dir && rq->sync == run.sync && rq->ctx == run.ctx &&
+          rq->sectors + sectors <= cfg_.max_request_sectors) {
+        lba = back_merge(rq, run, lba, end, segment_sectors, now);
+        continue;
+      }
+    }
+
+    Request* rq = acquire_request();
+    rq->id = next_rq_id_++;
+    rq->lba = lba;
+    rq->sectors = sectors;
+    rq->dir = run.dir;
+    rq->sync = run.sync;
+    rq->ctx = run.ctx;
+    rq->submit = now;
+    lba += sectors;
+    if (run.on_complete) {
+      rq->completions.push_back(
+          {lba == end ? std::move(run.on_complete) : run.on_complete, 1});
+    }
+    if (cfg_.obs_role == obs::LayerRole::kGuest) {
+      // A fresh guest request starts a new attribution record (merged bios
+      // ride on it; the record tracks the request, not individual bios).
+      if (auto* at = obs::attribution()) {
+        rq->attrs.push_back(at->on_submit(cfg_.obs_host, cfg_.obs_vm,
+                                          rq->dir == iosched::Dir::kWrite,
+                                          rq->sync, rq->lba, rq->sectors, now,
+                                          rq->ctx));
+      }
+    } else if (run.attr != obs::kNoAttr) {
+      rq->attrs.push_back(run.attr);
+    }
+    merge_idx_.emplace(rq->end(), rq);
+    ++queued_by_dir_[static_cast<int>(rq->dir)];
+    sched_->add(rq, now);
+    if (auto* ck = check::auditor()) {
+      ck->on_queue_accounting(this, cfg_.name, queued_by_dir_[0],
+                              queued_by_dir_[1], sched_->size(), now.ns());
+    }
+    account_busy();
+    // May dispatch the new request at once; then the next segment finds
+    // no request to merge into and starts another.
+    kick();
+  }
+}
+
+void BlockLayer::note_bio(const Bio& bio, Lba lba, std::int64_t sectors, Time now) {
+  ++counters_.bios_submitted;
   if (auto* ck = check::auditor()) {
     ck->on_bio_submitted(this, cfg_.name, bio.ctx, now.ns());
   }
   if (auto* tr = trace::tracer()) {
     tr->instant(tr->track(cfg_.name), tr->ids.bio_submit, tr->ids.cat_blk, now,
-                tr->ids.lba, bio.lba, tr->ids.sectors, bio.sectors);
+                tr->ids.lba, lba, tr->ids.sectors, sectors);
   }
-
   // Dom0 arrival stamp. Taken before the bio joins/creates a request so the
   // "who was ahead" snapshot excludes the arriving segment itself; the
   // Attribution keeps only the first segment's stamp per guest request.
@@ -99,70 +161,54 @@ void BlockLayer::submit(Bio bio) {
                          in_flight_);
     }
   }
+}
 
-  // Back-merge: a queued request of the same direction/sync/context ending
-  // exactly where this bio starts grows to absorb it (the common sequential
-  // pattern; the kernel's dominant merge path).
-  if (Request* rq = merge_idx_.find(bio.lba)) {
-    if (rq->dir == bio.dir && rq->sync == bio.sync && rq->ctx == bio.ctx &&
-        rq->sectors + bio.sectors <= cfg_.max_request_sectors) {
-      merge_idx_.erase(bio.lba);
-      rq->sectors += bio.sectors;
-      ++rq->n_bios;
-      if (bio.on_complete) rq->completions.push_back(std::move(bio.on_complete));
-      // A Dom0 request absorbs the records of every guest request whose
-      // segments merged into it (distinct handles only; one guest request
-      // contributes many segments).
-      if (bio.attr != obs::kNoAttr &&
-          std::find(rq->attrs.begin(), rq->attrs.end(), bio.attr) == rq->attrs.end()) {
-        rq->attrs.push_back(bio.attr);
-      }
-      merge_idx_.emplace(rq->end(), rq);
-      sched_->note_back_merge(rq);
-      ++counters_.back_merges;
-      if (auto* tr = trace::tracer()) {
-        tr->instant(tr->track(cfg_.name), tr->ids.bio_merge, tr->ids.cat_blk, now,
-                    tr->ids.lba, rq->lba, tr->ids.sectors, rq->sectors);
-      }
-      if (auto* ck = check::auditor()) {
-        ck->on_queue_accounting(this, cfg_.name, queued_by_dir_[0],
-                                queued_by_dir_[1], sched_->size(), now.ns());
-      }
-      account_busy();
-      return;
-    }
+Lba BlockLayer::back_merge(Request* rq, Bio& run, Lba lba, Lba end,
+                           std::int64_t segment_sectors, Time now) {
+  merge_idx_.erase(lba);
+  // A Dom0 request absorbs the records of every guest request whose
+  // segments merged into it (distinct handles only; one guest request
+  // contributes many segments).
+  if (run.attr != obs::kNoAttr &&
+      std::find(rq->attrs.begin(), rq->attrs.end(), run.attr) == rq->attrs.end()) {
+    rq->attrs.push_back(run.attr);
   }
-
-  Request* rq = acquire_request();
-  rq->id = next_rq_id_++;
-  rq->lba = bio.lba;
-  rq->sectors = bio.sectors;
-  rq->dir = bio.dir;
-  rq->sync = bio.sync;
-  rq->ctx = bio.ctx;
-  rq->submit = now;
-  if (bio.on_complete) rq->completions.push_back(std::move(bio.on_complete));
-  if (cfg_.obs_role == obs::LayerRole::kGuest) {
-    // A fresh guest request starts a new attribution record (merged bios
-    // ride on it; the record tracks the request, not individual bios).
-    if (auto* at = obs::attribution()) {
-      rq->attrs.push_back(at->on_submit(cfg_.obs_host, cfg_.obs_vm,
-                                        rq->dir == iosched::Dir::kWrite,
-                                        rq->sync, rq->lba, rq->sectors, now,
-                                        rq->ctx));
+  // A merge never kicks and never touches the elevator, so a per-segment
+  // submit of the next segment would find `rq` again under its new end key
+  // — unless the merge reached max_request_sectors, or another queued
+  // request already holds that key (the index's first writer wins, so `rq`
+  // would get no entry and the next lookup would find the other request).
+  // Both stop the run here; the caller goes on from `lba`.
+  std::uint32_t merged = 0;
+  for (;;) {
+    const std::int64_t sectors = std::min(segment_sectors, end - lba);
+    rq->sectors += sectors;
+    lba += sectors;
+    ++merged;
+    ++counters_.back_merges;
+    if (auto* tr = trace::tracer()) {
+      tr->instant(tr->track(cfg_.name), tr->ids.bio_merge, tr->ids.cat_blk, now,
+                  tr->ids.lba, rq->lba, tr->ids.sectors, rq->sectors);
     }
-  } else if (bio.attr != obs::kNoAttr) {
-    rq->attrs.push_back(bio.attr);
+    if (auto* ck = check::auditor()) {
+      ck->on_queue_accounting(this, cfg_.name, queued_by_dir_[0],
+                              queued_by_dir_[1], sched_->size(), now.ns());
+    }
+    if (lba == end) break;
+    const std::int64_t next = std::min(segment_sectors, end - lba);
+    if (rq->sectors + next > cfg_.max_request_sectors || merge_idx_.find(lba) != nullptr) {
+      break;
+    }
+    note_bio(run, lba, next, now);
   }
+  rq->n_bios += merged;
   merge_idx_.emplace(rq->end(), rq);
-  ++queued_by_dir_[static_cast<int>(rq->dir)];
-  sched_->add(rq, now);
-  if (auto* ck = check::auditor()) {
-    ck->on_queue_accounting(this, cfg_.name, queued_by_dir_[0],
-                            queued_by_dir_[1], sched_->size(), now.ns());
+  if (run.on_complete) {
+    rq->completions.push_back(
+        {lba == end ? std::move(run.on_complete) : run.on_complete, merged});
   }
   account_busy();
-  kick();
+  return lba;
 }
 
 Request* BlockLayer::acquire_request() {
@@ -223,8 +269,12 @@ void BlockLayer::maybe_finish_switch() {
   merge_idx_.clear();
   frozen_ = true;
   if (auto* tr = trace::tracer()) {
+    std::int64_t held_bios = 0;  // a held run counts as its segments
+    for (const HeldRun& h : held_) {
+      held_bios += (h.run.sectors + h.segment_sectors - 1) / h.segment_sectors;
+    }
     tr->instant(tr->track(cfg_.name), tr->ids.drain_done, tr->ids.cat_blk,
-                simr_.now(), tr->ids.queued, static_cast<std::int64_t>(held_.size()));
+                simr_.now(), tr->ids.queued, held_bios);
   }
   if (wakeup_ev_ != sim::kInvalidEvent) {
     simr_.cancel(wakeup_ev_);
@@ -237,9 +287,9 @@ void BlockLayer::maybe_finish_switch() {
     if (auto* tr = trace::tracer()) {
       tr->end(tr->track(cfg_.name), tr->ids.elv_switch, simr_.now());
     }
-    std::vector<Bio> held = std::move(held_);
+    std::vector<HeldRun> held = std::move(held_);
     held_.clear();
-    for (auto& bio : held) submit(std::move(bio));
+    for (auto& h : held) submit_segments(std::move(h.run), h.segment_sectors);
     account_busy();
     kick();
   });
@@ -348,7 +398,9 @@ void BlockLayer::on_sink_complete(Request* rq, Time now) {
   // Fire waiter callbacks, then recycle. Callbacks may submit new bios into
   // this layer: those get other requests, because this one is not back in
   // the pool yet (and, dispatched, it is no longer in the merge index).
-  for (auto& fn : rq->completions) fn(now, rq->status);
+  for (auto& c : rq->completions) {
+    for (std::uint32_t i = 0; i < c.times; ++i) c.fn(now, rq->status);
+  }
   release_request(rq);
 
   account_busy();

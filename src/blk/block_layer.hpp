@@ -115,6 +115,16 @@ class BlockLayer {
   /// new request and queues it with the active elevator.
   void submit(Bio bio);
 
+  /// Submit the run [run.lba, run.lba + run.sectors) as consecutive bios of
+  /// `segment_sectors` each (the last may be shorter). Every segment shares
+  /// the run's direction, sync flag, context and attribution handle, and
+  /// `run.on_complete` fires once per segment. The result is exactly that
+  /// of one submit() per segment in ascending order, but segments that
+  /// back-merge into one request in a row cost one merge-index update and
+  /// one completion entry. The blkfront ring hands each guest request to
+  /// Dom0 this way (DESIGN.md §8.6).
+  void submit_segments(Bio&& run, std::int64_t segment_sectors);
+
   /// Switch the elevator at run time, modelling the kernel's elv_switch:
   /// the old discipline keeps dispatching until its queue is fully drained,
   /// while NEW submissions are held back (the submitting tasks stall);
@@ -150,6 +160,14 @@ class BlockLayer {
   ObserverHandle add_dispatch_observer(Observer fn);
 
  private:
+  /// Per-bio bookkeeping of a segment entering the queue (counter,
+  /// auditor, tracer, Dom0 arrival stamp), before it merges or queues.
+  void note_bio(const Bio& bio, Lba lba, std::int64_t sectors, Time now);
+  /// Back-merge the run's segments from `lba` on into `rq`, which ends at
+  /// `lba`: as many in a row as per-segment submits would merge into it.
+  /// Returns the LBA after the last merged segment.
+  Lba back_merge(Request* rq, Bio& run, Lba lba, Lba end, std::int64_t segment_sectors,
+                 Time now);
   void kick();
   void maybe_finish_switch();
   void arm_wakeup();
@@ -186,7 +204,11 @@ class BlockLayer {
   // arriving bios queue up in held_.
   bool draining_ = false;
   SchedulerKind switch_target_ = SchedulerKind::kNoop;
-  std::vector<Bio> held_;
+  struct HeldRun {
+    Bio run;
+    std::int64_t segment_sectors;
+  };
+  std::vector<HeldRun> held_;
   sim::EventId freeze_ev_ = sim::kInvalidEvent;
   sim::EventId wakeup_ev_ = sim::kInvalidEvent;
   // Busy-time integral state (see BlockLayerCounters::busy_ns): whether the

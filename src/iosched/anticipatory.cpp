@@ -58,7 +58,7 @@ Request* AnticipatoryScheduler::pick_candidate(Time now) {
     const auto& sorted = q_.sorted(batch_dir_);
     if (now < batch_end_ && !sorted.empty()) {
       auto it = sorted.lower_bound(batch_pos_);
-      if (it != sorted.end()) return it->second;
+      if (it != sorted.end()) return it->rq;
     }
     batch_active_ = false;
   }
@@ -85,10 +85,7 @@ Request* AnticipatoryScheduler::pick_candidate(Time now) {
   // the one-way scan from the head position (wrap to lowest LBA).
   Request* head = q_.oldest(dir);
   if (head->elv.expire <= now) return head;
-  const auto& sorted = q_.sorted(dir);
-  auto it = sorted.lower_bound(head_pos_);
-  if (it == sorted.end()) it = sorted.begin();
-  return it->second;
+  return q_.sorted(dir).lower_bound_wrap(head_pos_)->rq;
 }
 
 Request* AnticipatoryScheduler::dispatch(Time now) {

@@ -31,7 +31,6 @@ class AnticipatoryScheduler final : public IoScheduler {
   Request* dispatch(Time now) override;
   void on_complete(const Request& rq, Time now) override;
   std::optional<Time> wakeup(Time) const override;
-  void note_back_merge(Request*) override {}
 
   bool empty() const override { return q_.size() == 0; }
   std::size_t size() const override { return q_.size(); }

@@ -35,7 +35,7 @@ void CfqScheduler::add(Request* rq, Time now) {
     }
     cq->has_completion = false;
   }
-  cq->q.emplace(rq->lba, rq);
+  cq->q.insert(rq);
   ++count_;
   enqueue_rr(cq);
   if (cq == active_ && idling_) {
@@ -45,9 +45,8 @@ void CfqScheduler::add(Request* rq, Time now) {
 
 Request* CfqScheduler::take_from(CfqQueue* cq) {
   assert(!cq->q.empty());
-  auto it = cq->q.lower_bound(cq->pos);
-  if (it == cq->q.end()) it = cq->q.begin();  // wrap: one-way scan
-  Request* rq = it->second;
+  const auto it = cq->q.lower_bound_wrap(cq->pos);  // one-way scan
+  Request* rq = it->rq;
   cq->q.erase(it);
   cq->pos = rq->end();
   --count_;
@@ -99,8 +98,7 @@ Request* CfqScheduler::dispatch(Time now) {
     }
 
     if (rr_.empty()) return nullptr;
-    active_ = rr_.front();
-    rr_.pop_front();
+    active_ = rr_.pop_front();
     active_->in_rr = false;
     active_dispatched_ = 0;
     idling_ = false;
@@ -125,10 +123,7 @@ std::vector<Request*> CfqScheduler::drain() {
   std::vector<Request*> out;
   out.reserve(count_);
   auto drain_queue = [&out](CfqQueue& cq) {
-    for (auto& [lba, rq] : cq.q) {
-      (void)lba;
-      out.push_back(rq);
-    }
+    for (const LbaQueue::Entry& e : cq.q) out.push_back(e.rq);
     cq.q.clear();
     cq.in_rr = false;
   };

@@ -11,11 +11,11 @@
 // multi-VM streaming at the Dom0 level (paper Fig. 3: CFQ fairer, AS faster).
 #pragma once
 
-#include <deque>
-#include <map>
 #include <unordered_map>
 
+#include "iosched/lba_queue.hpp"
 #include "iosched/scheduler.hpp"
+#include "sim/ring_fifo.hpp"
 
 namespace iosim::iosched {
 
@@ -29,7 +29,6 @@ class CfqScheduler final : public IoScheduler {
   Request* dispatch(Time now) override;
   void on_complete(const Request& rq, Time now) override;
   std::optional<Time> wakeup(Time) const override;
-  void note_back_merge(Request*) override {}
 
   bool empty() const override { return count_ == 0; }
   std::size_t size() const override { return count_; }
@@ -42,7 +41,7 @@ class CfqScheduler final : public IoScheduler {
   struct CfqQueue {
     std::uint64_t ctx = 0;
     bool sync = true;
-    std::multimap<Lba, Request*> q;
+    LbaQueue q;
     Lba pos = 0;       // one-way scan position within the queue
     bool in_rr = false;
     // Think-time tracking (gates slice idling, like the kernel's ttime_mean).
@@ -60,7 +59,7 @@ class CfqScheduler final : public IoScheduler {
   CfqTunables tun_;
   std::unordered_map<std::uint64_t, CfqQueue> sync_queues_;
   CfqQueue async_queue_{/*ctx=*/0, /*sync=*/false, {}, 0, false, false, {}, false, 0.0};
-  std::deque<CfqQueue*> rr_;
+  sim::RingFifo<CfqQueue*> rr_;
   std::size_t count_ = 0;
 
   CfqQueue* active_ = nullptr;

@@ -12,7 +12,7 @@ Request* DeadlineScheduler::next_in_batch() {
   const auto& sorted = q_.sorted(batch_dir_);
   auto it = sorted.lower_bound(batch_pos_);
   if (it == sorted.end()) return nullptr;  // scan hit the end: batch over
-  return it->second;
+  return it->rq;
 }
 
 Request* DeadlineScheduler::start_batch(Dir dir, Time now) {
@@ -26,9 +26,7 @@ Request* DeadlineScheduler::start_batch(Dir dir, Time now) {
   // scan position (one-way elevator with wrap).
   Request* head = q_.oldest(dir);
   if (head->elv.expire <= now) return head;
-  auto it = sorted.lower_bound(batch_pos_);
-  if (it == sorted.end()) it = sorted.begin();  // wrap to lowest LBA
-  return it->second;
+  return sorted.lower_bound_wrap(batch_pos_)->rq;  // wrap to lowest LBA
 }
 
 Request* DeadlineScheduler::dispatch(Time now) {

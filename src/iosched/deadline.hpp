@@ -1,7 +1,7 @@
 // iosim: the deadline elevator.
 //
 // Faithful to the classic Linux deadline discipline: per-direction sorted
-// trees plus per-direction FIFOs with expiry (reads 500 ms, writes 5 s).
+// queues plus per-direction FIFOs with expiry (reads 500 ms, writes 5 s).
 // Dispatch runs in batches that continue in ascending-LBA order; a new batch
 // first checks the FIFO head of the chosen direction and jumps to it if its
 // deadline has passed. Reads are preferred, with a `writes_starved` bound.
@@ -22,7 +22,6 @@ class DeadlineScheduler final : public IoScheduler {
   Request* dispatch(Time now) override;
   void on_complete(const Request&, Time) override {}
   std::optional<Time> wakeup(Time) const override { return std::nullopt; }
-  void note_back_merge(Request*) override {}
 
   bool empty() const override { return q_.size() == 0; }
   std::size_t size() const override { return q_.size(); }

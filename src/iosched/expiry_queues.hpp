@@ -1,30 +1,26 @@
 // iosim: the queue structure shared by the deadline and AS elevators.
 //
-// Per direction: an LBA-sorted tree (the one-way scan) and a FIFO in
-// arrival order with an absolute deadline per request (the expiry check).
-// The FIFO is intrusive and each request remembers its tree entry
-// (Request::elv), so add and remove do no hash lookup and allocate no FIFO
-// node. Equal LBAs keep arrival order in the tree, as multimap insertion
-// at the upper bound guarantees.
+// Per direction: an LBA-sorted queue (the one-way scan; equal LBAs keep
+// arrival order, see iosched/lba_queue.hpp) and a FIFO in arrival order
+// with an absolute deadline per request (the expiry check). The FIFO is
+// intrusive (Request::elv), so add and remove do no hash lookup and
+// allocate nothing once the sorted queues have reached their peak size.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
-#include <map>
 #include <vector>
 
+#include "iosched/lba_queue.hpp"
 #include "iosched/request.hpp"
 
 namespace iosim::iosched {
 
 class ExpiryQueues {
  public:
-  using Sorted = std::multimap<Lba, Request*>;
-
   void add(Request* rq, Time expire) {
     const int d = idx(rq->dir);
     rq->elv.expire = expire;
-    rq->elv.sorted = sorted_[d].emplace(rq->lba, rq);
+    sorted_[d].insert(rq);
     Fifo& f = fifo_[d];
     rq->elv.prev = f.tail;
     rq->elv.next = nullptr;
@@ -35,8 +31,7 @@ class ExpiryQueues {
 
   void remove(Request* rq) {
     const int d = idx(rq->dir);
-    assert(rq->elv.sorted->second == rq);
-    sorted_[d].erase(rq->elv.sorted);
+    sorted_[d].erase(rq);
     Fifo& f = fifo_[d];
     (rq->elv.prev != nullptr ? rq->elv.prev->elv.next : f.head) = rq->elv.next;
     (rq->elv.next != nullptr ? rq->elv.next->elv.prev : f.tail) = rq->elv.prev;
@@ -56,7 +51,7 @@ class ExpiryQueues {
     count_ = 0;
   }
 
-  const Sorted& sorted(Dir d) const { return sorted_[idx(d)]; }
+  const LbaQueue& sorted(Dir d) const { return sorted_[idx(d)]; }
   bool empty(Dir d) const { return sorted_[idx(d)].empty(); }
   /// Oldest queued request of direction `d` (nullptr when none).
   Request* oldest(Dir d) const { return fifo_[idx(d)].head; }
@@ -70,7 +65,7 @@ class ExpiryQueues {
 
   static int idx(Dir d) { return static_cast<int>(d); }
 
-  Sorted sorted_[kNumDirs];
+  LbaQueue sorted_[kNumDirs];
   Fifo fifo_[kNumDirs];
   std::size_t count_ = 0;
 };

@@ -7,9 +7,8 @@
 // observation (Fig. 2, Table I).
 #pragma once
 
-#include <deque>
-
 #include "iosched/scheduler.hpp"
+#include "sim/ring_fifo.hpp"
 
 namespace iosim::iosched {
 
@@ -19,28 +18,24 @@ class NoopScheduler final : public IoScheduler {
 
   void add(Request* rq, Time) override { q_.push_back(rq); }
 
-  Request* dispatch(Time) override {
-    if (q_.empty()) return nullptr;
-    Request* rq = q_.front();
-    q_.pop_front();
-    return rq;
-  }
+  Request* dispatch(Time) override { return q_.empty() ? nullptr : q_.pop_front(); }
 
   void on_complete(const Request&, Time) override {}
   std::optional<Time> wakeup(Time) const override { return std::nullopt; }
-  void note_back_merge(Request*) override {}
 
   bool empty() const override { return q_.empty(); }
   std::size_t size() const override { return q_.size(); }
 
   std::vector<Request*> drain() override {
-    std::vector<Request*> out(q_.begin(), q_.end());
+    std::vector<Request*> out;
+    out.reserve(q_.size());
+    for (std::size_t i = 0; i < q_.size(); ++i) out.push_back(q_[i]);
     q_.clear();
     return out;
   }
 
  private:
-  std::deque<Request*> q_;
+  sim::RingFifo<Request*> q_;
 };
 
 }  // namespace iosim::iosched

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "disk/disk_model.hpp"
@@ -34,18 +33,26 @@ inline const char* to_string(IoStatus s) {
 /// which stays inline — no allocation per I/O (see sim/event_fn.hpp).
 using CompletionFn = sim::SmallFn<void(Time, IoStatus)>;
 
+/// One completion callback on a request, run `times` times in a row when
+/// the request completes: once per bio it stands for. A plain bio adds an
+/// entry with times = 1; a run of ring segments that back-merged into the
+/// request in one go shares one entry (blk::BlockLayer::submit_segments).
+struct CompletionEntry {
+  CompletionFn fn;
+  std::uint32_t times = 1;
+};
+
 struct Request;
 
 /// Per-request state of the expiry-FIFO elevators (deadline, AS): the
-/// FIFO deadline, the intrusive FIFO links and the request's entry in the
-/// LBA-sorted tree. Living in the request, it makes queueing and removal
-/// free of lookups and of FIFO nodes. Meaningful only while such an
-/// elevator holds the request (see iosched/expiry_queues.hpp).
+/// FIFO deadline and the intrusive FIFO links. Living in the request, it
+/// makes queueing and removal free of lookups and of FIFO nodes.
+/// Meaningful only while such an elevator holds the request (see
+/// iosched/expiry_queues.hpp).
 struct ElvState {
   Time expire;               // absolute FIFO deadline
   Request* prev = nullptr;   // FIFO neighbours (older / newer)
   Request* next = nullptr;
-  std::multimap<Lba, Request*>::iterator sorted;
 };
 
 /// A queued block request. Created by the BlockLayer from submitted bios and
@@ -87,8 +94,9 @@ struct Request {
   /// kernel failing all bios of a failed request.
   IoStatus status = IoStatus::kOk;
 
-  /// Per-bio completion callbacks (arguments: completion time, outcome).
-  std::vector<CompletionFn> completions;
+  /// Per-bio completion callbacks (arguments: completion time, outcome),
+  /// in submission order; an entry runs `times` times.
+  std::vector<CompletionEntry> completions;
 
   /// Attribution record handles (obs::AttrHandle) of the guest requests
   /// this request carries — empty when attribution is off. A guest request

@@ -12,8 +12,10 @@
 // which is exactly why the VMM-level scheduler choice matters so much.
 //
 // Event cost: one simulator event per ring crossing, not one per segment
-// (DESIGN.md §8.7). Going in, one hop event submits all of a guest
-// request's segments to Dom0 in order. Coming back, a segment completion
+// (DESIGN.md §8.7). Going in, one hop event hands the whole guest request
+// to Dom0 in one call, `BlockLayer::submit_segments`, which queues its
+// segments exactly as one submit per segment in order would (§8.6). Coming
+// back, a segment completion
 // joins the ring's newest pending return batch when that batch fires at the
 // same instant and no event has been scheduled since it was opened; else it
 // opens a new batch with its own event. A per-segment hop event in either
@@ -21,13 +23,10 @@
 // runs the same calls in the same order and every result is unchanged.
 #pragma once
 
-#include <algorithm>
-#include <cstddef>
-#include <vector>
-
 #include "blk/block_layer.hpp"
 #include "blk/request_sink.hpp"
 #include "check/check.hpp"
+#include "sim/ring_fifo.hpp"
 #include "sim/simulator.hpp"
 
 namespace iosim::virt {
@@ -46,45 +45,6 @@ struct RingParams {
   /// event channel). ~50 us for the paper's era.
   Time hop_latency = Time::from_us(50);
 };
-
-namespace detail {
-
-/// FIFO over a power-of-two ring buffer. Construction allocates nothing and
-/// the buffer only grows, so once it has reached the ring's peak backlog
-/// pushes and pops allocate nothing either.
-template <class T>
-class RingFifo {
- public:
-  bool empty() const { return size_ == 0; }
-  T& back() { return buf_[(head_ + size_ - 1) & (buf_.size() - 1)]; }
-  void push_back(T v) {
-    if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = v;
-    ++size_;
-  }
-  T pop_front() {
-    const T v = buf_[head_];
-    head_ = (head_ + 1) & (buf_.size() - 1);
-    --size_;
-    return v;
-  }
-
- private:
-  void grow() {
-    std::vector<T> next(buf_.empty() ? 16 : 2 * buf_.size());
-    for (std::size_t i = 0; i < size_; ++i) {
-      next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-    }
-    buf_.swap(next);
-    head_ = 0;
-  }
-
-  std::vector<T> buf_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
-
-}  // namespace detail
 
 class BlkfrontRing final : public blk::RequestSink {
  public:
@@ -110,29 +70,27 @@ class BlkfrontRing final : public blk::RequestSink {
   int outstanding() const { return outstanding_; }
 
  private:
-  /// The request crossed the ring: split it into blkif segments, each a Dom0
-  /// bio. Adjacent segments of one stream re-merge in the Dom0 elevator when
-  /// they queue up there.
+  /// The request crossed the ring: Dom0 takes it as one run of blkif
+  /// segments, each a Dom0 bio. Adjacent segments of one stream re-merge in
+  /// the Dom0 elevator when they queue up there.
   void forward(Request* rq) {
-    for (disk::Lba seg_lba = rq->lba; seg_lba < rq->end();
-         seg_lba += p_.max_segment_sectors) {
-      blk::Bio bio;
-      bio.lba = image_base_ + seg_lba;
-      bio.sectors = std::min<std::int64_t>(p_.max_segment_sectors, rq->end() - seg_lba);
-      bio.dir = rq->dir;
-      bio.sync = rq->sync;
-      bio.ctx = vm_ctx_;
-      // Every segment carries the guest request's attribution handle so
-      // the Dom0 layer can stamp arrival/dispatch/completion on it.
-      bio.attr = rq->attrs.empty() ? obs::kNoAttr : rq->attrs.front();
-      bio.on_complete = [this, rq](Time, blk::IoStatus st) {
-        // Any failed segment fails the whole guest request (blkback
-        // reports one status per ring request).
-        if (st != blk::IoStatus::kOk) rq->status = st;
-        send_back(rq);
-      };
-      dom0_.submit(std::move(bio));
-    }
+    blk::Bio run;
+    run.lba = image_base_ + rq->lba;
+    run.sectors = rq->sectors;
+    run.dir = rq->dir;
+    run.sync = rq->sync;
+    run.ctx = vm_ctx_;
+    // Every segment carries the guest request's attribution handle so the
+    // Dom0 layer can stamp arrival/dispatch/completion on it.
+    run.attr = rq->attrs.empty() ? obs::kNoAttr : rq->attrs.front();
+    // Runs once per segment.
+    run.on_complete = [this, rq](Time, blk::IoStatus st) {
+      // Any failed segment fails the whole guest request (blkback reports
+      // one status per ring request).
+      if (st != blk::IoStatus::kOk) rq->status = st;
+      send_back(rq);
+    };
+    dom0_.submit_segments(std::move(run), p_.max_segment_sectors);
   }
 
   /// One segment of `rq` completed in Dom0; its response crosses back.
@@ -172,8 +130,8 @@ class BlkfrontRing final : public blk::RequestSink {
   // Segment responses on their way back, oldest first, and the size of each
   // pending return batch. Batches fire in FIFO order: the hop latency is
   // constant, and equal arrival times fire in scheduling order.
-  detail::RingFifo<Request*> returns_;
-  detail::RingFifo<int> batches_;
+  sim::RingFifo<Request*> returns_;
+  sim::RingFifo<int> batches_;
   // Arrival time of the newest batch, and Simulator::scheduled() right after
   // its event was scheduled.
   Time open_arrive_;

@@ -1,17 +1,22 @@
-// Dispatch-order differential: the deadline and AS elevators, whose FIFO
-// and deadline state lives in Request, against reference copies of the
-// hash-map + std::list versions they replaced (legacy_elevators.hpp). Both
-// sides see identical random add/dispatch/complete/drain streams with
-// equal-LBA ties and FIFO heads left to expire; every dispatch, wakeup,
-// size and drain order must agree.
+// Dispatch-order differential: the production elevators against reference
+// copies of the versions they replaced (legacy_elevators.hpp) — deadline
+// and AS, whose FIFO and deadline state lives in Request and whose sorted
+// queues are flat LbaQueues, against the hash-map + std::list + multimap
+// versions; CFQ, whose per-context queues are LbaQueues, against the
+// multimap + deque version. Both sides see identical random
+// add/dispatch/complete/drain streams with equal-LBA ties, FIFO heads left
+// to expire, slices running out and idle windows opening and timing out;
+// every dispatch, wakeup, size and drain order must agree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <utility>
 #include <vector>
 
 #include "iosched/anticipatory.hpp"
+#include "iosched/cfq.hpp"
 #include "iosched/deadline.hpp"
 #include "legacy_elevators.hpp"
 #include "sched_test_util.hpp"
@@ -41,6 +46,11 @@ struct Tally {
   int dispatched = 0;
   int expired_heads = 0;  // reads dispatched after their own deadline
   int drained = 0;
+  int idle_polls = 0;     // dispatch() idled while requests were queued
+  // Dispatches from another (ctx, sync) queue while the previous dispatch's
+  // queue still held requests: a slice or an async quantum ran out, or an
+  // expired FIFO head jumped the scan.
+  int preempted = 0;
 };
 
 /// One random stream against `fresh` and `legacy`. Each side owns its own
@@ -51,9 +61,12 @@ void run_stream(IoScheduler& fresh, IoScheduler& legacy, std::uint64_t seed, int
   RequestFactory fa;
   RequestFactory fb;
   std::deque<std::pair<Request*, Request*>> in_flight;
+  // Queued requests per (ctx, sync), and the queue of the last dispatch.
+  std::map<std::pair<std::uint64_t, bool>, int> queued;
+  std::pair<std::uint64_t, bool> last{~0ULL, false};
   std::uint64_t rng = seed;
   Time now = Time::zero();
-  // A few LBAs recur so the sorted trees hold equal keys, in both
+  // A few LBAs recur so the sorted queues hold equal keys, in both
   // directions, from several contexts.
   const Lba hot[] = {0, 4096, 4096 + 8, 1 << 20, 3 << 20};
   for (int op = 0; op < ops; ++op) {
@@ -70,13 +83,20 @@ void run_stream(IoScheduler& fresh, IoScheduler& legacy, std::uint64_t seed, int
       Request* b = fb.make(lba, sectors, write ? Dir::kWrite : Dir::kRead, sync, ctx);
       fresh.add(a, now);
       legacy.add(b, now);
+      ++queued[{ctx, sync}];
     } else if (kind < 80) {
+      const bool was_empty = fresh.empty();
       Request* a = fresh.dispatch(now);
       Request* b = legacy.dispatch(now);
       ASSERT_EQ(id_of(a), id_of(b)) << "seed " << seed << " op " << op;
+      if (a == nullptr && !was_empty) ++tally->idle_polls;
       if (a != nullptr) {
         ++tally->dispatched;
         if (now >= a->elv.expire && a->dir == Dir::kRead) ++tally->expired_heads;
+        const std::pair<std::uint64_t, bool> key{a->ctx, a->sync};
+        if (key != last && queued[last] > 0) ++tally->preempted;
+        --queued[key];
+        last = key;
         in_flight.emplace_back(a, b);
       }
     } else if (kind < 92) {
@@ -96,6 +116,7 @@ void run_stream(IoScheduler& fresh, IoScheduler& legacy, std::uint64_t seed, int
       const auto db = legacy.drain();
       ASSERT_EQ(ids(da), ids(db)) << "seed " << seed << " op " << op;
       tally->drained += static_cast<int>(da.size());
+      queued.clear();
     }
     ASSERT_EQ(fresh.size(), legacy.size()) << "seed " << seed << " op " << op;
     ASSERT_EQ(fresh.empty(), legacy.empty());
@@ -136,6 +157,30 @@ TEST(ElevatorOracle, AnticipatoryMatchesLegacyDispatchOrder) {
   EXPECT_GT(tally.dispatched, 10000);
   EXPECT_GT(tally.expired_heads, 100);
   EXPECT_GT(tally.drained, 0);
+}
+
+TEST(ElevatorOracle, CfqMatchesLegacyDispatchOrder) {
+  // Think-time gating: with a small idle_think_factor most owners stop
+  // earning idle windows, with a large one nearly all keep them; the two
+  // tallies must differ, or the gate was never decided by the stream.
+  Tally gated;
+  Tally open;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    CfqTunables t;
+    t.idle_think_factor = seed % 2 == 0 ? 0.05 : 4.0;
+    if (seed % 3 == 0) t.async_quantum = 2;
+    if (seed % 5 == 0) t.slice_sync = Time::from_ms(5);
+    CfqScheduler fresh(t);
+    test::LegacyCfq legacy(t);
+    run_stream(fresh, legacy, seed, 3000, seed % 2 == 0 ? &gated : &open);
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(fresh.sync_queue_count(), legacy.sync_queue_count());
+  }
+  EXPECT_GT(gated.dispatched + open.dispatched, 10000);
+  EXPECT_GT(gated.drained + open.drained, 0);
+  EXPECT_GT(gated.preempted + open.preempted, 500);
+  EXPECT_GT(open.idle_polls, 100);
+  EXPECT_LT(gated.idle_polls, open.idle_polls);
 }
 
 }  // namespace

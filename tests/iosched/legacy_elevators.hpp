@@ -1,11 +1,20 @@
-// Test-only reference copies of the deadline and AS elevators as they were
-// before their queue state moved into Request: a `std::list` FIFO per
-// direction plus an `unordered_map<Request*, Handles>` from each request to
-// its tree and FIFO positions and its deadline. The differential test in
-// elevator_oracle_test.cpp drives these and the production elevators with
-// identical streams and requires identical dispatch orders.
+// Test-only reference copies of elevators as they were before their queues
+// changed shape:
+//   * deadline and AS before their queue state moved into Request: a
+//     `std::list` FIFO per direction plus an `unordered_map<Request*,
+//     Handles>` from each request to its tree and FIFO positions and its
+//     deadline;
+//   * CFQ before its per-context sorted queues became flat vectors
+//     (iosched::LbaQueue): a `std::multimap<Lba, Request*>` per queue and a
+//     `std::deque` round-robin list. Apart from the class name, the
+//     namespace and the dropped `note_back_merge` no-op, it is the old CFQ
+//     verbatim.
+// The differential test in elevator_oracle_test.cpp drives these and the
+// production elevators with identical streams and requires identical
+// dispatch orders.
 #pragma once
 
+#include <deque>
 #include <list>
 #include <map>
 #include <unordered_map>
@@ -24,7 +33,6 @@ class LegacyDeadline final : public IoScheduler {
   Request* dispatch(Time now) override;
   void on_complete(const Request&, Time) override {}
   std::optional<Time> wakeup(Time) const override { return std::nullopt; }
-  void note_back_merge(Request*) override {}
 
   bool empty() const override { return count_ == 0; }
   std::size_t size() const override { return count_; }
@@ -69,7 +77,6 @@ class LegacyAnticipatory final : public IoScheduler {
   Request* dispatch(Time now) override;
   void on_complete(const Request& rq, Time now) override;
   std::optional<Time> wakeup(Time) const override;
-  void note_back_merge(Request*) override {}
 
   bool empty() const override { return count_ == 0; }
   std::size_t size() const override { return count_; }
@@ -127,6 +134,56 @@ class LegacyAnticipatory final : public IoScheduler {
   Request* antic_hit_ = nullptr;    // request from antic_ctx_ that arrived
 
   std::unordered_map<std::uint64_t, CtxStats> stats_;
+};
+
+class LegacyCfq final : public IoScheduler {
+ public:
+  explicit LegacyCfq(const CfqTunables& tun) : tun_(tun) {}
+
+  SchedulerKind kind() const override { return SchedulerKind::kCfq; }
+
+  void add(Request* rq, Time now) override;
+  Request* dispatch(Time now) override;
+  void on_complete(const Request& rq, Time now) override;
+  std::optional<Time> wakeup(Time) const override;
+
+  bool empty() const override { return count_ == 0; }
+  std::size_t size() const override { return count_; }
+  std::vector<Request*> drain() override;
+
+  /// Number of distinct per-context sync queues currently known (tests).
+  std::size_t sync_queue_count() const { return sync_queues_.size(); }
+
+ private:
+  struct CfqQueue {
+    std::uint64_t ctx = 0;
+    bool sync = true;
+    std::multimap<Lba, Request*> q;
+    Lba pos = 0;       // one-way scan position within the queue
+    bool in_rr = false;
+    // Think-time tracking (gates slice idling, like the kernel's ttime_mean).
+    bool has_completion = false;
+    Time last_completion;
+    bool has_think = false;
+    double think_ewma_ns = 0.0;
+  };
+
+  void enqueue_rr(CfqQueue* cq);
+  void deactivate(Time now);
+  CfqQueue* queue_for(const Request& rq);
+  Request* take_from(CfqQueue* cq);
+
+  CfqTunables tun_;
+  std::unordered_map<std::uint64_t, CfqQueue> sync_queues_;
+  CfqQueue async_queue_{/*ctx=*/0, /*sync=*/false, {}, 0, false, false, {}, false, 0.0};
+  std::deque<CfqQueue*> rr_;
+  std::size_t count_ = 0;
+
+  CfqQueue* active_ = nullptr;
+  Time slice_end_;
+  bool idling_ = false;      // active sync queue empty, idle window open
+  Time idle_until_;
+  int active_dispatched_ = 0;  // dispatches in current activation (async cap)
 };
 
 }  // namespace iosim::iosched::test

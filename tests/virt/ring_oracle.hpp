@@ -5,15 +5,21 @@
 // 1 to 4 guest block layers, each behind its own ring, sharing one Dom0
 // layer over one DiskDevice — on its own simulator and replays the same
 // seeded stream of guest bios (1 to 512 sectors, mixed direction and sync,
-// bursts at one instant). Every observable must agree:
+// bursts at one instant), or a hand-built one. Every observable must agree:
 //   * every guest bio's completion, in completion order: (bio, ns, status);
 //   * BlockLayerCounters of every layer, busy_ns included;
-//   * each ring's outstanding count at every dispatch and completion of
-//     every layer, which pins the ring's accounting event by event;
+//   * each ring's outstanding count, and the request's LBA, size and bio
+//     count, at every dispatch and completion of every layer, which pins
+//     the ring's accounting and the Dom0 merges event by event;
 //   * the auditor's report (ring bounds and conservation are audited) and
-//     the attribution sketches (segments carry the guest handle).
+//     the attribution sketches (segments carry the guest handle);
+//   * with `observe` set (the default), the tracer's whole export too: every
+//     per-bio hook (bio submit and merge instants, request spans, the
+//     held-bio count at a drained switch) fires as on the per-segment ring.
 // Only Simulator::executed() may differ, and must be lower with the
-// production ring.
+// production ring. The production ring hands each guest request to Dom0 in
+// one BlockLayer::submit_segments call; the legacy ring submits one bio per
+// segment, so the rig also checks that the batched Dom0 entry is exact.
 //
 // Two drives: `kSeek`, the default seek/rotate/transfer model, and
 // `kInstant`, a drive with zero service time. A Dom0 request carries the
@@ -27,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -40,11 +47,22 @@
 #include "iosched/pair.hpp"
 #include "legacy_blkfront_ring.hpp"
 #include "obs/attribution.hpp"
+#include "trace/trace.hpp"
 #include "virt/blkfront_ring.hpp"
 
 namespace iosim::virt::test {
 
 enum class Drive : std::uint8_t { kSeek, kInstant };
+
+struct GuestBio {
+  sim::Time at;
+  int vm = 0;
+  std::uint64_t ctx = 0;
+  disk::Lba lba = 0;
+  std::int64_t sectors = 0;
+  iosched::Dir dir = iosched::Dir::kRead;
+  bool sync = true;
+};
 
 struct OracleCase {
   iosched::SchedulerPair pair;
@@ -53,6 +71,15 @@ struct OracleCase {
   std::uint64_t seed = 1;
   /// Transient I/O-error probability at the disk (0 = no fault plan).
   double error_p = 0.0;
+  /// Install the auditor, the attribution and a tracer.
+  bool observe = true;
+  /// The Dom0 layer's merge limit (BlockLayerConfig::max_request_sectors).
+  std::int64_t dom0_max_sectors = 512;
+  /// Times of Dom0 elevator switches; the i-th targets the kind i + 1
+  /// places after the VMM elevator in enum order.
+  std::vector<sim::Time> switches = {};
+  /// The guest bios to replay; empty means make_stream(*this).
+  std::vector<GuestBio> stream = {};
 };
 
 struct Completion {
@@ -68,6 +95,9 @@ struct RingSample {
   bool dispatch = false;
   std::uint64_t rq_id = 0;
   std::int64_t ns = 0;
+  disk::Lba lba = 0;
+  std::int64_t sectors = 0;
+  std::uint32_t n_bios = 0;
   std::vector<int> outstanding;
   bool operator==(const RingSample&) const = default;
 };
@@ -80,6 +110,8 @@ struct Outcome {
   std::uint64_t violations = 0;
   std::vector<std::string> attr_keys;
   std::vector<std::int64_t> attr_lanes;  // count, sum, min, max per lane
+  std::string trace;         // Chrome JSON export; empty unless observed
+  std::int64_t held_bios = 0;  // bios held behind Dom0 switches (traced)
   std::uint64_t executed = 0;
   std::int64_t end_ns = 0;
 };
@@ -91,15 +123,6 @@ inline std::uint64_t mix(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-struct GuestBio {
-  sim::Time at;
-  int vm = 0;
-  std::uint64_t ctx = 0;
-  disk::Lba lba = 0;
-  std::int64_t sectors = 0;
-  iosched::Dir dir = iosched::Dir::kRead;
-  bool sync = true;
-};
 
 inline constexpr disk::Lba kImageSectors = disk::Lba{1} << 22;
 inline constexpr int kBiosPerVm = 120;
@@ -175,8 +198,14 @@ inline void fold_attribution(obs::Attribution& a, Outcome& o) {
 /// Build the stack around `Ring` and replay the case's bio stream.
 template <class Ring>
 Outcome run_case(const OracleCase& c) {
-  check::AuditorSession audit(check::Auditor::Mode::kRecord);
-  obs::AttributionSession attr;
+  std::optional<check::AuditorSession> audit;
+  std::optional<obs::AttributionSession> attr;
+  std::optional<trace::TraceSession> tracing;
+  if (c.observe) {
+    audit.emplace(check::Auditor::Mode::kRecord);
+    attr.emplace();
+    tracing.emplace();
+  }
   sim::Simulator simr;
   std::optional<fault::FaultInjector> faults;
   if (c.error_p > 0.0) {
@@ -191,6 +220,9 @@ Outcome run_case(const OracleCase& c) {
   dcfg.scheduler = c.pair.vmm;
   dcfg.name = "dom0";
   dcfg.obs_role = obs::LayerRole::kDom0;
+  dcfg.max_request_sectors = c.dom0_max_sectors;
+  // Short enough that several switches fit in one stream.
+  dcfg.switch_freeze = sim::Time::from_ms(20);
   blk::BlockLayer dom0(simr, disk, dcfg);
 
   std::vector<std::unique_ptr<Ring>> rings;
@@ -212,7 +244,7 @@ Outcome run_case(const OracleCase& c) {
     for (const bool dispatch : {false, true}) {
       auto fn = [&o, &rings, idx, dispatch](const blk::BlockLayer&,
                                              const iosched::Request& rq, sim::Time now) {
-        RingSample s{idx, dispatch, rq.id, now.ns(), {}};
+        RingSample s{idx, dispatch, rq.id, now.ns(), rq.lba, rq.sectors, rq.n_bios, {}};
         for (const auto& r : rings) s.outstanding.push_back(r->outstanding());
         o.ring_samples.push_back(std::move(s));
       };
@@ -223,7 +255,12 @@ Outcome run_case(const OracleCase& c) {
   watch(dom0, 0);
   for (int v = 0; v < c.vms; ++v) watch(*guests[static_cast<std::size_t>(v)], 1 + v);
 
-  const std::vector<GuestBio> stream = make_stream(c);
+  for (std::size_t i = 0; i < c.switches.size(); ++i) {
+    const auto kind = static_cast<iosched::SchedulerKind>(
+        (static_cast<std::size_t>(c.pair.vmm) + 1 + i) % iosched::kNumSchedulerKinds);
+    simr.at(c.switches[i], [&dom0, kind] { dom0.switch_scheduler(kind); });
+  }
+  const std::vector<GuestBio> stream = c.stream.empty() ? make_stream(c) : c.stream;
   for (std::size_t i = 0; i < stream.size(); ++i) {
     simr.at(stream[i].at, [&, i] {
       const GuestBio& g = stream[i];
@@ -241,12 +278,19 @@ Outcome run_case(const OracleCase& c) {
   }
   simr.run();
 
-  audit.auditor().verify_end_of_run(simr.now().ns());
-  o.audit = audit.auditor().report().to_string();
-  o.violations = audit.auditor().violations_total();
+  if (c.observe) {
+    audit->auditor().verify_end_of_run(simr.now().ns());
+    o.audit = audit->auditor().report().to_string();
+    o.violations = audit->auditor().violations_total();
+    fold_attribution(attr->attribution(), o);
+    const trace::Tracer& tr = tracing->tracer();
+    o.trace = tr.to_json();
+    tr.for_each([&o, &tr](const trace::Event& e) {
+      if (e.name == tr.ids.drain_done) o.held_bios += e.arg[0];
+    });
+  }
   o.counters.push_back(dom0.counters());
   for (const auto& g : guests) o.counters.push_back(g->counters());
-  fold_attribution(attr.attribution(), o);
   o.executed = simr.executed();
   o.end_ns = simr.now().ns();
   return o;
@@ -265,12 +309,34 @@ inline void expect_same_counters(const blk::BlockLayerCounters& a,
   EXPECT_EQ(a.busy_ns, b.busy_ns) << "layer " << layer;
 }
 
+/// Guest bios of `o` that completed with an error.
+inline std::uint64_t failed_bios(const Outcome& o) {
+  std::uint64_t failed = 0;
+  for (const Completion& done : o.completions) {
+    failed += done.status != iosched::IoStatus::kOk ? 1 : 0;
+  }
+  return failed;
+}
+
+/// (lba, sectors, n_bios) of every request the Dom0 layer dispatched, in
+/// dispatch order.
+inline std::vector<std::array<std::int64_t, 3>> dom0_dispatches(const Outcome& o) {
+  std::vector<std::array<std::int64_t, 3>> out;
+  for (const RingSample& s : o.ring_samples) {
+    if (s.layer == 0 && s.dispatch) out.push_back({s.lba, s.sectors, s.n_bios});
+  }
+  return out;
+}
+
 /// Run one case on both rings and require identical observables. Returns
-/// how many guest bios failed, so callers can check the fault was live.
-inline std::uint64_t expect_rings_agree(const OracleCase& c) {
+/// the production ring's outcome, so callers can check the case exercised
+/// what it was built for.
+inline Outcome expect_rings_agree(const OracleCase& c) {
   const Outcome fresh = run_case<BlkfrontRing>(c);
   const Outcome legacy = run_case<LegacyBlkfrontRing>(c);
-  EXPECT_EQ(fresh.completions.size(), static_cast<std::size_t>(kBiosPerVm * c.vms));
+  EXPECT_EQ(fresh.completions.size(), c.stream.empty()
+                                          ? static_cast<std::size_t>(kBiosPerVm * c.vms)
+                                          : c.stream.size());
   EXPECT_TRUE(fresh.completions == legacy.completions) << "per-bio completions differ";
   EXPECT_TRUE(fresh.ring_samples == legacy.ring_samples) << "ring occupancy differs";
   EXPECT_EQ(fresh.counters.size(), legacy.counters.size());
@@ -281,13 +347,11 @@ inline std::uint64_t expect_rings_agree(const OracleCase& c) {
   EXPECT_EQ(fresh.audit, legacy.audit);
   EXPECT_EQ(fresh.attr_keys, legacy.attr_keys);
   EXPECT_EQ(fresh.attr_lanes, legacy.attr_lanes);
+  EXPECT_TRUE(fresh.trace == legacy.trace) << "trace exports differ";
+  EXPECT_EQ(fresh.held_bios, legacy.held_bios);
   EXPECT_EQ(fresh.end_ns, legacy.end_ns);
   EXPECT_LT(fresh.executed, legacy.executed);
-  std::uint64_t failed = 0;
-  for (const Completion& done : fresh.completions) {
-    failed += done.status != iosched::IoStatus::kOk ? 1 : 0;
-  }
-  return failed;
+  return fresh;
 }
 
 }  // namespace iosim::virt::test

@@ -1,6 +1,7 @@
 // I/O-error half of the blkfront ring differential (see ring_oracle.hpp):
 // the disk fails commands at random, so failed segments must fail their
-// guest request identically on both rings. Runs in the fault-stress job.
+// guest request identically on both rings, with and without the auditor,
+// attribution and tracer installed. Runs in the fault-stress job.
 //
 // The stream and fault seed honour IOSIM_FAULT_SEED (the CI fault-stress
 // job randomizes it and logs the value); the default is 1.
@@ -26,16 +27,18 @@ class RingOracleFault : public ::testing::TestWithParam<int> {};
 TEST_P(RingOracleFault, MatchesPerSegmentRingUnderIoErrors) {
   const auto pair = iosched::SchedulerPair::from_index(GetParam());
   const std::uint64_t seed = fault_seed() * 31 + static_cast<std::uint64_t>(GetParam());
-  std::uint64_t failed = 0;
-  for (const Drive drive : {Drive::kSeek, Drive::kInstant}) {
-    for (int vms = 1; vms <= 4; ++vms) {
-      SCOPED_TRACE(pair.to_string() + " vms=" + std::to_string(vms) +
-                   (drive == Drive::kInstant ? " instant drive" : " seek drive") +
-                   " seed=" + std::to_string(seed));
-      failed += expect_rings_agree({pair, vms, drive, seed, 0.05});
+  for (const bool observe : {true, false}) {
+    std::uint64_t failed = 0;
+    for (const Drive drive : {Drive::kSeek, Drive::kInstant}) {
+      for (int vms = 1; vms <= 4; ++vms) {
+        SCOPED_TRACE(pair.to_string() + " vms=" + std::to_string(vms) +
+                     (drive == Drive::kInstant ? " instant drive" : " seek drive") +
+                     (observe ? " observed" : " unobserved") + " seed=" + std::to_string(seed));
+        failed += failed_bios(expect_rings_agree({pair, vms, drive, seed, 0.05, observe}));
+      }
     }
+    EXPECT_GT(failed, 0u) << "the fault plan never failed a guest bio";
   }
-  EXPECT_GT(failed, 0u) << "the fault plan never failed a guest bio";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPairs, RingOracleFault,
