@@ -84,7 +84,7 @@ inline std::string basename_of(const std::string& path) {
 /// top of main with argc/argv and every simulated run in the bench is
 /// traced / metered through the process globals.
 ///
-///   ./bench/fig8_meta_scheduler --trace fig8.json --metrics --json fig8_out.json
+///   ./bench/fig4_subphase_scores --trace fig4.json --metrics --json fig4_out.json
 ///
 /// `--trace FILE` records a trace and writes it at exit (.csv extension
 /// selects CSV, anything else Chrome trace-event JSON); `--metrics` prints

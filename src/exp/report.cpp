@@ -590,6 +590,22 @@ bool section_bench(std::string& out, const ReportBench& b, std::string* error) {
     out += "<p class=\"banner bad\">unrecognized BENCH shape (neither "
            "\"points\" nor \"metrics\")</p>\n";
   }
+  if (const auto* checks = doc->find("checks");
+      checks != nullptr && checks->kind == JsonValue::Kind::kArray) {
+    // The sweep's `expect` verdicts: one row per check and `per` group, d =
+    // rhs - lhs per repeat.
+    out += "<table>\n<tr><th>check</th><th>group</th><th>verdict</th>"
+           "<th>d mean ± ci95</th><th>n</th></tr>\n";
+    for (const auto& c : checks->arr) {
+      std::string verdict = num_raw(c.find("verdict"));
+      if (const auto* note = c.find("note")) verdict += " (" + note->str + ")";
+      out += "<tr><td>" + esc(num_raw(c.find("expect"))) + "</td><td>" +
+             esc(num_raw(c.find("group"))) + "</td><td>" + esc(verdict) + "</td><td>" +
+             esc(num_raw(c.find("d_mean"))) + " ± " + esc(num_raw(c.find("d_ci95"))) +
+             "</td><td>" + esc(num_raw(c.find("n"))) + "</td></tr>\n";
+    }
+    out += "</table>\n";
+  }
   return true;
 }
 

@@ -8,7 +8,8 @@
 // HTML document: header accounting (dropped trace events, attribution
 // record counts, stall totals), a per-key latency waterfall (lane shares as
 // pure-CSS bars), per-phase percentile breakdowns, the stall log with its
-// "who was ahead" queue snapshots, and one table per BENCH file.
+// "who was ahead" queue snapshots, and one table per BENCH file (plus a
+// verdict table when a sweep BENCH carries `expect` checks).
 //
 // Determinism: the renderer walks the parsed documents in file order, all
 // latency arithmetic is integer (ns in, fixed-point strings out), and BENCH

@@ -113,7 +113,8 @@ RunOutput execute_point(const ScenarioPoint& pt, std::uint64_t seed) {
                    {"ph1_seconds", r.ph1_seconds},
                    {"ph2_seconds", r.ph2_seconds},
                    {"ph3_seconds", r.ph3_seconds},
-                   {"ph23_seconds", r.ph23_seconds}};
+                   {"ph23_seconds", r.ph23_seconds},
+                   {"shuffle_tail_pct", r.stats.shuffle_tail_pct()}};
     return out;
   }
 

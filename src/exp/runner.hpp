@@ -15,7 +15,8 @@ namespace iosim::exp {
 /// Metric names per mode, in emission order (the aggregator and the BENCH
 /// JSON preserve this order).
 ///
-/// mode=run:   seconds, ph1_seconds, ph2_seconds, ph3_seconds, ph23_seconds
+/// mode=run:   seconds, ph1_seconds, ph2_seconds, ph3_seconds, ph23_seconds,
+///             shuffle_tail_pct (JobStats::shuffle_tail_pct, Table II)
 /// mode=adapt: adaptive_seconds, default_seconds, best_single_seconds,
 ///             gain_vs_default_pct, gain_vs_best_pct, heuristic_evals
 /// stream points (stream_text set): seconds (= stream makespan),

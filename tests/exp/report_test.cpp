@@ -166,6 +166,29 @@ TEST(Report, RendersSweepBenchPoints) {
   EXPECT_NE(html.find("<td>6.25</td>"), std::string::npos);
 }
 
+TEST(Report, RendersSweepChecksWithVerdictAndInterval) {
+  const ReportBench b{"fig2", R"({"points":[],"checks":[
+{"expect":"per workload: min(seconds) < seconds[pair=cc]","group":"workload=sort","verdict":"holds","lhs":374.5,"rhs":393.6,"d_mean":19.16,"d_ci95":6.45,"n":3},
+{"expect":"per workload: min(seconds) < seconds[pair=cc]","group":"workload=wordcount","verdict":"within noise","lhs":167.5,"rhs":167.7,"d_mean":0.19,"d_ci95":1.03,"n":3},
+{"expect":"a[x=1] < a[x=2]","group":"","verdict":"fails","lhs":0,"rhs":0,"d_mean":0,"d_ci95":0,"n":0,"note":"point x=1 has a failed run"}
+]})"};
+  std::string err;
+  const std::string html = render_report("", {b}, {}, &err);
+  ASSERT_FALSE(html.empty()) << err;
+  // One row per (check, group): text escaped, verdict, d mean ± CI from the
+  // raw JSON tokens.
+  EXPECT_NE(html.find("<tr><td>per workload: min(seconds) &lt; seconds[pair=cc]</td>"
+                      "<td>workload=sort</td><td>holds</td><td>19.16 ± 6.45</td>"
+                      "<td>3</td></tr>"),
+            std::string::npos);
+  EXPECT_NE(html.find("<td>workload=wordcount</td><td>within noise</td>"
+                      "<td>0.19 ± 1.03</td>"),
+            std::string::npos);
+  EXPECT_NE(html.find("<td>a[x=1] &lt; a[x=2]</td><td></td>"
+                      "<td>fails (point x=1 has a failed run)</td>"),
+            std::string::npos);
+}
+
 TEST(Report, TitleIsEscapedAndUsed) {
   ReportOptions opt;
   opt.title = "fig2 <nn> & friends";
