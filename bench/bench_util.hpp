@@ -117,10 +117,8 @@ class Telemetry {
       }
     }
     if (trace_) {
-      const bool csv = trace_path_.size() >= 4 &&
-                       trace_path_.compare(trace_path_.size() - 4, 4, ".csv") == 0;
       auto& tr = trace_->tracer();
-      if (tr.write_file(trace_path_, csv)) {
+      if (tr.write_file(trace_path_)) {
         std::fprintf(stderr, "trace: %zu events (%llu dropped) -> %s\n", tr.size(),
                      static_cast<unsigned long long>(tr.dropped()), trace_path_.c_str());
       } else {

@@ -9,38 +9,8 @@
 
 namespace iosim::blk {
 
-namespace {
-bool remove_entry(std::vector<detail::ObserverList::Entry>& v, std::uint64_t id) {
-  auto it = std::find_if(v.begin(), v.end(),
-                         [id](const auto& e) { return e.id == id; });
-  if (it == v.end()) return false;
-  v.erase(it);
-  return true;
-}
-}  // namespace
-
-bool ObserverHandle::remove() {
-  auto list = list_.lock();
-  if (!list || id_ == 0) return false;
-  const bool removed = remove_entry(list->completion, id_) ||
-                       remove_entry(list->dispatch, id_);
-  id_ = 0;
-  return removed;
-}
-
-bool ObserverHandle::active() const {
-  auto list = list_.lock();
-  if (!list || id_ == 0) return false;
-  auto has = [this](const std::vector<detail::ObserverList::Entry>& v) {
-    return std::any_of(v.begin(), v.end(),
-                       [this](const auto& e) { return e.id == id_; });
-  };
-  return has(list->completion) || has(list->dispatch);
-}
-
 BlockLayer::BlockLayer(sim::Simulator& simr, RequestSink& sink, BlockLayerConfig cfg)
-    : simr_(simr), sink_(sink), cfg_(std::move(cfg)),
-      observers_(std::make_shared<detail::ObserverList>()) {
+    : simr_(simr), sink_(sink), cfg_(std::move(cfg)) {
   sched_ = iosched::make_scheduler(cfg_.scheduler, cfg_.tunables);
   sink_.set_on_complete([this](Request* rq, Time now) { on_sink_complete(rq, now); });
   sink_.set_on_ready([this](Time) { kick(); });
@@ -51,18 +21,6 @@ BlockLayer::BlockLayer(sim::Simulator& simr, RequestSink& sink, BlockLayerConfig
                  simr_.now(), simr_.now(), tr->ids.target,
                  static_cast<std::int64_t>(cfg_.scheduler));
   }
-}
-
-ObserverHandle BlockLayer::add_completion_observer(Observer fn) {
-  const std::uint64_t id = observers_->next_id++;
-  observers_->completion.push_back({id, std::move(fn)});
-  return ObserverHandle{observers_, id};
-}
-
-ObserverHandle BlockLayer::add_dispatch_observer(Observer fn) {
-  const std::uint64_t id = observers_->next_id++;
-  observers_->dispatch.push_back({id, std::move(fn)});
-  return ObserverHandle{observers_, id};
 }
 
 void BlockLayer::submit(Bio bio) {
@@ -344,11 +302,6 @@ void BlockLayer::kick() {
         }
       }
     }
-    // Index loop: a callback may register further observers (growing the
-    // vector); unregistering from inside a callback is not supported.
-    for (std::size_t i = 0; i < observers_->dispatch.size(); ++i) {
-      observers_->dispatch[i].fn(*this, *rq, rq->dispatch);
-    }
     sink_.submit(rq, simr_.now());
   }
 }
@@ -390,9 +343,6 @@ void BlockLayer::on_sink_complete(Request* rq, Time now) {
     // ... and the in-device portion (dispatch -> complete).
     tr->complete(track, tr->ids.rq_service, tr->ids.cat_blk, rq->dispatch, now,
                  tr->ids.lba, rq->lba);
-  }
-  for (std::size_t i = 0; i < observers_->completion.size(); ++i) {
-    observers_->completion[i].fn(*this, *rq, now);
   }
 
   // Fire waiter callbacks, then recycle. Callbacks may submit new bios into

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,44 +22,6 @@
 #include "sim/simulator.hpp"
 
 namespace iosim::blk {
-
-class BlockLayer;
-
-namespace detail {
-/// Shared observer storage. The layer owns it via shared_ptr; handles hold a
-/// weak_ptr, so removal through a handle is safe even after the layer died,
-/// and observers die with the layer even if a handle leaks.
-struct ObserverList {
-  using Fn = std::function<void(const BlockLayer&, const iosched::Request&, sim::Time)>;
-  struct Entry {
-    std::uint64_t id;
-    Fn fn;
-  };
-  std::vector<Entry> completion;
-  std::vector<Entry> dispatch;
-  std::uint64_t next_id = 1;
-};
-}  // namespace detail
-
-/// Handle to a registered observer. Removal is idempotent and safe in any
-/// order relative to the layer's destruction (probes unregister themselves
-/// in their destructors; a probe outliving its layer is a no-op remove).
-class ObserverHandle {
- public:
-  ObserverHandle() = default;
-  ObserverHandle(std::weak_ptr<detail::ObserverList> list, std::uint64_t id)
-      : list_(std::move(list)), id_(id) {}
-
-  /// Unregister the observer. Returns false if the layer is gone or the
-  /// observer was already removed.
-  bool remove();
-  /// True while the observer is still registered on a live layer.
-  bool active() const;
-
- private:
-  std::weak_ptr<detail::ObserverList> list_;
-  std::uint64_t id_ = 0;
-};
 
 using iosched::IoScheduler;
 using iosched::Request;
@@ -149,16 +110,6 @@ class BlockLayer {
   /// Number of requests handed to the sink and not yet completed.
   std::size_t in_flight() const { return in_flight_; }
 
-  /// Observer signature: the layer it fired on (so one probe can watch many
-  /// layers and key off `layer.name()`), the request, and the event time.
-  using Observer = detail::ObserverList::Fn;
-
-  /// Observer invoked on every request completion.
-  ObserverHandle add_completion_observer(Observer fn);
-  /// Observer invoked when a request is handed to the sink (queue-depth and
-  /// dispatch-latency probes; `rq.dispatch` has just been stamped).
-  ObserverHandle add_dispatch_observer(Observer fn);
-
  private:
   /// Per-bio bookkeeping of a segment entering the queue (counter,
   /// auditor, tracer, Dom0 arrival stamp), before it merges or queues.
@@ -217,7 +168,6 @@ class BlockLayer {
   bool busy_ = false;
   sim::Time busy_mark_ = sim::Time::zero();
   BlockLayerCounters counters_;
-  std::shared_ptr<detail::ObserverList> observers_;
 };
 
 }  // namespace iosim::blk

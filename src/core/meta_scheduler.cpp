@@ -289,9 +289,10 @@ MetaResult MetaScheduler::optimize() {
   res.adaptive_seconds = res.adaptive_run.seconds;
   res.heuristic_evaluations = evals;
 
-  if (opts_.fallback_to_best_single &&
-      res.adaptive_seconds > res.best_single_seconds) {
-    // Switch costs ate the per-phase gains: ship the best single pair.
+  if (res.adaptive_seconds > res.best_single_seconds) {
+    // Switch costs ate the per-phase gains (possible on short jobs): ship
+    // the best single pair. The profiling data is already paid for, so the
+    // fallback is free.
     res.solution = PairSchedule::single(res.best_single, P);
     res.adaptive_run = execute(res.solution);
     res.adaptive_seconds = res.adaptive_run.seconds;

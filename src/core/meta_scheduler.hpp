@@ -39,11 +39,6 @@ struct MetaSchedulerOptions {
   /// Seeds averaged per execution (the paper averages 3 runs; 1 keeps the
   /// search cheap and the simulator is deterministic anyway).
   int seeds_per_eval = 1;
-  /// If the greedy per-phase solution ends up slower than the best single
-  /// pair (possible when switch costs dwarf the per-phase gains — short
-  /// jobs), fall back to the single-pair schedule. The profiling data is
-  /// already paid for, so the fallback is free.
-  bool fallback_to_best_single = true;
   /// Maximum meta-clock age of a profile entry before the greedy search
   /// stops trusting it (scores drift when conditions change mid-search —
   /// e.g. fault windows opening between profiling and probing). Stale

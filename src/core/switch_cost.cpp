@@ -41,12 +41,9 @@ SwitchCostMatrix SwitchCostMatrix::measure(const SwitchCostConfig& cfg) {
         run_dd_experiment(cfg, p, nullptr);
   }
   for (const auto& a : pairs) {
+    // The diagonal is measured too: a == b is the bare cost of the switch
+    // command.
     for (const auto& b : pairs) {
-      if (a == b && !cfg.switch_same_pair) {
-        m.cost_[static_cast<std::size_t>(a.index())]
-               [static_cast<std::size_t>(b.index())] = 0.0;
-        continue;
-      }
       const double t_both = run_dd_experiment(cfg, a, &b);
       const double base = 0.5 * (m.solo_[static_cast<std::size_t>(a.index())] +
                                  m.solo_[static_cast<std::size_t>(b.index())]);

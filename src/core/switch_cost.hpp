@@ -26,9 +26,6 @@ struct SwitchCostConfig {
   int vms = 4;
   std::int64_t dd_bytes_per_vm = 600LL * 1024 * 1024;
   std::uint64_t seed = 42;
-  /// When true the mid-run switch is issued even if from == to (measures
-  /// the diagonal, i.e. the bare cost of the switch command).
-  bool switch_same_pair = true;
 };
 
 class SwitchCostMatrix {

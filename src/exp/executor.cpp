@@ -166,9 +166,11 @@ RunOutput run_with_retries(const RunFn& fn, const RunTask& task,
     }
     ++attempt;
 #if IOSIM_THREADS
+    // The wait doubles with each retry, up to this cap.
+    constexpr double kRetryBackoffCapSeconds = 10.0;
     const double backoff =
         std::min(opts.retry_backoff_seconds * std::ldexp(1.0, attempt - 1),
-                 opts.retry_backoff_cap_seconds);
+                 kRetryBackoffCapSeconds);
     if (backoff > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }

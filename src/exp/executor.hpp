@@ -96,11 +96,9 @@ struct ExecutorOptions {
   /// monitor is a thread); in serial builds the value is ignored.
   double run_timeout_seconds = 0.0;
   /// Infra-failure retries per run (0 = fail on first attempt). The n-th
-  /// retry waits retry_backoff_seconds * 2^(n-1), capped at
-  /// retry_backoff_cap_seconds.
+  /// retry waits retry_backoff_seconds * 2^(n-1), capped at 10 s.
   int max_retries = 0;
   double retry_backoff_seconds = 0.5;
-  double retry_backoff_cap_seconds = 10.0;
   /// External cancellation (signal handler flag). When it becomes true,
   /// workers stop claiming runs and drain in-flight ones.
   const std::atomic<bool>* cancel = nullptr;

@@ -82,7 +82,6 @@ class RunJournal {
   bool append(const RunTask& task, const RunOutput& out, double wall_seconds,
               std::string* error = nullptr);
 
-  bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
 
   void close();

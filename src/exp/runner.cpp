@@ -56,16 +56,10 @@ RunOutput execute_point(const ScenarioPoint& pt, std::uint64_t seed) {
     // sizes, so the point's workload/mb axes are inert here. Metric order is
     // fixed: headline numbers, then per-class sojourn quantiles — `seconds`
     // is the stream makespan so mixed sweeps share one table column.
-    // A meta segment routes through the policy dispatcher (static pin,
-    // offline schedule replay, or online bandit); its controller counters
-    // append *after* the class metrics so meta-free streams keep their
-    // exact metric layout.
-    core::MetaStreamResult meta;
-    if (pt.stream.meta.enabled()) {
-      meta = core::run_stream_with_policy(cfg, pt.stream);
-    } else {
-      meta.stream = tenancy::run_stream(cfg, pt.stream);
-    }
+    // The policy dispatcher runs every stream (no meta segment: the plain
+    // stream); a meta segment's controller counters append *after* the
+    // class metrics so meta-free streams keep their exact metric layout.
+    const core::MetaStreamResult meta = core::run_stream_with_policy(cfg, pt.stream);
     const tenancy::StreamResult& r = meta.stream;
     if (!r.ok) {
       out.ok = false;

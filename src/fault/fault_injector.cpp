@@ -123,14 +123,6 @@ bool FaultInjector::vm_down(int vm) const {
   return false;
 }
 
-bool FaultInjector::vm_crashed(int vm) const {
-  const sim::Time now = simr_.now();
-  for (const FaultSpec& s : plan_.specs) {
-    if (crash_covers(s, vm) && now >= s.from) return true;
-  }
-  return false;
-}
-
 FaultInjector::SwitchVerdict FaultInjector::switch_command() {
   const sim::Time now = simr_.now();
   SwitchVerdict v;

@@ -54,11 +54,6 @@ class FaultInjector {
   /// vmcrash/hostcrash covering it has fired (crashes never end).
   bool vm_down(int vm) const;
 
-  /// True once a permanent crash (kVmCrash, or kHostCrash on the VM's host)
-  /// has fired for `vm`. Crashed VMs never restart; membership uses this to
-  /// skip probe/unblacklist paths that assume the VM can come back.
-  bool vm_crashed(int vm) const;
-
   /// Listeners for outage begin/end; fired from scheduled events at the
   /// window edges. Register before the simulation runs.
   using VmCallback = std::function<void(int vm, sim::Time now)>;

@@ -46,7 +46,6 @@ class ReduceTask {
            map_fetched_[static_cast<std::size_t>(map_id)] != 0;
   }
   bool started() const { return started_; }
-  bool shuffle_complete() const { return shuffle_complete_; }
   bool finished() const { return finished_; }
 
   /// Go inert: all pending completions become no-ops. Idempotent.

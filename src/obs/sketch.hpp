@@ -169,7 +169,6 @@ class WindowedSketch {
     return out;
   }
 
-  std::int64_t window_ns() const { return window_ns_; }
   std::size_t frames() const { return frames_.size(); }
 
  private:

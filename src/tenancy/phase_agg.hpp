@@ -40,7 +40,6 @@ class PhaseAggregator {
     recompute();
   }
 
-  int cluster_phase() const { return current_; }
   int live_jobs() const { return static_cast<int>(jobs_.size()); }
 
  private:

@@ -362,7 +362,7 @@ std::string Tracer::to_csv() const {
   return out;
 }
 
-bool Tracer::write_file(const std::string& path, bool csv) const {
+bool Tracer::write_file(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   if (dropped_ > 0) {
@@ -373,6 +373,7 @@ bool Tracer::write_file(const std::string& path, bool csv) const {
                  "%zu); raise TracerConfig::capacity for a complete trace\n",
                  static_cast<unsigned long long>(dropped_), ring_.size());
   }
+  const bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
   const std::string data = csv ? to_csv() : to_json();
   const bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
   return std::fclose(f) == 0 && ok;

@@ -128,8 +128,9 @@ class Tracer {
   std::string to_json() const;
   /// Flat CSV: one row per event, interned strings resolved.
   std::string to_csv() const;
-  /// Write to_json() (or to_csv() when `csv`) to `path`; false on I/O error.
-  bool write_file(const std::string& path, bool csv = false) const;
+  /// Write to_csv() to `path` if it ends in ".csv", else to_json(); false
+  /// on I/O error.
+  bool write_file(const std::string& path) const;
 
   /// Pre-interned names for the hot instrumentation sites, so call sites
   /// avoid a hash lookup per string per event.

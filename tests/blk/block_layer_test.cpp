@@ -6,6 +6,7 @@
 
 #include "blk/disk_device.hpp"
 #include "check/check.hpp"
+#include "recording_sink.hpp"
 
 namespace iosim::blk {
 namespace {
@@ -14,15 +15,19 @@ using namespace iosim::sim::literals;
 using iosched::Dir;
 using iosched::SchedulerKind;
 using sim::Time;
+using test::RecordingSink;
+using test::SinkEvent;
 
 struct Rig {
   sim::Simulator simr;
   DiskDevice disk;
+  RecordingSink rec;  // the layer's view of the disk; records nothing unless set
   BlockLayer layer;
 
   explicit Rig(SchedulerKind k = SchedulerKind::kNoop, BlockLayerConfig cfg = {})
       : disk(simr, disk::DiskParams{}, 1),
-        layer(simr, disk, [&cfg, k] {
+        rec(disk),
+        layer(simr, rec, [&cfg, k] {
           cfg.scheduler = k;
           return cfg;
         }()) {}
@@ -177,18 +182,29 @@ TEST(BlockLayer, SwitchToEveryKindWorks) {
   EXPECT_EQ(r.layer.counters().scheduler_switches, 4u);
 }
 
-TEST(BlockLayer, ObserversSeeEveryCompletion) {
+TEST(BlockLayer, CountersMatchTrafficAtTheSink) {
   Rig r;
-  int observed = 0;
-  std::int64_t observed_bytes = 0;
-  r.layer.add_completion_observer([&](const blk::BlockLayer&, const iosched::Request& rq, Time) {
-    ++observed;
-    observed_bytes += rq.bytes();
+  std::uint64_t dispatched = 0;
+  std::uint64_t completed = 0;
+  std::int64_t completed_bytes = 0;
+  r.rec.set_record([&](SinkEvent e, const Request& rq, Time now) {
+    if (e == SinkEvent::kDispatch) {
+      ++dispatched;
+      EXPECT_EQ(rq.dispatch, now);
+      EXPECT_GE(rq.dispatch, rq.submit);
+    } else {
+      ++completed;
+      completed_bytes += rq.bytes();
+    }
   });
   for (int i = 0; i < 10; ++i) r.submit(i * 9000, 128, Dir::kWrite, false, 1);
   r.simr.run();
-  EXPECT_EQ(static_cast<std::uint64_t>(observed), r.layer.counters().requests_completed);
-  EXPECT_EQ(observed_bytes, 10 * 128 * disk::kSectorBytes);
+  EXPECT_EQ(dispatched, r.layer.counters().requests_dispatched);
+  EXPECT_EQ(completed, r.layer.counters().requests_completed);
+  EXPECT_EQ(completed, dispatched);
+  EXPECT_EQ(completed_bytes, 10 * 128 * disk::kSectorBytes);
+  EXPECT_EQ(r.layer.counters().bytes_completed[static_cast<int>(Dir::kWrite)],
+            completed_bytes);
 }
 
 TEST(BlockLayer, CompletionCallbackCanSubmitMore) {
@@ -234,56 +250,6 @@ TEST(DiskDevice, ServicesOneRequestAtATime) {
   EXPECT_TRUE(dev.can_accept());
 }
 
-TEST(BlockLayer, DispatchObserverSeesEveryDispatchWithLayerIdentity) {
-  BlockLayerConfig cfg;
-  cfg.name = "rig0";
-  Rig r(SchedulerKind::kNoop, cfg);
-  int dispatched = 0;
-  std::string seen_name;
-  r.layer.add_dispatch_observer(
-      [&](const BlockLayer& l, const iosched::Request& rq, Time) {
-        ++dispatched;
-        seen_name = l.name();
-        EXPECT_GE(rq.dispatch, rq.submit);
-      });
-  for (int i = 0; i < 10; ++i) r.submit(i * 9000, 128, Dir::kWrite, false, 1);
-  r.simr.run();
-  EXPECT_EQ(static_cast<std::uint64_t>(dispatched),
-            r.layer.counters().requests_dispatched);
-  EXPECT_EQ(seen_name, "rig0");
-}
-
-TEST(BlockLayer, RemovedObserverStopsReceivingEvents) {
-  Rig r;
-  int calls = 0;
-  auto handle = r.layer.add_completion_observer(
-      [&](const BlockLayer&, const iosched::Request&, Time) { ++calls; });
-  r.submit(0, 64, Dir::kRead, true, 1);
-  r.simr.run();
-  EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(handle.active());
-  EXPECT_TRUE(handle.remove());
-  EXPECT_FALSE(handle.active());
-  r.submit(64, 64, Dir::kRead, true, 1);
-  r.simr.run();
-  EXPECT_EQ(calls, 1);  // no delivery after removal
-  EXPECT_FALSE(handle.remove());  // second remove is a no-op
-}
-
-TEST(BlockLayer, ObserverHandleOutlivingLayerIsSafe) {
-  ObserverHandle handle;
-  {
-    Rig r;
-    handle = r.layer.add_completion_observer(
-        [](const BlockLayer&, const iosched::Request&, Time) {});
-    EXPECT_TRUE(handle.active());
-  }
-  // Layer (and its observer list) destroyed: the handle must not touch
-  // freed memory — remove() degrades to a no-op.
-  EXPECT_FALSE(handle.active());
-  EXPECT_FALSE(handle.remove());
-}
-
 // --- request recycling -----------------------------------------------------
 
 /// Serves one request at a time, 1 ms each, and fails the first
@@ -315,8 +281,9 @@ class ScriptedSink final : public RequestSink {
 struct SinkRig {
   sim::Simulator simr;
   ScriptedSink sink;
+  RecordingSink rec;  // as Rig::rec
   BlockLayer layer;
-  explicit SinkRig(int fail_first) : sink(simr, fail_first), layer(simr, sink, {}) {}
+  explicit SinkRig(int fail_first) : sink(simr, fail_first), rec(sink), layer(simr, rec, {}) {}
 
   void submit(disk::Lba lba, obs::AttrHandle attr, std::function<void(IoStatus)> cb) {
     Bio b;
@@ -341,7 +308,8 @@ TEST(BlockLayerPool, RequestReusedAfterErrorStartsClean) {
     std::size_t attrs;
   };
   std::vector<Seen> seen;
-  r.layer.add_dispatch_observer([&](const BlockLayer&, const Request& rq, Time) {
+  r.rec.set_record([&](SinkEvent e, const Request& rq, Time) {
+    if (e != SinkEvent::kDispatch) return;
     seen.push_back({&rq, rq.status, rq.n_bios, rq.completions.size(), rq.attrs.size()});
   });
   std::vector<IoStatus> outcomes;
@@ -404,8 +372,9 @@ TEST(BlockLayerPool, MidRunSwitchUnderReuseIsInvariantClean) {
   cfg.switch_freeze = 20_ms;
   Rig r(SchedulerKind::kCfq, cfg);
   std::set<const Request*> objects;
-  r.layer.add_dispatch_observer(
-      [&](const BlockLayer&, const Request& rq, Time) { objects.insert(&rq); });
+  r.rec.set_record([&](SinkEvent e, const Request& rq, Time) {
+    if (e == SinkEvent::kDispatch) objects.insert(&rq);
+  });
   int completed = 0;
   // Sequential-ish streams from three contexts, submitted over 400 ms; the
   // elevator switches twice while they run.

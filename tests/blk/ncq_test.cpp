@@ -5,6 +5,7 @@
 
 #include "blk/block_layer.hpp"
 #include "blk/disk_device.hpp"
+#include "recording_sink.hpp"
 #include "sim/stats.hpp"
 
 namespace iosim::blk {
@@ -13,10 +14,13 @@ namespace {
 using iosched::Dir;
 using iosched::SchedulerKind;
 using sim::Time;
+using test::RecordingSink;
+using test::SinkEvent;
 
 struct Rig {
   sim::Simulator simr;
   DiskDevice disk;
+  RecordingSink rec;  // the layer's view of the disk; records nothing unless set
   BlockLayer layer;
   explicit Rig(int ncq_depth, SchedulerKind k = SchedulerKind::kNoop)
       : disk(simr,
@@ -26,7 +30,8 @@ struct Rig {
                return p;
              }(),
              1),
-        layer(simr, disk, [k] {
+        rec(disk),
+        layer(simr, rec, [k] {
           BlockLayerConfig cfg;
           cfg.scheduler = k;
           return cfg;
@@ -100,18 +105,16 @@ TEST(Ncq, SatfReordersScatteredRequestsFaster) {
 /// completing at a layer, by direction and sync class.
 struct Latencies {
   std::vector<double> all, reads, writes, sync;
-  ObserverHandle handle;
 
-  explicit Latencies(BlockLayer& layer) {
-    handle = layer.add_completion_observer(
-        [this](const BlockLayer&, const iosched::Request& rq, Time now) {
-          const double ms = (now - rq.submit).ms();
-          all.push_back(ms);
-          (rq.dir == Dir::kRead ? reads : writes).push_back(ms);
-          if (rq.sync) sync.push_back(ms);
-        });
+  explicit Latencies(Rig& r) {
+    r.rec.set_record([this](SinkEvent e, const iosched::Request& rq, Time now) {
+      if (e != SinkEvent::kComplete) return;
+      const double ms = (now - rq.submit).ms();
+      all.push_back(ms);
+      (rq.dir == Dir::kRead ? reads : writes).push_back(ms);
+      if (rq.sync) sync.push_back(ms);
+    });
   }
-  ~Latencies() { handle.remove(); }
 };
 
 double pct(const std::vector<double>& xs, double p) {
@@ -120,7 +123,7 @@ double pct(const std::vector<double>& xs, double p) {
 
 TEST(Ncq, LatencyRecordedPerDirection) {
   Rig r(1);
-  Latencies lat(r.layer);
+  Latencies lat(r);
   r.submit(1000, Dir::kRead);
   r.submit(500'000'000, Dir::kWrite);
   r.simr.run();
@@ -134,7 +137,7 @@ TEST(Ncq, LatencyRecordedPerDirection) {
 
 TEST(Ncq, QueueingInflatesLatency) {
   Rig r(1);
-  Latencies lat(r.layer);
+  Latencies lat(r);
   for (int i = 0; i < 50; ++i) r.submit(i * 10'000'000, Dir::kWrite);
   r.simr.run();
   // The last-completing requests waited behind dozens of seeks.
@@ -143,7 +146,7 @@ TEST(Ncq, QueueingInflatesLatency) {
 
 TEST(Ncq, LatencyPercentilesOrdered) {
   Rig r(1, SchedulerKind::kDeadline);
-  Latencies lat(r.layer);
+  Latencies lat(r);
   sim::Rng rng(9);
   for (int i = 0; i < 100; ++i) {
     r.submit(static_cast<disk::Lba>(rng.below(1'000'000'000)),

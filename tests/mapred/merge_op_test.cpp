@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "trace/trace.hpp"
 
 namespace iosim::mapred {
 namespace {
@@ -85,17 +86,13 @@ TEST(MergeOp, OutputAboveOneIoUnitIsSplitIntoUnitBios) {
   // write_ratio > 1: each 256 KB input unit yields 640 KB of output, which
   // must go out as 256 + 256 + 128 KB bios; a single 1280-sector bio would
   // break the block layer's 512-sector request limit.
+  trace::TraceSession tracing;
   Rig r;
   const std::int64_t bytes = 2 * 1024 * 1024;
   MergeOpParams p;
   p.inputs = {{r.vm().vm->alloc(virt::DiskZone::kScratch, bytes / 512 + 8), bytes}};
   p.out_vlba = r.vm().vm->alloc(virt::DiskZone::kOutput, 3 * bytes / 512 + 8);
   p.write_ratio = 2.5;
-  std::int64_t largest = 0;
-  r.vm().vm->layer().add_completion_observer(
-      [&](const blk::BlockLayer&, const iosched::Request& rq, Time) {
-        largest = std::max(largest, rq.sectors);
-      });
   iosched::IoStatus status = iosched::IoStatus::kError;
   MergeOp::run(r.vm(), 1, std::move(p),
                [&](Time, iosched::IoStatus st) { status = st; });
@@ -103,6 +100,16 @@ TEST(MergeOp, OutputAboveOneIoUnitIsSplitIntoUnitBios) {
   EXPECT_EQ(status, iosched::IoStatus::kOk);
   const auto& c = r.vm().vm->layer().counters();
   EXPECT_EQ(c.bytes_completed[1], 5 * bytes / 2);
+  // Every guest request leaves an rq_read/rq_write span with its size.
+  trace::Tracer& tr = tracing.tracer();
+  const std::uint32_t guest = tr.track(r.vm().vm->layer().name());
+  std::int64_t largest = 0;
+  tr.for_each([&](const trace::Event& e) {
+    if (e.track == guest && (e.name == tr.ids.rq_read || e.name == tr.ids.rq_write)) {
+      largest = std::max(largest, e.arg[1]);
+    }
+  });
+  EXPECT_GT(largest, 0);
   EXPECT_LE(largest, 512);
   EXPECT_EQ(c.bios_submitted, 8u + 8u * 3u);  // 8 reads, 3 writes per unit
 }

@@ -8,7 +8,10 @@
 
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -181,6 +184,23 @@ TEST(Tracer, CsvHasHeaderAndOneLinePerEvent) {
   for (char c : csv) lines += (c == '\n');
   EXPECT_EQ(lines, 1u + 5u);
   EXPECT_EQ(csv.substr(0, 2), "ph");
+}
+
+TEST(Tracer, WriteFilePicksCsvFromTheSuffix) {
+  Tracer tr;
+  tr.counter(tr.track("t"), tr.ids.queued, sim::Time::from_ns(1), 7);
+  const auto written = [&tr](const std::string& leaf) {
+    const std::string path = testing::TempDir() + "iosim_trace_test_" + leaf;
+    EXPECT_TRUE(tr.write_file(path)) << path;
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    std::remove(path.c_str());
+    return ss.str();
+  };
+  EXPECT_EQ(written("out.csv"), tr.to_csv());
+  EXPECT_EQ(written("out.json"), tr.to_json());
+  EXPECT_EQ(written("out.csv.json"), tr.to_json());
 }
 
 // ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "../blk/recording_sink.hpp"
 #include "blk/block_layer.hpp"
 #include "blk/disk_device.hpp"
 #include "check/check.hpp"
@@ -89,7 +90,8 @@ struct Completion {
   bool operator==(const Completion&) const = default;
 };
 
-/// One layer event seen by an observer, with every ring's occupancy.
+/// One request crossing a layer's sink (a RecordingSink under the layer),
+/// with every ring's occupancy.
 struct RingSample {
   int layer = 0;  // 0 = Dom0, 1 + v = guest v
   bool dispatch = false;
@@ -216,6 +218,22 @@ Outcome run_case(const OracleCase& c) {
     faults.emplace(simr, fault::FaultPlan{{spec}}, c.seed);
   }
   blk::DiskDevice disk(simr, drive_params(c.drive), c.seed, faults ? &*faults : nullptr, 0);
+  Outcome o;
+  std::vector<std::unique_ptr<Ring>> rings;
+  // Every layer dispatches through a recorder: the Dom0 layer's wraps the
+  // disk, each guest layer's wraps its ring.
+  std::vector<std::unique_ptr<blk::test::RecordingSink>> recorders;
+  const auto watch = [&](blk::RequestSink& sink, int idx) -> blk::RequestSink& {
+    recorders.push_back(std::make_unique<blk::test::RecordingSink>(
+        sink, [&o, &rings, idx](blk::test::SinkEvent e, const iosched::Request& rq,
+                                sim::Time now) {
+          RingSample s{idx, e == blk::test::SinkEvent::kDispatch, rq.id, now.ns(),
+                       rq.lba, rq.sectors, rq.n_bios, {}};
+          for (const auto& r : rings) s.outstanding.push_back(r->outstanding());
+          o.ring_samples.push_back(std::move(s));
+        }));
+    return *recorders.back();
+  };
   blk::BlockLayerConfig dcfg;
   dcfg.scheduler = c.pair.vmm;
   dcfg.name = "dom0";
@@ -223,9 +241,8 @@ Outcome run_case(const OracleCase& c) {
   dcfg.max_request_sectors = c.dom0_max_sectors;
   // Short enough that several switches fit in one stream.
   dcfg.switch_freeze = sim::Time::from_ms(20);
-  blk::BlockLayer dom0(simr, disk, dcfg);
+  blk::BlockLayer dom0(simr, watch(disk, 0), dcfg);
 
-  std::vector<std::unique_ptr<Ring>> rings;
   std::vector<std::unique_ptr<blk::BlockLayer>> guests;
   for (int v = 0; v < c.vms; ++v) {
     rings.push_back(
@@ -235,25 +252,9 @@ Outcome run_case(const OracleCase& c) {
     gcfg.name = "vm" + std::to_string(v);
     gcfg.obs_role = obs::LayerRole::kGuest;
     gcfg.obs_vm = v;
-    guests.push_back(std::make_unique<blk::BlockLayer>(simr, *rings.back(), gcfg));
+    guests.push_back(
+        std::make_unique<blk::BlockLayer>(simr, watch(*rings.back(), 1 + v), gcfg));
   }
-
-  Outcome o;
-  std::vector<blk::ObserverHandle> handles;
-  const auto watch = [&](blk::BlockLayer& layer, int idx) {
-    for (const bool dispatch : {false, true}) {
-      auto fn = [&o, &rings, idx, dispatch](const blk::BlockLayer&,
-                                             const iosched::Request& rq, sim::Time now) {
-        RingSample s{idx, dispatch, rq.id, now.ns(), rq.lba, rq.sectors, rq.n_bios, {}};
-        for (const auto& r : rings) s.outstanding.push_back(r->outstanding());
-        o.ring_samples.push_back(std::move(s));
-      };
-      handles.push_back(dispatch ? layer.add_dispatch_observer(fn)
-                                 : layer.add_completion_observer(fn));
-    }
-  };
-  watch(dom0, 0);
-  for (int v = 0; v < c.vms; ++v) watch(*guests[static_cast<std::size_t>(v)], 1 + v);
 
   for (std::size_t i = 0; i < c.switches.size(); ++i) {
     const auto kind = static_cast<iosched::SchedulerKind>(

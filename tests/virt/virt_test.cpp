@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "../blk/recording_sink.hpp"
+#include "trace/trace.hpp"
 #include "virt/io_stream.hpp"
 #include "virt/physical_host.hpp"
 
@@ -59,25 +64,38 @@ TEST(DomU, IoTraversesRingToPhysicalDisk) {
 }
 
 TEST(DomU, Dom0SeesVmContext) {
-  HostRig r(2);
+  // The stack PhysicalHost builds, by hand, with a recorder under Dom0.
+  sim::Simulator simr;
+  blk::DiskDevice disk(simr, disk::DiskParams{}, 7);
   std::set<std::uint64_t> ctxs;
-  r.host.dom0_layer().add_completion_observer(
-      [&](const blk::BlockLayer&, const iosched::Request& rq, Time) { ctxs.insert(rq.ctx); });
-  r.host.vm(0).submit_io(1, 0, 88, Dir::kRead, true, {});
-  r.host.vm(1).submit_io(2, 0, 88, Dir::kRead, true, {});
-  r.simr.run();
+  blk::test::RecordingSink rec(
+      disk, [&](blk::test::SinkEvent e, const iosched::Request& rq, Time) {
+        if (e == blk::test::SinkEvent::kComplete) ctxs.insert(rq.ctx);
+      });
+  blk::BlockLayer dom0(simr, rec, {});
+  const disk::Lba image = disk::DiskParams{}.capacity_sectors / 8;
+  DomU vm0(simr, 100, dom0, 0, image, {});
+  DomU vm1(simr, 101, dom0, image, image, {});
+  vm0.submit_io(1, 0, 88, Dir::kRead, true, {});
+  vm1.submit_io(2, 0, 88, Dir::kRead, true, {});
+  simr.run();
   // Guest task ids 1/2 were rewritten to the VM identities 100/101.
   EXPECT_EQ(ctxs, (std::set<std::uint64_t>{100, 101}));
 }
 
 TEST(DomU, VmsMapToDisjointPhysicalExtents) {
+  trace::TraceSession tracing;
   HostRig r(2);
-  std::vector<disk::Lba> lbas;
-  r.host.dom0_layer().add_completion_observer(
-      [&](const blk::BlockLayer&, const iosched::Request& rq, Time) { lbas.push_back(rq.lba); });
   r.host.vm(0).submit_io(1, 0, 88, Dir::kRead, true, {});
   r.host.vm(1).submit_io(1, 0, 88, Dir::kRead, true, {});
   r.simr.run();
+  // Each completed Dom0 read request leaves an rq_read span with its LBA.
+  trace::Tracer& tr = tracing.tracer();
+  const std::uint32_t dom0 = tr.track(r.host.dom0_layer().name());
+  std::vector<disk::Lba> lbas;
+  tr.for_each([&](const trace::Event& e) {
+    if (e.track == dom0 && e.name == tr.ids.rq_read) lbas.push_back(e.arg[0]);
+  });
   ASSERT_EQ(lbas.size(), 2u);
   EXPECT_NE(lbas[0], lbas[1]);  // same vLBA, different images
 }
