@@ -93,7 +93,6 @@ cluster::RunResult MetaScheduler::execute(const PairSchedule& schedule) const {
 ProfileEntry MetaScheduler::profile_one(iosched::SchedulerPair p) const {
   ProfileEntry e = exp_.profile(p);
   meta_clock_ = meta_clock_ + sim::Time::from_sec_f(e.total_seconds);
-  e.measured_at = meta_clock_;
   if (auto* tr = trace::tracer()) {
     tr->instant(tr->track("meta"), tr->ids.profile, tr->ids.cat_meta,
                 meta_clock_, tr->ids.pair, virt::PhysicalHost::pair_code(p),
@@ -119,24 +118,12 @@ std::vector<ProfileEntry> MetaScheduler::profile_all_pairs() const {
   return out;
 }
 
-void MetaScheduler::refresh_profile(std::vector<ProfileEntry>& entries) const {
-  for (auto& e : entries) e = profile_one(e.pair);
-  if (auto* reg = trace::registry()) reg->counter("meta.profile_refreshes").inc();
-}
-
-bool MetaScheduler::is_fresh(const ProfileEntry& e) const {
-  return opts_.profile_staleness_bound == sim::Time::zero() ||
-         meta_clock_ - e.measured_at <= opts_.profile_staleness_bound;
-}
-
 double MetaScheduler::evaluate(
     const PairSchedule& schedule,
-    std::vector<std::pair<std::string, double>>* cache) const {
+    std::vector<std::pair<std::string, double>>& cache) const {
   const std::string key = schedule.key();
-  if (cache != nullptr) {
-    for (const auto& [k, v] : *cache) {
-      if (k == key) return v;
-    }
+  for (const auto& [k, v] : cache) {
+    if (k == key) return v;
   }
   const double secs = exp_.execute(schedule).seconds;
   meta_clock_ = meta_clock_ + sim::Time::from_sec_f(secs);
@@ -145,7 +132,7 @@ double MetaScheduler::evaluate(
                 tr->ids.value, static_cast<std::int64_t>(secs * 1000.0));
   }
   if (auto* reg = trace::registry()) reg->counter("meta.heuristic_evals").inc();
-  if (cache != nullptr) cache->emplace_back(key, secs);
+  cache.emplace_back(key, secs);
   return secs;
 }
 
@@ -168,44 +155,28 @@ MetaResult MetaScheduler::optimize() {
   }
 
   // Per-phase rankings (ascending phase time = descending performance
-  // score) and the best single pair for every suffix of phases. Both are
-  // recomputable: a staleness-triggered re-profile invalidates the order.
+  // score) and the best single pair for every suffix of phases.
   std::vector<std::vector<const ProfileEntry*>> ranking(static_cast<std::size_t>(P));
-  auto sort_rankings = [&] {
-    for (int i = 0; i < P; ++i) {
-      auto& r = ranking[static_cast<std::size_t>(i)];
-      r.clear();
-      for (const auto& e : res.profile) r.push_back(&e);
-      std::sort(r.begin(), r.end(), [i](const ProfileEntry* a, const ProfileEntry* b) {
-        return a->phase_seconds[static_cast<std::size_t>(i)] <
-               b->phase_seconds[static_cast<std::size_t>(i)];
-      });
-    }
-  };
-  sort_rankings();
+  for (int i = 0; i < P; ++i) {
+    auto& r = ranking[static_cast<std::size_t>(i)];
+    for (const auto& e : res.profile) r.push_back(&e);
+    std::sort(r.begin(), r.end(), [i](const ProfileEntry* a, const ProfileEntry* b) {
+      return a->phase_seconds[static_cast<std::size_t>(i)] <
+             b->phase_seconds[static_cast<std::size_t>(i)];
+    });
+  }
   std::vector<SchedulerPair> suffix_best(static_cast<std::size_t>(P) + 1);
-  auto compute_suffix_best = [&] {
-    for (int i = 0; i < P; ++i) {
-      // Prefer fresh measurements; fall back to the best *measured* (stale)
-      // entry only when nothing fresh exists for this suffix.
-      for (const bool fresh_only : {true, false}) {
-        double best = std::numeric_limits<double>::infinity();
-        bool found = false;
-        for (const auto& e : res.profile) {
-          if (fresh_only && !is_fresh(e)) continue;
-          double s = 0.0;
-          for (int k = i; k < P; ++k) s += e.phase_seconds[static_cast<std::size_t>(k)];
-          if (s < best) {
-            best = s;
-            suffix_best[static_cast<std::size_t>(i)] = e.pair;
-            found = true;
-          }
-        }
-        if (found) break;
+  for (int i = 0; i < P; ++i) {
+    double best = std::numeric_limits<double>::infinity();
+    for (const auto& e : res.profile) {
+      double s = 0.0;
+      for (int k = i; k < P; ++k) s += e.phase_seconds[static_cast<std::size_t>(k)];
+      if (s < best) {
+        best = s;
+        suffix_best[static_cast<std::size_t>(i)] = e.pair;
       }
     }
-  };
-  compute_suffix_best();
+  }
 
   // ---- Step 2: Algorithm 1. ----
   std::vector<std::pair<std::string, double>> cache;
@@ -233,31 +204,11 @@ MetaResult MetaScheduler::optimize() {
   };
 
   for (int i = 0; i < P; ++i) {
-    // Staleness gate: scores age as the search itself burns time. Probe only
-    // fresh entries for this phase; when none survive, re-measure every pair
-    // and re-rank (meta.stale_skips / meta.profile_refreshes count both).
-    std::vector<const ProfileEntry*> rank;
-    for (const auto* e : ranking[static_cast<std::size_t>(i)]) {
-      if (is_fresh(*e)) rank.push_back(e);
-    }
-    const auto skipped =
-        ranking[static_cast<std::size_t>(i)].size() - rank.size();
-    if (skipped > 0) {
-      if (auto* reg = trace::registry()) {
-        reg->counter("meta.stale_skips").inc(static_cast<std::int64_t>(skipped));
-      }
-    }
-    if (rank.empty()) {
-      refresh_profile(res.profile);
-      sort_rankings();
-      compute_suffix_best();
-      cache.clear();  // cached probe times predate the refreshed conditions
-      rank = ranking[static_cast<std::size_t>(i)];
-    }
+    const auto& rank = ranking[static_cast<std::size_t>(i)];
     std::size_t j = 0;
     auto count_eval = [&](const PairSchedule& s) {
       const std::size_t before = cache.size();
-      const double v = evaluate(s, &cache);
+      const double v = evaluate(s, cache);
       if (cache.size() != before) ++evals;
       return v;
     };

@@ -28,10 +28,6 @@ struct ProfileEntry {
   SchedulerPair pair;
   double total_seconds = 0.0;
   std::vector<double> phase_seconds;  // size = plan.count()
-  /// Meta-clock timestamp of the measurement (see meta_clock_). Entries age
-  /// as the search itself burns simulated time; the staleness bound below
-  /// decides when a score is no longer trusted.
-  sim::Time measured_at = sim::Time::zero();
 };
 
 struct MetaSchedulerOptions {
@@ -39,13 +35,6 @@ struct MetaSchedulerOptions {
   /// Seeds averaged per execution (the paper averages 3 runs; 1 keeps the
   /// search cheap and the simulator is deterministic anyway).
   int seeds_per_eval = 1;
-  /// Maximum meta-clock age of a profile entry before the greedy search
-  /// stops trusting it (scores drift when conditions change mid-search —
-  /// e.g. fault windows opening between profiling and probing). Stale
-  /// entries are excluded from rankings and suffix-best; when a phase has
-  /// no fresh entry left, every pair is re-profiled. zero() disables the
-  /// bound (every measurement stays valid forever — the pre-fault behavior).
-  sim::Time profile_staleness_bound = sim::Time::zero();
   bool verbose = false;
 };
 
@@ -105,13 +94,10 @@ class MetaScheduler {
 
  private:
   double evaluate(const PairSchedule& schedule,
-                  std::vector<std::pair<std::string, double>>* cache) const;
-  /// One profiling run: advances the meta clock, stamps measured_at, emits
-  /// the trace/metrics record.
+                  std::vector<std::pair<std::string, double>>& cache) const;
+  /// One profiling run: advances the meta clock, emits the trace/metrics
+  /// record.
   ProfileEntry profile_one(iosched::SchedulerPair p) const;
-  /// Re-measure every entry in place (pointers into the vector stay valid).
-  void refresh_profile(std::vector<ProfileEntry>& entries) const;
-  bool is_fresh(const ProfileEntry& e) const;
 
   Experiment exp_;
   MetaSchedulerOptions opts_;

@@ -26,7 +26,7 @@
 //             a cluster-wide switch through the PairController base (same
 //             retry/supersede semantics as the offline controllers).
 //   switch    candidate arms are discounted by the predicted switch cost
-//   cost      from the non-commutative SwitchPredictor matrix, amortized
+//   cost      from the SwitchPredictor's quiesce estimate, amortized
 //             over the expected phase duration and converted to reward
 //             units — a marginally-better arm does not justify a 2 s
 //             cluster quiesce near a phase boundary.

@@ -1,16 +1,13 @@
-// iosim: switch-cost prediction model (the paper's "ultimately we would
-// want to build a general prediction model for the scheduler switch").
+// iosim: analytic switch-cost gate (a first step toward the paper's "general
+// prediction model for the scheduler switch").
 //
-// A 16x16 EWMA table of observed switch costs, seeded either analytically
-// (drain estimate + quiesce) or from a measured SwitchCostMatrix. The
-// fine-grained controller consults it to gate switches: only switch when
-// the predicted saving over the remaining horizon exceeds the predicted
-// cost.
+// Every transition is charged one cluster-wide quiesce estimate (drain +
+// re-init on every layer). The fine-grained controller consults it to gate
+// switches: only switch when the predicted saving over the remaining
+// horizon exceeds the predicted cost. The online scheduler discounts
+// candidate arms by the same cost.
 #pragma once
 
-#include <array>
-
-#include "core/switch_cost.hpp"
 #include "iosched/pair.hpp"
 #include "sim/time.hpp"
 
@@ -18,34 +15,12 @@ namespace iosim::core {
 
 class SwitchPredictor {
  public:
-  /// Analytic seed: every transition starts at `base_cost` (a cluster-wide
-  /// quiesce estimate: drain + re-init on every layer).
-  explicit SwitchPredictor(double base_cost_seconds = 2.0) {
-    for (auto& row : cost_) row.fill(base_cost_seconds);
-  }
+  explicit SwitchPredictor(double base_cost_seconds = 2.0)
+      : cost_seconds_(base_cost_seconds) {}
 
-  /// Seed from a measured matrix (Fig. 5 methodology).
-  explicit SwitchPredictor(const SwitchCostMatrix& measured) {
-    for (int a = 0; a < iosched::kNumSchedulerPairs; ++a) {
-      for (int b = 0; b < iosched::kNumSchedulerPairs; ++b) {
-        cost_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
-            std::max(0.0, measured.cost_seconds(iosched::SchedulerPair::from_index(a),
-                                                iosched::SchedulerPair::from_index(b)));
-      }
-    }
-  }
-
-  double predict_seconds(iosched::SchedulerPair from, iosched::SchedulerPair to) const {
-    return cost_[static_cast<std::size_t>(from.index())]
-                [static_cast<std::size_t>(to.index())];
-  }
-
-  /// Online update from an observed transition cost.
-  void observe(iosched::SchedulerPair from, iosched::SchedulerPair to,
-               double observed_seconds, double alpha = 0.3) {
-    double& c = cost_[static_cast<std::size_t>(from.index())]
-                     [static_cast<std::size_t>(to.index())];
-    c += alpha * (observed_seconds - c);
+  double predict_seconds(iosched::SchedulerPair /*from*/,
+                         iosched::SchedulerPair /*to*/) const {
+    return cost_seconds_;
   }
 
   /// Gate: is a switch worth it if it saves `rate_gain` (fraction, e.g.
@@ -56,9 +31,7 @@ class SwitchPredictor {
   }
 
  private:
-  std::array<std::array<double, iosched::kNumSchedulerPairs>,
-             iosched::kNumSchedulerPairs>
-      cost_{};
+  double cost_seconds_;
 };
 
 }  // namespace iosim::core

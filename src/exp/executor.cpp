@@ -1,21 +1,13 @@
 #include "exp/executor.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
-#include <exception>
-#include <optional>
-
-#ifndef IOSIM_THREADS
-#define IOSIM_THREADS 1
-#endif
-
-#if IOSIM_THREADS
 #include <condition_variable>
+#include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
-#endif
 
 namespace iosim::exp {
 
@@ -56,13 +48,15 @@ void note_failure(ExecResult& res, const RunTask& task, const RunOutput& out) {
   }
 }
 
+bool cancel_requested(const ExecutorOptions& opts) {
+  return opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed);
+}
+
 std::size_t slot_count(const std::vector<RunTask>& tasks) {
   std::size_t n = 0;
   for (const RunTask& t : tasks) n = std::max(n, t.run_index + 1);
   return n;
 }
-
-#if IOSIM_THREADS
 
 /// Wall-clock watchdog: one monitor thread, one (deadline, abort) pair per
 /// worker. Workers arm their slot before a run and disarm after; the
@@ -131,41 +125,29 @@ class Watchdog {
   bool stop_ = false;
 };
 
-#endif  // IOSIM_THREADS
-
 /// One run including its infra-failure retry budget. `watchdog`/`slot` are
 /// the caller's watchdog arm (null when no timeout is configured).
 RunOutput run_with_retries(const RunFn& fn, const RunTask& task,
-                           const ExecutorOptions& opts,
-#if IOSIM_THREADS
-                           Watchdog* watchdog, std::size_t slot,
-#endif
-                           double* wall_seconds) {
+                           const ExecutorOptions& opts, Watchdog* watchdog,
+                           std::size_t slot, double* wall_seconds) {
   int attempt = 0;
   while (true) {
-#if IOSIM_THREADS
     if (watchdog) watchdog->arm(slot);
-#endif
     const double t0 = wall_now();
     RunOutput out = run_one(fn, task);
     *wall_seconds += wall_now() - t0;
-#if IOSIM_THREADS
     const bool timed_out = watchdog && watchdog->disarm(slot);
     if (timed_out && !out.ok) {
       // A watchdog stop is an infra failure (the machine may simply have
       // been starved) even when the RunFn already produced a diagnostic.
       out.infra_failure = true;
     }
-#endif
     out.attempts = attempt + 1;
-    const bool externally_cancelled =
-        opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed);
     if (out.ok || !out.infra_failure || attempt >= opts.max_retries ||
-        externally_cancelled) {
+        cancel_requested(opts)) {
       return out;
     }
     ++attempt;
-#if IOSIM_THREADS
     // The wait doubles with each retry, up to this cap.
     constexpr double kRetryBackoffCapSeconds = 10.0;
     const double backoff =
@@ -174,7 +156,6 @@ RunOutput run_with_retries(const RunFn& fn, const RunTask& task,
     if (backoff > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
-#endif
   }
 }
 
@@ -183,12 +164,8 @@ RunOutput run_with_retries(const RunFn& fn, const RunTask& task,
 const std::atomic<bool>* current_run_abort() { return t_run_abort; }
 
 int default_workers() {
-#if IOSIM_THREADS
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-#else
-  return 1;
-#endif
 }
 
 ExecResult execute_all(const std::vector<RunTask>& tasks, const RunFn& fn,
@@ -196,112 +173,69 @@ ExecResult execute_all(const std::vector<RunTask>& tasks, const RunFn& fn,
   ExecResult res;
   res.outputs.resize(slot_count(tasks));
 
-  const auto externally_cancelled = [&] {
-    return opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed);
-  };
-
-#if IOSIM_THREADS
+  const int workers =
+      std::max(1, std::min(opts.workers, static_cast<int>(tasks.size())));
   std::optional<Watchdog> watchdog;
-  int workers = opts.workers;
-  if (workers > static_cast<int>(tasks.size())) workers = static_cast<int>(tasks.size());
   if (opts.run_timeout_seconds > 0 && !tasks.empty()) {
-    watchdog.emplace(static_cast<std::size_t>(std::max(workers, 1)),
-                     opts.run_timeout_seconds);
+    watchdog.emplace(static_cast<std::size_t>(workers), opts.run_timeout_seconds);
   }
   Watchdog* wd = watchdog ? &*watchdog : nullptr;
-  if (workers > 1) {
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> cancelled{false};
-    std::atomic<bool> interrupted{false};
-    std::mutex mu;  // guards res counters + progress callback
-    std::size_t done = 0;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> cancelled{false};
+  std::atomic<bool> interrupted{false};
+  std::mutex mu;  // guards res counters + progress callback
+  std::size_t done = 0;
 
-    const auto worker = [&](std::size_t slot) {
-      while (true) {
-        if (cancelled.load(std::memory_order_relaxed)) break;
-        if (externally_cancelled()) {
-          interrupted.store(true, std::memory_order_relaxed);
-          break;
-        }
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= tasks.size()) break;
-        const RunTask& task = tasks[i];
-        double dt = 0.0;
-        RunOutput out = run_with_retries(fn, task, opts, wd, slot, &dt);
-        if (!out.ok && opts.cancel_on_failure) {
-          cancelled.store(true, std::memory_order_relaxed);
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        if (out.ok) {
-          ++res.completed;
-        } else {
-          note_failure(res, task, out);
-        }
-        // The slot write itself needs no lock (distinct indices), but doing
-        // it here keeps every write ordered before the final join anyway.
-        res.outputs[task.run_index] = std::move(out);
-        if (opts.on_progress) {
-          ProgressEvent ev;
-          ev.done = ++done;
-          ev.total = tasks.size();
-          ev.task = &task;
-          ev.output = &*res.outputs[task.run_index];
-          ev.ok = ev.output->ok;
-          ev.wall_seconds = dt;
-          opts.on_progress(ev);
-        }
+  const auto worker = [&](std::size_t slot) {
+    while (!cancelled.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= tasks.size()) break;
+      // Only a run the flag kept from starting makes the sweep interrupted.
+      if (cancel_requested(opts)) {
+        interrupted.store(true, std::memory_order_relaxed);
+        break;
       }
-    };
+      const RunTask& task = tasks[i];
+      double dt = 0.0;
+      RunOutput out = run_with_retries(fn, task, opts, wd, slot, &dt);
+      if (!out.ok && opts.cancel_on_failure) {
+        cancelled.store(true, std::memory_order_relaxed);
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (out.ok) {
+        ++res.completed;
+      } else {
+        note_failure(res, task, out);
+      }
+      // The slot write itself needs no lock (distinct indices), but doing
+      // it here keeps every write ordered before the final join anyway.
+      res.outputs[task.run_index] = std::move(out);
+      if (opts.on_progress) {
+        ProgressEvent ev;
+        ev.done = ++done;
+        ev.total = tasks.size();
+        ev.task = &task;
+        ev.output = &*res.outputs[task.run_index];
+        ev.ok = ev.output->ok;
+        ev.wall_seconds = dt;
+        opts.on_progress(ev);
+      }
+    }
+  };
 
+  if (workers == 1) {
+    worker(0);  // inline: the caller's thread_local sessions stay visible
+  } else {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) {
       pool.emplace_back(worker, static_cast<std::size_t>(w));
     }
     for (auto& t : pool) t.join();
-
-    res.cancelled = cancelled.load();
-    res.interrupted = interrupted.load() || externally_cancelled();
-    res.skipped = tasks.size() - res.completed - res.failed;
-    return res;
   }
-#endif
 
-  // Serial path: in run_index order, same cancel semantics.
-  std::size_t done = 0;
-  for (const RunTask& task : tasks) {
-    if (externally_cancelled()) {
-      res.interrupted = true;
-      break;
-    }
-    double dt = 0.0;
-    RunOutput out = run_with_retries(fn, task, opts,
-#if IOSIM_THREADS
-                                     wd, 0,
-#endif
-                                     &dt);
-    const bool run_failed = !out.ok;
-    if (run_failed) {
-      note_failure(res, task, out);
-    } else {
-      ++res.completed;
-    }
-    res.outputs[task.run_index] = std::move(out);
-    if (opts.on_progress) {
-      ProgressEvent ev;
-      ev.done = ++done;
-      ev.total = tasks.size();
-      ev.task = &task;
-      ev.output = &*res.outputs[task.run_index];
-      ev.ok = !run_failed;
-      ev.wall_seconds = dt;
-      opts.on_progress(ev);
-    }
-    if (run_failed && opts.cancel_on_failure) {
-      res.cancelled = true;
-      break;
-    }
-  }
+  res.cancelled = cancelled.load();
+  res.interrupted = interrupted.load();
   res.skipped = tasks.size() - res.completed - res.failed;
   return res;
 }

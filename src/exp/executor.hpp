@@ -36,9 +36,9 @@
 //    (resume re-executes only the runs missing from the journal); output
 //    slots are indexed by run_index with size max(run_index)+1.
 //
-// Built with IOSIM_THREADS=0 (or workers <= 1) the executor degrades to a
-// serial in-order loop with identical observable behavior (the watchdog
-// still works: it only needs the one monitor thread).
+// One worker loop serves every worker count. At one worker it runs inline
+// on the calling thread, in task order, so thread_local sessions the caller
+// installed (trace::TraceSession, ...) stay visible to the RunFn.
 #pragma once
 
 #include <atomic>
@@ -88,19 +88,20 @@ struct ProgressEvent {
 };
 
 struct ExecutorOptions {
-  /// Worker threads. <= 1 (or IOSIM_THREADS=0 builds) runs serially on the
-  /// calling thread. Clamped to the task count.
+  /// Worker threads, clamped to the task count. <= 1 runs the worker loop
+  /// inline on the calling thread.
   int workers = 1;
   bool cancel_on_failure = true;
-  /// Per-run wall-clock watchdog; 0 disables. Requires IOSIM_THREADS (the
-  /// monitor is a thread); in serial builds the value is ignored.
+  /// Per-run wall-clock watchdog; 0 disables. The monitor is its own thread,
+  /// so it also stops runs executing inline at one worker.
   double run_timeout_seconds = 0.0;
   /// Infra-failure retries per run (0 = fail on first attempt). The n-th
   /// retry waits retry_backoff_seconds * 2^(n-1), capped at 10 s.
   int max_retries = 0;
   double retry_backoff_seconds = 0.5;
   /// External cancellation (signal handler flag). When it becomes true,
-  /// workers stop claiming runs and drain in-flight ones.
+  /// workers stop claiming runs and drain in-flight ones; a flag set after
+  /// the last run was claimed interrupts nothing.
   const std::atomic<bool>* cancel = nullptr;
   std::function<void(const ProgressEvent&)> on_progress;
 };
@@ -115,7 +116,7 @@ struct ExecResult {
   std::size_t failed = 0;     // ran and reported !ok (or threw)
   std::size_t skipped = 0;    // never claimed; completed+failed+skipped = total
   bool cancelled = false;     // cancel_on_failure tripped
-  bool interrupted = false;   // opts.cancel observed true
+  bool interrupted = false;   // opts.cancel kept a run from starting
   /// Failure diagnostic of the failed run with the smallest run_index (the
   /// deterministic representative even if several fail concurrently).
   std::string first_error;
@@ -135,8 +136,7 @@ ExecResult execute_all(const std::vector<RunTask>& tasks, const RunFn& fn,
 const std::atomic<bool>* current_run_abort();
 
 /// The number of workers `--workers 0` / defaults resolve to: hardware
-/// concurrency, at least 1. (Defined even in IOSIM_THREADS=0 builds, where
-/// it returns 1 — the executor would serialize anyway.)
+/// concurrency, at least 1.
 int default_workers();
 
 }  // namespace iosim::exp

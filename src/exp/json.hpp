@@ -11,7 +11,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -118,23 +117,7 @@ class JsonWriter {
   }
   void append_string(std::string_view s) {
     out_ += '"';
-    for (char c : s) {
-      switch (c) {
-        case '"': out_ += "\\\""; break;
-        case '\\': out_ += "\\\\"; break;
-        case '\n': out_ += "\\n"; break;
-        case '\t': out_ += "\\t"; break;
-        case '\r': out_ += "\\r"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out_ += buf;
-          } else {
-            out_ += c;
-          }
-      }
-    }
+    lex::append_json_escaped(out_, s);
     out_ += '"';
   }
 

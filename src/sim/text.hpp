@@ -5,7 +5,8 @@
 // enforce (whitespace, finite numbers, strict integers, canonical double
 // text) are stated once in DESIGN.md §7, "One strict lexer for every text
 // surface". Range bounds, required keys, duplicate-key checks and error
-// wording stay with each grammar.
+// wording stay with each grammar. The one JSON string escaper, which every
+// writer shares, lives here too.
 #pragma once
 
 #include <cstdint>
@@ -64,5 +65,10 @@ bool parse_double(std::string_view s, double* out);
 /// The shortest of 15, 16 or 17 significant digits ("%.*g") that parses
 /// back to exactly `v` (finite), so canonical text round-trips.
 std::string format_double(double v);
+
+/// Appends `s` escaped as the body of a JSON string (no quotes): quote,
+/// backslash, \n, \t and \r get short escapes, other control characters
+/// \u00XX. The trace and BENCH writers both emit strings through it.
+void append_json_escaped(std::string& out, std::string_view s);
 
 }  // namespace iosim::lex

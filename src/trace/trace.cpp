@@ -3,30 +3,11 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "sim/text.hpp"
+
 namespace iosim::trace {
 
 namespace {
-/// Minimal JSON string escaper (quotes, backslash, control characters).
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// Nanoseconds rendered as microseconds with fixed 3-decimal precision —
 /// integer arithmetic only, so the output is bit-stable across platforms.
 void append_us(std::string& out, std::int64_t ns) {
@@ -283,7 +264,7 @@ std::string Tracer::to_json() const {
     out += "{\"ph\":\"M\",\"pid\":0,\"tid\":";
     out += std::to_string(t);
     out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    append_escaped(out, strings_[track_names_[t]]);
+    lex::append_json_escaped(out, strings_[track_names_[t]]);
     out += "\"}}";
   }
 
@@ -295,12 +276,12 @@ std::string Tracer::to_json() const {
     out += std::to_string(e.track);
     if (e.name != kNoStr) {
       out += ",\"name\":\"";
-      append_escaped(out, strings_[e.name]);
+      lex::append_json_escaped(out, strings_[e.name]);
       out += '"';
     }
     if (e.cat != kNoStr) {
       out += ",\"cat\":\"";
-      append_escaped(out, strings_[e.cat]);
+      lex::append_json_escaped(out, strings_[e.cat]);
       out += '"';
     }
     out += ",\"ts\":";
@@ -318,7 +299,7 @@ std::string Tracer::to_json() const {
         if (!afirst) out += ',';
         afirst = false;
         out += '"';
-        append_escaped(out, strings_[e.arg_name[i]]);
+        lex::append_json_escaped(out, strings_[e.arg_name[i]]);
         out += "\":";
         out += std::to_string(e.arg[i]);
       }

@@ -27,17 +27,6 @@ TEST(SwitchPredictor, AnalyticSeedUniform) {
   EXPECT_DOUBLE_EQ(p.predict_seconds(b, a), 3.0);
 }
 
-TEST(SwitchPredictor, ObserveMovesEstimate) {
-  SwitchPredictor p(2.0);
-  const SchedulerPair a = iosched::kDefaultPair;
-  const SchedulerPair b{SchedulerKind::kNoop, SchedulerKind::kNoop};
-  p.observe(a, b, 10.0);
-  EXPECT_GT(p.predict_seconds(a, b), 2.0);
-  EXPECT_LT(p.predict_seconds(a, b), 10.0);
-  // Other transitions unaffected.
-  EXPECT_DOUBLE_EQ(p.predict_seconds(b, a), 2.0);
-}
-
 TEST(SwitchPredictor, WorthwhileComparesBenefitToCost) {
   SwitchPredictor p(5.0);
   const SchedulerPair a = iosched::kDefaultPair;

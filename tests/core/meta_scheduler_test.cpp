@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/random.hpp"
+#include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace iosim::core {
@@ -106,47 +107,24 @@ TEST(MetaScheduler, ThreePhasePlanWorks) {
   EXPECT_GT(r.adaptive_seconds, 0.0);
 }
 
-TEST(MetaScheduler, StalenessBoundForcesRefreshButKeepsValidSolution) {
-  // A bound shorter than one profiling pass makes every entry stale by the
-  // time the greedy search ranks it, forcing an in-place re-profile. The
-  // search must still return a measured (never fabricated) solution.
-  const auto jc = small_sort();
-  auto o = opts_for(jc, 4);
-  o.profile_staleness_bound = sim::Time::from_sec(1);
-  MetaScheduler ms(tiny(), jc, o);
-  const MetaResult r = ms.optimize();
-  ASSERT_EQ(r.solution.count(), o.plan.count());
-  ASSERT_TRUE(r.solution.phases[0].has_value());
-  EXPECT_GT(r.adaptive_seconds, 0.0);
-  for (const auto& e : r.profile) {
-    EXPECT_GT(e.measured_at, sim::Time::zero());  // every entry re-stamped
-    EXPECT_GT(e.total_seconds, 0.0);
-  }
-}
-
-TEST(MetaScheduler, DisabledStalenessBoundMatchesDefaultSearch) {
-  // zero() disables aging: the search must behave exactly as before the
-  // staleness machinery existed.
-  const auto jc = small_sort();
-  MetaScheduler a(tiny(), jc, opts_for(jc, 4));
-  auto o = opts_for(jc, 4);
-  o.profile_staleness_bound = sim::Time::zero();
-  MetaScheduler b(tiny(), jc, o);
-  const MetaResult ra = a.optimize();
-  const MetaResult rb = b.optimize();
-  EXPECT_EQ(ra.solution.to_string(), rb.solution.to_string());
-  EXPECT_NEAR(ra.adaptive_seconds, rb.adaptive_seconds, 1e-9);
-  EXPECT_EQ(ra.heuristic_evaluations, rb.heuristic_evaluations);
-}
-
-TEST(MetaScheduler, ProfileEntriesCarryMeasurementTimestamps) {
-  const auto jc = small_sort();
+TEST(MetaScheduler, ProfileInstantsAdvanceTheMetaClock) {
+  // Every profiling run advances the search's own clock, so the meta-track
+  // profile instants carry strictly increasing timestamps.
+  const auto jc = workloads::make_job(workloads::stream_sort(), 16 * mapred::kMiB);
   MetaScheduler ms(tiny(), jc, opts_for(jc, 4));
-  const auto profile = ms.profile_all_pairs();
-  sim::Time prev = sim::Time::zero();
-  for (const auto& e : profile) {
-    EXPECT_GT(e.measured_at, prev);  // meta clock advances per measurement
-    prev = e.measured_at;
+  trace::TraceSession session;
+  ms.profile_all_pairs();
+  trace::Tracer& tr = session.tracer();
+  const std::uint32_t meta = tr.track("meta");
+  std::vector<std::int64_t> ts;
+  tr.for_each([&](const trace::Event& e) {
+    if (e.track == meta && e.name == tr.ids.profile) ts.push_back(e.ts_ns);
+  });
+  ASSERT_EQ(ts.size(), 16u);
+  std::int64_t prev = 0;
+  for (const std::int64_t t : ts) {
+    EXPECT_GT(t, prev);
+    prev = t;
   }
 }
 

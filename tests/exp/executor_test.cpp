@@ -13,6 +13,7 @@
 #include "exp/aggregate.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "trace/trace.hpp"
 
 namespace iosim::exp {
 namespace {
@@ -291,7 +292,6 @@ TEST(ExecutorRobustness, EmptyTaskListIsANoOp) {
   EXPECT_TRUE(res.outputs.empty());
 }
 
-#if IOSIM_THREADS
 TEST(ExecutorRobustness, WatchdogTimesOutCooperativeRun) {
   // A "livelocked" RunFn that spins on the published abort flag, like the
   // simulator's event loop does through SimBudget::abort. The watchdog must
@@ -336,7 +336,40 @@ TEST(ExecutorRobustness, NoWatchdogMeansNoAbortFlag) {
   });
   EXPECT_TRUE(res.all_ok());
 }
-#endif  // IOSIM_THREADS
+
+TEST(ExecutorRobustness, CancelDuringLastRunInterruptsNothing) {
+  // The flag arrives while the last run is in flight: every run was already
+  // claimed, so no worker count may report the sweep interrupted.
+  const auto tasks = synthetic_tasks(4);
+  for (const int workers : {1, 4}) {
+    std::atomic<bool> cancel{false};
+    std::atomic<int> started{0};
+    ExecutorOptions opts;
+    opts.workers = workers;
+    opts.cancel = &cancel;
+    const auto res = execute_all(tasks, [&](const RunTask&) {
+      // The fourth run to start is the last one any worker can claim.
+      if (started.fetch_add(1) + 1 == 4) cancel.store(true);
+      return RunOutput{};
+    }, opts);
+    EXPECT_EQ(res.completed, 4u) << "workers=" << workers;
+    EXPECT_EQ(res.skipped, 0u) << "workers=" << workers;
+    EXPECT_FALSE(res.interrupted) << "workers=" << workers;
+  }
+}
+
+TEST(Executor, OneWorkerRunsInlineOnTheCallingThread) {
+  // thread_local sessions the caller installed reach the RunFn.
+  trace::TraceSession session;
+  const auto tasks = synthetic_tasks(3);
+  std::size_t seen = 0;
+  const auto res = execute_all(tasks, [&](const RunTask&) {
+    if (trace::tracer() == &session.tracer()) ++seen;
+    return RunOutput{};
+  });
+  EXPECT_TRUE(res.all_ok());
+  EXPECT_EQ(seen, 3u);
+}
 
 // --- Real-simulation integration -----------------------------------------
 
@@ -444,9 +477,6 @@ TEST(ExecutorIntegration, ParallelSpeedupOverSerial) {
   // speed; the threads genuinely run concurrently either way.
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw < 2) GTEST_SKIP() << "needs >= 2 cores, have " << hw;
-#if !IOSIM_THREADS
-  GTEST_SKIP() << "built with IOSIM_THREADS=0";
-#endif
 
   constexpr auto kPerTask = std::chrono::milliseconds(60);
   const auto tasks = synthetic_tasks(8);

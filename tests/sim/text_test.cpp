@@ -106,5 +106,14 @@ TEST(Lex, FormatDoubleIsShortestRoundTrip) {
   }
 }
 
+TEST(Lex, AppendJsonEscapedAppendsTheEscapedBody) {
+  std::string out = "x";
+  append_json_escaped(out, "a\"b\\c\nd\te\rf\x01g\x1fh\x7f\xc3\xa9");
+  EXPECT_EQ(out, "xa\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001fh\x7f\xc3\xa9");
+  std::string nul;
+  append_json_escaped(nul, std::string_view("\0", 1));
+  EXPECT_EQ(nul, "\\u0000");
+}
+
 }  // namespace
 }  // namespace iosim::lex
