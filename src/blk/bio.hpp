@@ -29,11 +29,14 @@ struct Bio {
   /// it, the blkfront ring copies it onto the guest request's Dom0 run
   /// (every segment of it carries the handle).
   obs::AttrHandle attr = obs::kNoAttr;
-  /// Invoked exactly once when the containing request completes, with the
-  /// request's outcome (kOk unless the device failed the request).
-  /// Small-buffer-optimized: captures up to CompletionFn's inline budget
-  /// cost no allocation per bio (see iosched::CompletionFn).
-  iosched::CompletionFn on_complete;
+  /// Invoked when the containing request completes, with the request's
+  /// outcome (kOk unless the device failed the request) and the number of
+  /// bios it completes: 1 for a plain bio, or the segments of a
+  /// submit_segments run that merged into the request together. A per-bio
+  /// callable `(Time, IoStatus)` runs once per bio instead (see
+  /// iosched::BioCompletionFn). Captures up to its inline budget cost no
+  /// allocation per bio.
+  iosched::BioCompletionFn on_complete;
 };
 
 }  // namespace iosim::blk

@@ -34,6 +34,18 @@ void BlockLayer::submit_segments(Bio&& run, std::int64_t segment_sectors) {
   const Time now = simr_.now();
   const Lba end = run.lba + run.sectors;
   Lba lba = run.lba;
+  // Whether anything watches this run's segments one by one: the auditor,
+  // the tracer, or Dom0 attribution stamping the run's handle. None of them
+  // can be installed or removed while the run is being queued. Unobserved,
+  // a segment costs only its counter, added in bulk on a merge.
+  const bool observed =
+      check::auditor() != nullptr || trace::tracer() != nullptr ||
+      (cfg_.obs_role == obs::LayerRole::kDom0 && run.attr != obs::kNoAttr &&
+       obs::attribution() != nullptr);
+  // The request this run's previous segment started, if it did: its last
+  // completion entry is this run's, and segments merging into it next
+  // extend that entry.
+  const Request* started = nullptr;
   while (lba < end) {
     // The queue is stopped during an elevator switch: arriving bios are
     // held back and their submitters stall — the dominant component of
@@ -47,7 +59,8 @@ void BlockLayer::submit_segments(Bio&& run, std::int64_t segment_sectors) {
     }
 
     const std::int64_t sectors = std::min(segment_sectors, end - lba);
-    note_bio(run, lba, sectors, now);
+    ++counters_.bios_submitted;
+    if (observed) note_bio(run, lba, sectors, now);
 
     // Back-merge: a queued request of the same direction/sync/context
     // ending exactly where this bio starts grows to absorb it (the common
@@ -55,7 +68,7 @@ void BlockLayer::submit_segments(Bio&& run, std::int64_t segment_sectors) {
     if (Request* rq = merge_idx_.find(lba)) {
       if (rq->dir == run.dir && rq->sync == run.sync && rq->ctx == run.ctx &&
           rq->sectors + sectors <= cfg_.max_request_sectors) {
-        lba = back_merge(rq, run, lba, end, segment_sectors, now);
+        lba = back_merge(rq, run, lba, end, segment_sectors, observed, rq == started, now);
         continue;
       }
     }
@@ -93,6 +106,7 @@ void BlockLayer::submit_segments(Bio&& run, std::int64_t segment_sectors) {
                               queued_by_dir_[1], sched_->size(), now.ns());
     }
     account_busy();
+    started = rq;
     // May dispatch the new request at once; then the next segment finds
     // no request to merge into and starts another.
     kick();
@@ -100,7 +114,6 @@ void BlockLayer::submit_segments(Bio&& run, std::int64_t segment_sectors) {
 }
 
 void BlockLayer::note_bio(const Bio& bio, Lba lba, std::int64_t sectors, Time now) {
-  ++counters_.bios_submitted;
   if (auto* ck = check::auditor()) {
     ck->on_bio_submitted(this, cfg_.name, bio.ctx, now.ns());
   }
@@ -122,7 +135,8 @@ void BlockLayer::note_bio(const Bio& bio, Lba lba, std::int64_t sectors, Time no
 }
 
 Lba BlockLayer::back_merge(Request* rq, Bio& run, Lba lba, Lba end,
-                           std::int64_t segment_sectors, Time now) {
+                           std::int64_t segment_sectors, bool observed, bool extend,
+                           Time now) {
   merge_idx_.erase(lba);
   // A Dom0 request absorbs the records of every guest request whose
   // segments merged into it (distinct handles only; one guest request
@@ -143,27 +157,35 @@ Lba BlockLayer::back_merge(Request* rq, Bio& run, Lba lba, Lba end,
     rq->sectors += sectors;
     lba += sectors;
     ++merged;
-    ++counters_.back_merges;
-    if (auto* tr = trace::tracer()) {
-      tr->instant(tr->track(cfg_.name), tr->ids.bio_merge, tr->ids.cat_blk, now,
-                  tr->ids.lba, rq->lba, tr->ids.sectors, rq->sectors);
-    }
-    if (auto* ck = check::auditor()) {
-      ck->on_queue_accounting(this, cfg_.name, queued_by_dir_[0],
-                              queued_by_dir_[1], sched_->size(), now.ns());
+    if (observed) {
+      if (auto* tr = trace::tracer()) {
+        tr->instant(tr->track(cfg_.name), tr->ids.bio_merge, tr->ids.cat_blk, now,
+                    tr->ids.lba, rq->lba, tr->ids.sectors, rq->sectors);
+      }
+      if (auto* ck = check::auditor()) {
+        ck->on_queue_accounting(this, cfg_.name, queued_by_dir_[0],
+                                queued_by_dir_[1], sched_->size(), now.ns());
+      }
     }
     if (lba == end) break;
     const std::int64_t next = std::min(segment_sectors, end - lba);
     if (rq->sectors + next > cfg_.max_request_sectors || merge_idx_.find(lba) != nullptr) {
       break;
     }
-    note_bio(run, lba, next, now);
+    if (observed) note_bio(run, lba, next, now);
   }
+  // The caller counted the first merged segment as submitted.
+  counters_.bios_submitted += merged - 1;
+  counters_.back_merges += merged;
   rq->n_bios += merged;
   merge_idx_.emplace(rq->end(), rq);
   if (run.on_complete) {
-    rq->completions.push_back(
-        {lba == end ? std::move(run.on_complete) : run.on_complete, merged});
+    if (extend) {
+      rq->completions.back().bios += merged;
+    } else {
+      rq->completions.push_back(
+          {lba == end ? std::move(run.on_complete) : run.on_complete, merged});
+    }
   }
   account_busy();
   return lba;
@@ -274,6 +296,7 @@ void BlockLayer::arm_wakeup() {
 }
 
 void BlockLayer::kick() {
+  ++kicks_;
   if (frozen_) return;
   while (sink_.can_accept()) {
     Request* rq = sched_->dispatch(simr_.now());
@@ -348,9 +371,7 @@ void BlockLayer::on_sink_complete(Request* rq, Time now) {
   // Fire waiter callbacks, then recycle. Callbacks may submit new bios into
   // this layer: those get other requests, because this one is not back in
   // the pool yet (and, dispatched, it is no longer in the merge index).
-  for (auto& c : rq->completions) {
-    for (std::uint32_t i = 0; i < c.times; ++i) c.fn(now, rq->status);
-  }
+  for (const auto& c : rq->completions) c.fn(now, rq->status, c.bios);
   release_request(rq);
 
   account_busy();

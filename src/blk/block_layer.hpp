@@ -78,12 +78,14 @@ class BlockLayer {
 
   /// Submit the run [run.lba, run.lba + run.sectors) as consecutive bios of
   /// `segment_sectors` each (the last may be shorter). Every segment shares
-  /// the run's direction, sync flag, context and attribution handle, and
-  /// `run.on_complete` fires once per segment. The result is exactly that
-  /// of one submit() per segment in ascending order, but segments that
-  /// back-merge into one request in a row cost one merge-index update and
-  /// one completion entry. The blkfront ring hands each guest request to
-  /// Dom0 this way (DESIGN.md §8.6).
+  /// the run's direction, sync flag, context and attribution handle.
+  /// `run.on_complete` completes every segment: it is called once per
+  /// request the run reached, with the number of the run's segments that
+  /// request carries. The result is exactly that of one submit() per
+  /// segment in ascending order, but segments that back-merge into one
+  /// request in a row cost one merge-index update, and the segments one
+  /// request takes cost one completion entry and one completion call. The blkfront ring hands each guest request to Dom0
+  /// this way (DESIGN.md §8.6).
   void submit_segments(Bio&& run, std::int64_t segment_sectors);
 
   /// Switch the elevator at run time, modelling the kernel's elv_switch:
@@ -109,16 +111,25 @@ class BlockLayer {
   }
   /// Number of requests handed to the sink and not yet completed.
   std::size_t in_flight() const { return in_flight_; }
+  /// kick() calls so far, including those that found the sink full or the
+  /// queue frozen: a deterministic work count (DESIGN.md §8.6). It is not
+  /// in BlockLayerCounters, which describe the traffic and must not depend
+  /// on how often the sink asks for more.
+  std::uint64_t kicks() const { return kicks_; }
 
  private:
-  /// Per-bio bookkeeping of a segment entering the queue (counter,
-  /// auditor, tracer, Dom0 arrival stamp), before it merges or queues.
+  /// Per-bio hooks of a segment entering the queue (auditor, tracer, Dom0
+  /// arrival stamp), before it merges or queues. Called only for an
+  /// observed run (see submit_segments); the counter is the caller's.
   void note_bio(const Bio& bio, Lba lba, std::int64_t sectors, Time now);
   /// Back-merge the run's segments from `lba` on into `rq`, which ends at
   /// `lba`: as many in a row as per-segment submits would merge into it.
-  /// Returns the LBA after the last merged segment.
+  /// Runs the per-segment hooks only when `observed`. The merged segments
+  /// get one completion entry, or join `rq`'s last one when `extend` (the
+  /// run's previous segment started `rq`). Returns the LBA after the last
+  /// merged segment.
   Lba back_merge(Request* rq, Bio& run, Lba lba, Lba end, std::int64_t segment_sectors,
-                 Time now);
+                 bool observed, bool extend, Time now);
   void kick();
   void maybe_finish_switch();
   void arm_wakeup();
@@ -168,6 +179,7 @@ class BlockLayer {
   bool busy_ = false;
   sim::Time busy_mark_ = sim::Time::zero();
   BlockLayerCounters counters_;
+  std::uint64_t kicks_ = 0;
 };
 
 }  // namespace iosim::blk

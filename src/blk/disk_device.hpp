@@ -76,8 +76,8 @@ class DiskDevice final : public RequestSink {
         rq->status = iosched::IoStatus::kError;
       }
     }
-    // Capture stays two pointers wide so std::function keeps it inline —
-    // a third word would mean a heap allocation per disk I/O.
+    // Two pointers: well inside sim::EventFn's inline buffer, so a disk
+    // I/O's completion event allocates nothing.
     simr_.after(svc, [this, rq] {
       busy_ = false;
       if (auto* tr = trace::tracer()) {
@@ -85,12 +85,12 @@ class DiskDevice final : public RequestSink {
                      svc_start_, simr_.now(), tr->ids.lba, rq->lba,
                      tr->ids.sectors, rq->sectors);
       }
-      const bool freed_capacity = can_accept();
       complete(rq, simr_.now());
       // `complete` re-enters the block layer, which kicks dispatch itself;
       // with NCQ the explicit ready() also covers capacity freed while the
-      // layer was not the completion's owner.
-      if (freed_capacity) ready(simr_.now());
+      // layer was not the completion's owner. When that kick refilled the
+      // drive, ready() is skipped: a kick with the sink full returns at once.
+      if (can_accept()) ready(simr_.now());
       start_next();
     });
   }

@@ -27,11 +27,12 @@ class RequestSink {
   virtual void submit(Request* rq, Time now) = 0;
 
   /// Completion/ready callbacks installed by the owning BlockLayer.
-  /// `on_complete` fires once per request; `on_ready` fires when the sink
-  /// transitions from full to accepting (so the layer can dispatch more).
-  /// Both are small-buffer callables: the layer's `[this]` captures stay
-  /// inline, so a completion is one indirect call with no allocator behind
-  /// it.
+  /// `on_complete` fires once per request. `on_ready` fires after the sink
+  /// freed capacity, when it can accept again (so the layer can dispatch
+  /// more); a sink that is still full skips it, because the layer's kick()
+  /// would return without touching anything. Both are small-buffer
+  /// callables: the layer's `[this]` captures stay inline, so a completion
+  /// is one indirect call with no allocator behind it.
   using CompleteFn = sim::SmallFn<void(Request*, Time)>;
   using ReadyFn = sim::SmallFn<void(Time)>;
   void set_on_complete(CompleteFn fn) { on_complete_ = std::move(fn); }

@@ -1,7 +1,10 @@
 // iosim: block-layer request representation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "disk/disk_model.hpp"
@@ -27,19 +30,61 @@ inline const char* to_string(IoStatus s) {
   return s == IoStatus::kOk ? "ok" : "error";
 }
 
-/// Completion callback carried by bios and accumulated on merged requests
-/// (arguments: completion time, outcome). Small-buffer-optimized: the
-/// HDFS/mapred issuers capture an owner pointer plus a couple of words,
-/// which stays inline — no allocation per I/O (see sim/event_fn.hpp).
+/// Completion callback of a stream of bios as a whole (arguments:
+/// completion time, outcome). Small-buffer-optimized: the HDFS/mapred
+/// issuers capture an owner pointer plus a couple of words, which stays
+/// inline — no allocation per I/O (see sim/event_fn.hpp).
 using CompletionFn = sim::SmallFn<void(Time, IoStatus)>;
 
-/// One completion callback on a request, run `times` times in a row when
-/// the request completes: once per bio it stands for. A plain bio adds an
-/// entry with times = 1; a run of ring segments that back-merged into the
-/// request in one go shares one entry (blk::BlockLayer::submit_segments).
+/// Completion callback of a bio (arguments: completion time, outcome, and
+/// how many bios it completes). A request calls each of its callbacks once,
+/// with the number of bios that callback stands for (CompletionEntry), so
+/// segments of one run that back-merged into one request cost one call.
+///
+/// It holds either a counted callable, `(Time, IoStatus, std::uint32_t)`,
+/// or a per-bio one, `(Time, IoStatus)`, which it calls once per bio in a
+/// row. Either way a completion is one indirect call. Small-buffer-
+/// optimized like CompletionFn.
+class BioCompletionFn {
+ public:
+  BioCompletionFn() = default;
+  BioCompletionFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
+
+  template <class F, class D = std::decay_t<F>,
+            std::enable_if_t<!std::is_same_v<D, BioCompletionFn> &&
+                                 std::is_invocable_v<D&, Time, IoStatus, std::uint32_t>,
+                             int> = 0>
+  BioCompletionFn(F&& f) : fn_(std::forward<F>(f)) {}  // NOLINT(google-explicit-constructor)
+
+  template <class F, class D = std::decay_t<F>,
+            std::enable_if_t<!std::is_same_v<D, BioCompletionFn> &&
+                                 !std::is_invocable_v<D&, Time, IoStatus, std::uint32_t> &&
+                                 std::is_invocable_v<D&, Time, IoStatus>,
+                             int> = 0>
+  BioCompletionFn(F&& f) : fn_(PerBio<D>{std::forward<F>(f)}) {}  // NOLINT
+
+  explicit operator bool() const { return static_cast<bool>(fn_); }
+  void operator()(Time t, IoStatus st, std::uint32_t bios) const { fn_(t, st, bios); }
+
+ private:
+  template <class F>
+  struct PerBio {
+    F f;
+    void operator()(Time t, IoStatus st, std::uint32_t bios) {
+      for (; bios > 0; --bios) f(t, st);
+    }
+  };
+  sim::SmallFn<void(Time, IoStatus, std::uint32_t)> fn_;
+};
+
+/// One completion callback on a request, called once when the request
+/// completes, with `bios`: the number of bios it stands for. A plain bio
+/// adds an entry with bios = 1; a run of ring segments that back-merged
+/// into the request in one go shares one entry
+/// (blk::BlockLayer::submit_segments).
 struct CompletionEntry {
-  CompletionFn fn;
-  std::uint32_t times = 1;
+  BioCompletionFn fn;
+  std::uint32_t bios = 1;
 };
 
 struct Request;
@@ -94,8 +139,8 @@ struct Request {
   /// kernel failing all bios of a failed request.
   IoStatus status = IoStatus::kOk;
 
-  /// Per-bio completion callbacks (arguments: completion time, outcome),
-  /// in submission order; an entry runs `times` times.
+  /// Completion callbacks of the merged bios, in submission order; each
+  /// entry is called once, with its bio count.
   std::vector<CompletionEntry> completions;
 
   /// Attribution record handles (obs::AttrHandle) of the guest requests

@@ -15,13 +15,20 @@
 // (DESIGN.md §8.7). Going in, one hop event hands the whole guest request
 // to Dom0 in one call, `BlockLayer::submit_segments`, which queues its
 // segments exactly as one submit per segment in order would (§8.6). Coming
-// back, a segment completion
-// joins the ring's newest pending return batch when that batch fires at the
-// same instant and no event has been scheduled since it was opened; else it
-// opens a new batch with its own event. A per-segment hop event in either
-// case would have fired back to back with its predecessors, so the batch
-// runs the same calls in the same order and every result is unchanged.
+// back, Dom0 completes the segments that merged into one Dom0 request with
+// one call carrying their count, and the ring queues them as one return
+// entry. The entry joins the ring's newest pending return batch when that
+// batch fires at the same instant and no event has been scheduled since it
+// was opened; else it opens a new batch with its own event. A per-segment
+// hop event in either case would have fired back to back with its
+// predecessors, so the batch retires the same segments in the same order,
+// one at a time, and every result is unchanged. After each retired segment
+// the ring asks the guest layer for more only if it can accept more: with
+// the ring still full, the guest's kick() would return at once.
 #pragma once
+
+#include <cassert>
+#include <cstdint>
 
 #include "blk/block_layer.hpp"
 #include "blk/request_sink.hpp"
@@ -83,18 +90,18 @@ class BlkfrontRing final : public blk::RequestSink {
     // Every segment carries the guest request's attribution handle so the
     // Dom0 layer can stamp arrival/dispatch/completion on it.
     run.attr = rq->attrs.empty() ? obs::kNoAttr : rq->attrs.front();
-    // Runs once per segment.
-    run.on_complete = [this, rq](Time, blk::IoStatus st) {
+    // Runs once per Dom0 request the run reached, for its `segs` segments.
+    run.on_complete = [this, rq](Time, blk::IoStatus st, std::uint32_t segs) {
       // Any failed segment fails the whole guest request (blkback reports
       // one status per ring request).
       if (st != blk::IoStatus::kOk) rq->status = st;
-      send_back(rq);
+      send_back(rq, segs);
     };
     dom0_.submit_segments(std::move(run), p_.max_segment_sectors);
   }
 
-  /// One segment of `rq` completed in Dom0; its response crosses back.
-  void send_back(Request* rq) {
+  /// `segs` segments of `rq` completed in Dom0; their responses cross back.
+  void send_back(Request* rq, std::uint32_t segs) {
     const Time arrive = simr_.now() + p_.hop_latency;
     if (batches_.empty() || arrive != open_arrive_ || simr_.scheduled() != open_mark_) {
       simr_.after(p_.hop_latency, [this] { receive(); });
@@ -103,21 +110,26 @@ class BlkfrontRing final : public blk::RequestSink {
       open_mark_ = simr_.scheduled();
     }
     ++batches_.back();
-    returns_.push_back(rq);
+    returns_.push_back({rq, segs});
   }
 
   /// The oldest return batch arrived: retire its segments in FIFO order.
   void receive() {
+    const Time now = simr_.now();
     for (int n = batches_.pop_front(); n > 0; --n) {
-      Request* rq = returns_.pop_front();
-      --outstanding_;
-      if (auto* ck = check::auditor()) {
-        ck->on_ring_complete(this, outstanding_, simr_.now().ns());
+      const Return r = returns_.pop_front();
+      for (std::uint32_t s = r.segs; s > 0; --s) {
+        --outstanding_;
+        if (auto* ck = check::auditor()) {
+          ck->on_ring_complete(this, outstanding_, now.ns());
+        }
+        if (--r.rq->sink_pending == 0) {
+          // The guest request's last segment: `r.rq` goes back to its pool.
+          assert(s == 1);
+          complete(r.rq, now);
+        }
+        if (can_accept()) ready(now);
       }
-      if (--rq->sink_pending == 0) {
-        complete(rq, simr_.now());
-      }
-      ready(simr_.now());
     }
   }
 
@@ -127,10 +139,16 @@ class BlkfrontRing final : public blk::RequestSink {
   disk::Lba image_base_;
   RingParams p_;
   int outstanding_ = 0;
-  // Segment responses on their way back, oldest first, and the size of each
-  // pending return batch. Batches fire in FIFO order: the hop latency is
-  // constant, and equal arrival times fire in scheduling order.
-  sim::RingFifo<Request*> returns_;
+  // Segment responses on their way back, oldest first: per entry a guest
+  // request and how many of its segments one Dom0 completion returned.
+  // `batches_` holds the number of entries in each pending return batch.
+  // Batches fire in FIFO order: the hop latency is constant, and equal
+  // arrival times fire in scheduling order.
+  struct Return {
+    Request* rq;
+    std::uint32_t segs;
+  };
+  sim::RingFifo<Return> returns_;
   sim::RingFifo<int> batches_;
   // Arrival time of the newest batch, and Simulator::scheduled() right after
   // its event was scheduled.

@@ -20,7 +20,7 @@ DomU::DomU(sim::Simulator& simr, std::uint64_t vm_ctx, blk::BlockLayer& dom0,
 
 void DomU::submit_io(std::uint64_t ctx, Lba vlba, std::int64_t sectors, Dir dir,
                      bool sync,
-                     iosched::CompletionFn on_complete) {
+                     iosched::BioCompletionFn on_complete) {
   assert(vlba >= 0 && vlba + sectors <= image_sectors_);
   blk::Bio bio;
   bio.lba = vlba;

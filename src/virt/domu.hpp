@@ -46,7 +46,7 @@ class DomU {
   /// completion time and the outcome (kError when the physical command
   /// failed — propagated up through the split-driver ring).
   void submit_io(std::uint64_t ctx, Lba vlba, std::int64_t sectors, Dir dir,
-                 bool sync, iosched::CompletionFn on_complete);
+                 bool sync, iosched::BioCompletionFn on_complete);
 
   /// Allocate `sectors` in the given zone of the virtual disk. Returns the
   /// starting virtual LBA. Wraps around within the zone when exhausted

@@ -127,6 +127,33 @@ TEST(BlockLayer, MergedBiosAllComplete) {
   EXPECT_GE(done.back(), done.front());
 }
 
+TEST(BlockLayer, RunCompletesEachMergedGroupWithOneCall) {
+  // Two 512-sector runs of 88-sector segments at one instant on an idle
+  // disk. The first run's first segment dispatches alone, its second
+  // starts a request and the last four merge into that one; the second
+  // run starts a request and merges its other five.
+  Rig r;
+  std::vector<std::uint32_t> counted;
+  int per_bio = 0;
+  const auto run = [&r](disk::Lba lba, iosched::BioCompletionFn done) {
+    Bio b;
+    b.lba = lba;
+    b.sectors = 512;
+    b.on_complete = std::move(done);
+    r.layer.submit_segments(std::move(b), 88);
+  };
+  run(0, [&counted](Time, IoStatus, std::uint32_t bios) { counted.push_back(bios); });
+  run(1 << 20, [&per_bio](Time, IoStatus) { ++per_bio; });
+  r.simr.run();
+  // A counted callback is called once per request, with the number of the
+  // run's segments it carries; a per-bio one runs once per segment.
+  EXPECT_EQ(counted, (std::vector<std::uint32_t>{1, 5}));
+  EXPECT_EQ(per_bio, 6);
+  EXPECT_EQ(r.layer.counters().bios_submitted, 12u);
+  EXPECT_EQ(r.layer.counters().back_merges, 9u);
+  EXPECT_EQ(r.layer.counters().requests_completed, 3u);
+}
+
 TEST(BlockLayer, SwitchSchedulerPreservesRequests) {
   Rig r(SchedulerKind::kCfq);
   int completed = 0;

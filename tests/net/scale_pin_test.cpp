@@ -8,10 +8,12 @@
 //
 // The same runs pin the deterministic work counts next to the event count:
 // the water-fill's re-levels, flows re-leveled, bottleneck rounds and link
-// visits, and the job's full progress sums. These are the terms that grew
-// faster than the cluster before the water-fill became component-local and
-// the progress check incremental (DESIGN.md §8.5, §8.8); if one comes back,
-// it fails here as a count rather than as wall-clock noise.
+// visits, the job's full progress sums, and the kick() calls of every block
+// layer. The first four are the terms that grew faster than the cluster
+// before the water-fill became component-local and the progress check
+// incremental (DESIGN.md §8.5, §8.8); the kicks halved when the ring and
+// the drive stopped asking a full sink's layer for more (§8.6). If one comes
+// back, it fails here as a count rather than as wall-clock noise.
 //
 // The same runs check byte conservation at 8, 16 and 32 hosts: the shuffle
 // moves exactly the map output, and a sort writes exactly its input.
@@ -22,6 +24,7 @@
 #include "cluster/cluster.hpp"
 #include "mapred/job.hpp"
 #include "net/flow_network.hpp"
+#include "virt/physical_host.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace iosim {
@@ -32,7 +35,19 @@ struct ScaleRun {
   std::uint64_t events = 0;
   net::FlowNetwork::Work net;
   std::uint64_t progress_sums = 0;
+  std::uint64_t kicks = 0;  // every Dom0 and guest block layer
 };
+
+/// kick() calls of every block layer in the cluster.
+std::uint64_t cluster_kicks(cluster::Cluster& cl) {
+  std::uint64_t kicks = 0;
+  for (std::size_t h = 0; h < cl.n_hosts(); ++h) {
+    virt::PhysicalHost& host = cl.host(h);
+    kicks += host.dom0_layer().kicks();
+    for (std::size_t v = 0; v < host.vm_count(); ++v) kicks += host.vm(v).layer().kicks();
+  }
+  return kicks;
+}
 
 /// 16 MiB per VM is less than one 64 MiB HDFS block, and JobConf rounds
 /// each VM's input up to whole blocks, so every VM reads one full block:
@@ -54,7 +69,8 @@ ScaleRun run_sort(int hosts) {
   job.run();
   cl.simr().run();
   EXPECT_TRUE(job.done()) << hosts << " hosts: " << job.failure();
-  return {job.stats(), cl.simr().executed(), cl.env().net->work(), job.progress_sums()};
+  return {job.stats(), cl.simr().executed(), cl.env().net->work(), job.progress_sums(),
+          cluster_kicks(cl)};
 }
 
 struct ScalePin {
@@ -68,14 +84,15 @@ struct ScalePin {
   std::uint64_t events;
   net::FlowNetwork::Work net;
   std::uint64_t progress_sums;
+  std::uint64_t kicks;
 };
 
 constexpr ScalePin kScalePins[] = {
-    {8, false, 0, 0, 0, 0, 0, 0, {}, 0},
+    {8, false, 0, 0, 0, 0, 0, 0, {}, 0, 0},
     {16, true, 45'447'357'104, 46'419'072'256, 51'775'043'718, 4'294'967'296,
-     4'294'967'296, 324'548, {17'952, 45'549, 15'359, 58'711}, 195},
+     4'294'967'296, 324'548, {17'952, 45'549, 15'359, 58'711}, 195, 561'663},
     {32, true, 49'236'044'311, 50'196'626'164, 57'029'519'183, 8'589'934'592,
-     8'589'934'592, 666'131, {68'896, 259'267, 81'324, 912'176}, 392},
+     8'589'934'592, 666'131, {68'896, 259'267, 81'324, 912'176}, 392, 1'139'910},
 };
 
 TEST(ScalePins, SortIsPinnedAndConservesBytes) {
@@ -101,6 +118,7 @@ TEST(ScalePins, SortIsPinnedAndConservesBytes) {
     EXPECT_EQ(r.net.rounds, pin.net.rounds) << pin.hosts << " hosts";
     EXPECT_EQ(r.net.link_visits, pin.net.link_visits) << pin.hosts << " hosts";
     EXPECT_EQ(r.progress_sums, pin.progress_sums) << pin.hosts << " hosts";
+    EXPECT_EQ(r.kicks, pin.kicks) << pin.hosts << " hosts";
   }
 }
 

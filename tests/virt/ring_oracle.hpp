@@ -16,10 +16,13 @@
 //   * with `observe` set (the default), the tracer's whole export too: every
 //     per-bio hook (bio submit and merge instants, request spans, the
 //     held-bio count at a drained switch) fires as on the per-segment ring.
-// Only Simulator::executed() may differ, and must be lower with the
-// production ring. The production ring hands each guest request to Dom0 in
-// one BlockLayer::submit_segments call; the legacy ring submits one bio per
-// segment, so the rig also checks that the batched Dom0 entry is exact.
+// Only Simulator::executed() and the guest layers' kick() counts may
+// differ, and must be lower with the production ring (the kicks only once a
+// ring overfilled: below its slots it asks for more after every segment,
+// as the legacy ring does). The production ring hands each guest request
+// to Dom0 in one BlockLayer::submit_segments call; the legacy ring submits
+// one bio per segment, so the rig also checks that the batched Dom0 entry
+// is exact.
 //
 // Two drives: `kSeek`, the default seek/rotate/transfer model, and
 // `kInstant`, a drive with zero service time. A Dom0 request carries the
@@ -115,6 +118,7 @@ struct Outcome {
   std::string trace;         // Chrome JSON export; empty unless observed
   std::int64_t held_bios = 0;  // bios held behind Dom0 switches (traced)
   std::uint64_t executed = 0;
+  std::uint64_t guest_kicks = 0;  // kick() calls of every guest layer
   std::int64_t end_ns = 0;
 };
 
@@ -291,7 +295,10 @@ Outcome run_case(const OracleCase& c) {
     });
   }
   o.counters.push_back(dom0.counters());
-  for (const auto& g : guests) o.counters.push_back(g->counters());
+  for (const auto& g : guests) {
+    o.counters.push_back(g->counters());
+    o.guest_kicks += g->kicks();
+  }
   o.executed = simr.executed();
   o.end_ns = simr.now().ns();
   return o;
@@ -329,6 +336,21 @@ inline std::vector<std::array<std::int64_t, 3>> dom0_dispatches(const Outcome& o
   return out;
 }
 
+/// Whether some ring held more segments than it has slots at a sampled
+/// instant (a ring takes a guest request while it has a free slot, so it
+/// may overshoot by up to one request's segments). Every ring's occupancy
+/// is sampled at each Dom0 dispatch, and Dom0 dispatches a segment before
+/// it can return, so an overfull ring is always sampled. Its next returned
+/// segment leaves it still full.
+inline bool ring_overfilled(const Outcome& o) {
+  for (const RingSample& s : o.ring_samples) {
+    for (const int n : s.outstanding) {
+      if (n > RingParams{}.slots) return true;
+    }
+  }
+  return false;
+}
+
 /// Run one case on both rings and require identical observables. Returns
 /// the production ring's outcome, so callers can check the case exercised
 /// what it was built for.
@@ -352,6 +374,14 @@ inline Outcome expect_rings_agree(const OracleCase& c) {
   EXPECT_EQ(fresh.held_bios, legacy.held_bios);
   EXPECT_EQ(fresh.end_ns, legacy.end_ns);
   EXPECT_LT(fresh.executed, legacy.executed);
+  // The legacy ring asks its guest layer for more after every returned
+  // segment; the production ring skips that when the ring is still full,
+  // where the guest's kick() would return at once. So it kicks no more
+  // often, and strictly less often once a ring overfilled.
+  EXPECT_LE(fresh.guest_kicks, legacy.guest_kicks);
+  if (ring_overfilled(fresh)) {
+    EXPECT_LT(fresh.guest_kicks, legacy.guest_kicks);
+  }
   return fresh;
 }
 

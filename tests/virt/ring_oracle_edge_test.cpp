@@ -9,7 +9,8 @@
 //   * a queued request of the same VM already holds an intermediate
 //     segment's end key (overlapping guest LBAs), so the merge index sends
 //     the next segment to that request;
-//   * Dom0 elevator switches, whose drain and freeze hold whole runs back.
+//   * Dom0 elevator switches, whose drain and freeze hold whole runs back;
+//   * a burst that overfills the ring, so returns leave it full.
 // Every case runs with and without the auditor, attribution and tracer.
 #include <array>
 #include <cstdint>
@@ -95,6 +96,26 @@ TEST(RingOracleEdgeKeys, QueuedRequestHoldsAnIntermediateEndKey) {
       EXPECT_EQ(dom0_dispatches(expect_rings_agree(c)),
                 (Dispatches{{1 << 20, 8, 1}, {0, 264, 3}, {0, 176, 2}}));
     }
+  }
+}
+
+TEST_P(RingOracleEdge, OverfullRingSkipsGuestKicks) {
+  for (const bool observe : {true, false}) {
+    SCOPED_TRACE(label(pair(), observe));
+    // Eight 512-sector writes at one instant, six segments each: the ring
+    // takes a request while it has a free slot, so it ends up holding 36
+    // segments in its 32 slots, and its first returns leave it full. The
+    // production ring skips those returns' guest kicks (the rig requires
+    // strictly fewer); the legacy ring kicks a full ring after every one.
+    OracleCase c{pair()};
+    c.observe = observe;
+    for (std::uint64_t task = 1; task <= 8; ++task) {
+      GuestBio g = read(task, static_cast<disk::Lba>(task) << 16, 512);
+      g.dir = iosched::Dir::kWrite;
+      g.sync = false;
+      c.stream.push_back(g);
+    }
+    EXPECT_TRUE(ring_overfilled(expect_rings_agree(c)));
   }
 }
 
