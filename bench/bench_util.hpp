@@ -25,12 +25,6 @@ using cluster::ClusterConfig;
 using iosched::SchedulerKind;
 using iosched::SchedulerPair;
 
-/// Scheduler order used by the paper's tables: cfq, deadline, anticipatory,
-/// noop.
-inline constexpr SchedulerKind kPaperOrder[4] = {
-    SchedulerKind::kCfq, SchedulerKind::kDeadline, SchedulerKind::kAnticipatory,
-    SchedulerKind::kNoop};
-
 /// The paper's testbed: 4 physical nodes, 4 VMs each, 512 MB per data node.
 inline ClusterConfig paper_cluster() { return ClusterConfig{}; }
 

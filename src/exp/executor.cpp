@@ -198,7 +198,7 @@ ExecResult execute_all(const std::vector<RunTask>& tasks, const RunFn& fn,
       const RunTask& task = tasks[i];
       double dt = 0.0;
       RunOutput out = run_with_retries(fn, task, opts, wd, slot, &dt);
-      if (!out.ok && opts.cancel_on_failure) {
+      if (!out.ok) {
         cancelled.store(true, std::memory_order_relaxed);
       }
       std::lock_guard<std::mutex> lock(mu);

@@ -91,12 +91,12 @@ struct ExecutorOptions {
   /// Worker threads, clamped to the task count. <= 1 runs the worker loop
   /// inline on the calling thread.
   int workers = 1;
-  bool cancel_on_failure = true;
   /// Per-run wall-clock watchdog; 0 disables. The monitor is its own thread,
   /// so it also stops runs executing inline at one worker.
   double run_timeout_seconds = 0.0;
   /// Infra-failure retries per run (0 = fail on first attempt). The n-th
-  /// retry waits retry_backoff_seconds * 2^(n-1), capped at 10 s.
+  /// retry waits retry_backoff_seconds * 2^(n-1), capped at 10 s; tests set
+  /// the backoff to 0 so a retried run does not sleep.
   int max_retries = 0;
   double retry_backoff_seconds = 0.5;
   /// External cancellation (signal handler flag). When it becomes true,
@@ -115,7 +115,7 @@ struct ExecResult {
   std::size_t completed = 0;  // ran and succeeded
   std::size_t failed = 0;     // ran and reported !ok (or threw)
   std::size_t skipped = 0;    // never claimed; completed+failed+skipped = total
-  bool cancelled = false;     // cancel_on_failure tripped
+  bool cancelled = false;     // a failed run stopped new claims
   bool interrupted = false;   // opts.cancel kept a run from starting
   /// Failure diagnostic of the failed run with the smallest run_index (the
   /// deterministic representative even if several fail concurrently).

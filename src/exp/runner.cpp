@@ -5,10 +5,22 @@
 #include "core/online_scheduler.hpp"
 #include "tenancy/stream_runner.hpp"
 #include "workloads/benchmarks.hpp"
+#include "workloads/microbench.hpp"
 
 namespace iosim::exp {
 
 namespace {
+
+/// Progress sentinel: spec budgets bound a livelocked event loop
+/// deterministically, and the executor's watchdog (when armed) reaches the
+/// loop through the per-run abort flag.
+sim::SimBudget budget_of(const ScenarioPoint& pt) {
+  sim::SimBudget b;
+  b.max_events = pt.max_events;
+  if (pt.max_sim_seconds > 0) b.max_sim_time = sim::Time::from_sec_f(pt.max_sim_seconds);
+  b.abort = current_run_abort();
+  return b;
+}
 
 cluster::ClusterConfig cluster_of(const ScenarioPoint& pt, std::uint64_t seed) {
   cluster::ClusterConfig cfg;
@@ -17,14 +29,7 @@ cluster::ClusterConfig cluster_of(const ScenarioPoint& pt, std::uint64_t seed) {
   cfg.pair = pt.pair;
   cfg.faults = pt.faults;
   cfg.seed = seed;
-  // Progress sentinel: spec budgets bound a livelocked event loop
-  // deterministically, and the executor's watchdog (when armed) reaches the
-  // loop through the per-run abort flag.
-  cfg.budget.max_events = pt.max_events;
-  if (pt.max_sim_seconds > 0) {
-    cfg.budget.max_sim_time = sim::Time::from_sec_f(pt.max_sim_seconds);
-  }
-  cfg.budget.abort = current_run_abort();
+  cfg.budget = budget_of(pt);
   return cfg;
 }
 
@@ -38,9 +43,47 @@ void note_run_failure(RunOutput* out, const cluster::RunResult& r) {
                       r.stop == sim::StopReason::kTimeBudget);
 }
 
+/// mode=sysbench and mode=switchcost: sysbench seqwr or dd runs on one
+/// host, every one seeded with the run's seed. Stops at the first run a
+/// budget cut short.
+RunOutput execute_single_host(const ScenarioPoint& pt, std::uint64_t seed) {
+  RunOutput out;
+  const std::int64_t bytes = pt.mb * mapred::kMiB;
+  const sim::SimBudget budget = budget_of(pt);
+  const auto run = [&](const std::string& name, const workloads::SeqWriteParams& p,
+                       std::optional<iosched::SchedulerPair> to) {
+    const auto r = workloads::run_single_host({}, pt.pair, pt.vms, seed, p, to, budget);
+    if (r.stop != sim::StopReason::kDrained) {
+      out.ok = false;
+      out.error = name + " stopped early: " + sim::to_string(r.stop);
+      out.infra_failure = (r.stop == sim::StopReason::kAborted);
+      out.budget_stop = !out.infra_failure;
+      return false;
+    }
+    out.metrics.emplace_back(name, r.elapsed.sec());
+    return true;
+  };
+  if (pt.mode == RunMode::kSysbench) {
+    workloads::SeqWriteParams p;  // sysbench seqwr defaults
+    p.bytes_per_vm = bytes;
+    run("seconds", p, std::nullopt);
+    return out;
+  }
+  const auto p = workloads::dd_params(bytes);
+  if (!run("seconds", p, std::nullopt) || !run("self_seconds", p, pt.pair)) return out;
+  for (const auto& to : iosched::all_scheduler_pairs()) {
+    if (to == pt.pair) continue;
+    if (!run("to_" + to.letters() + "_seconds", p, to)) return out;
+  }
+  return out;
+}
+
 }  // namespace
 
 RunOutput execute_point(const ScenarioPoint& pt, std::uint64_t seed) {
+  if (is_single_host(pt.mode)) {
+    return execute_single_host(pt, seed);
+  }
   RunOutput out;
   const auto model = workloads::by_name(pt.workload);
   if (!model) {  // unreachable after a successful spec parse; belt and braces

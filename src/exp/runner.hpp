@@ -3,8 +3,10 @@
 // execute_point is the RunFn body of the experiment engine: it builds a
 // private ClusterConfig + JobConf from the scenario point, runs either a
 // plain job (mode=run) or the full meta-scheduler pipeline (mode=adapt),
-// and returns the mode's fixed metric list. It holds no state — safe to
-// call concurrently from executor workers.
+// or runs a single-host microbenchmark on workloads::run_single_host
+// (mode=sysbench, mode=switchcost), and returns the mode's fixed metric
+// list. It holds no state — safe to call concurrently from executor
+// workers.
 #pragma once
 
 #include "exp/executor.hpp"
@@ -19,6 +21,13 @@ namespace iosim::exp {
 ///             shuffle_tail_pct (JobStats::shuffle_tail_pct, Table II)
 /// mode=adapt: adaptive_seconds, default_seconds, best_single_seconds,
 ///             gain_vs_default_pct, gain_vs_best_pct, heuristic_evals
+/// mode=sysbench: seconds (sysbench seqwr, mb MB per VM, all VMs done)
+/// mode=switchcost: seconds (dd, mb MB per VM, T(pair) alone),
+///             self_seconds (switched to pair itself at half the data),
+///             then to_<xy>_seconds for the 15 other pairs xy in
+///             all_scheduler_pairs() order. Cost(a,b) = T(a->b) -
+///             (T(a) + T(b))/2 derives from these: `seconds` of the
+///             pair=b point is T(b)
 /// stream points (stream_text set): seconds (= stream makespan),
 ///             jobs_completed, jobs_failed, sla_violations, then per class
 ///             <name>_jobs, <name>_p50_s, <name>_p95_s, <name>_p99_s,

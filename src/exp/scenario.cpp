@@ -145,12 +145,13 @@ std::string Expectation::to_string() const {
 }
 
 const char* to_string(RunMode m) {
-  return m == RunMode::kRun ? "run" : "adapt";
+  constexpr const char* kNames[] = {"run", "adapt", "sysbench", "switchcost"};
+  return kNames[static_cast<int>(m)];
 }
 
 std::string ScenarioPoint::label() const {
-  std::string s = workload;
-  s += " h" + std::to_string(hosts);
+  std::string s =
+      is_single_host(mode) ? exp::to_string(mode) : workload + " h" + std::to_string(hosts);
   s += " v" + std::to_string(vms);
   s += " " + std::to_string(mb) + "MB";
   s += " (" + std::string(1, iosched::to_letter(pair.vmm)) + "," +
@@ -180,14 +181,14 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     return true;
   }
   if (key == "mode") {
-    if (value == "run") {
-      mode = RunMode::kRun;
-    } else if (value == "adapt") {
-      mode = RunMode::kAdapt;
-    } else {
-      return fail("bad mode '" + std::string(value) + "' (run|adapt)");
+    for (const RunMode m : {RunMode::kRun, RunMode::kAdapt, RunMode::kSysbench,
+                            RunMode::kSwitchcost}) {
+      if (value == exp::to_string(m)) {
+        mode = m;
+        return true;
+      }
     }
-    return true;
+    return fail("bad mode '" + std::string(value) + "' (run|adapt|sysbench|switchcost)");
   }
   if (key == "base_seed") {
     if (!lex::parse_u64(value, &base_seed)) {
@@ -426,6 +427,26 @@ bool ScenarioSpec::validate(std::string* error) const {
     }
     return false;
   }();
+  const bool any_meta = [&] {
+    for (const auto& m : metas) {
+      if (!m.empty()) return true;
+    }
+    return false;
+  }();
+  if (is_single_host(mode)) {
+    // A microbenchmark on one PhysicalHost: no cluster, no job, no stream.
+    const std::string m = "mode=" + std::string(exp::to_string(mode));
+    const bool any_fault = std::any_of(faults.begin(), faults.end(),
+                                       [](const auto& f) { return !f.second.empty(); });
+    if (hosts != std::vector<int>{1}) return fail(m + " requires hosts=1 (one physical host)");
+    if (workloads.size() > 1) return fail(m + " ignores workload; give at most one");
+    if (any_fault) return fail(m + " takes no fault= axis");
+    if (any_stream) return fail(m + " takes no stream= axis");
+    if (!(stream_policies.size() == 1 && stream_policies[0].empty())) {
+      return fail(m + " takes no stream_policy= axis");
+    }
+    if (any_meta) return fail(m + " takes no meta= axis");
+  }
   if (any_stream && mode == RunMode::kAdapt) {
     return fail("stream= requires mode=run (the meta-scheduler pipeline is "
                 "single-job)");
@@ -433,12 +454,6 @@ bool ScenarioSpec::validate(std::string* error) const {
   if (!any_stream && !(stream_policies.size() == 1 && stream_policies[0].empty())) {
     return fail("stream_policy= without a stream= axis");
   }
-  const bool any_meta = [&] {
-    for (const auto& m : metas) {
-      if (!m.empty()) return true;
-    }
-    return false;
-  }();
   if (!any_stream && any_meta) {
     return fail("meta= without a stream= axis");
   }

@@ -17,8 +17,20 @@
 // an error:
 //
 //   name=fig7a            identifier used for BENCH_<name>.json
-//   mode=run|adapt        run: one job per point with the fixed pair
+//   mode=run|adapt|sysbench|switchcost
+//                         run: one job per point with the fixed pair
 //                         adapt: full meta-scheduler pipeline per point
+//                         sysbench: one sysbench seqwr run per point (Fig.
+//                         1): vms writers on one host, mb MB each
+//                         switchcost: per point the dd switch-cost row of
+//                         its pair (Fig. 5): T(pair) alone, then switched
+//                         to each of the 16 pairs at half of the mb MB
+//                         per VM. Both are single-host microbenchmarks:
+//                         they require hosts=1, reject a non-empty fault=,
+//                         stream=, stream_policy= or meta= axis, ignore
+//                         workload (at most one value; the point label
+//                         leaves it out) and seed the host with each run's
+//                         seed directly
 //   base_seed=N           root of the per-run seed derivation (default 1)
 //   repeats=N             seeds per scenario point (default 3)
 //   seed_mode=run|repeat  run (default): every run in the matrix gets its
@@ -84,9 +96,16 @@
 namespace iosim::exp {
 
 enum class RunMode : std::uint8_t {
-  kRun = 0,    // one plain job execution per run
-  kAdapt = 1,  // full meta-scheduler pipeline (profile + search + final run)
+  kRun = 0,         // one plain job execution per run
+  kAdapt = 1,       // full meta-scheduler pipeline (profile + search + final run)
+  kSysbench = 2,    // one sysbench seqwr run on a single host (Fig. 1)
+  kSwitchcost = 3,  // one switch-cost row on a single host (Fig. 5)
 };
+
+/// The single-host microbenchmark modes, which ignore the cluster axes.
+inline bool is_single_host(RunMode m) {
+  return m == RunMode::kSysbench || m == RunMode::kSwitchcost;
+}
 
 const char* to_string(RunMode m);
 
@@ -114,7 +133,8 @@ struct ScenarioPoint {
   double max_sim_seconds = 0.0;
 
   /// Stable human id of the point: "sort h4 v4 512MB (c,c)" plus the fault
-  /// text when present. Unique within one spec's expansion.
+  /// text when present; "sysbench v3 1024MB (c,c)" for a single-host mode.
+  /// Unique within one spec's expansion.
   std::string label() const;
 };
 

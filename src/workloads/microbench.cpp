@@ -131,7 +131,31 @@ SeqWriteResult run_seq_writers(sim::Simulator& simr, virt::PhysicalHost& host,
 
   simr.run();
   res.elapsed = simr.now();
+  res.stop = simr.stop_reason();
   return res;
+}
+
+SeqWriteResult run_single_host(const virt::HostConfig& host, iosched::SchedulerPair boot,
+                               int vms, std::uint64_t seed, SeqWriteParams p,
+                               std::optional<iosched::SchedulerPair> switch_to,
+                               const sim::SimBudget& budget) {
+  sim::Simulator simr;
+  simr.set_budget(budget);
+  virt::HostConfig hc = host;
+  hc.dom0_blk.scheduler = boot.vmm;
+  hc.domu.guest_blk.scheduler = boot.guest;
+  virt::PhysicalHost ph(simr, hc, /*host_id=*/0, /*vm_ctx_base=*/0, seed);
+  for (int v = 0; v < vms; ++v) ph.add_vm();
+  if (switch_to) {
+    p.on_progress = [&ph, to = *switch_to, switched = false](std::int64_t done,
+                                                             std::int64_t total) mutable {
+      if (!switched && done * 2 >= total) {
+        switched = true;
+        ph.set_pair(to);
+      }
+    };
+  }
+  return run_seq_writers(simr, ph, p);
 }
 
 }  // namespace iosim::workloads

@@ -4,6 +4,8 @@
 // (sysbench fileio seqwr: per-VM process sequentially writing 1 GB across
 // 16 files) and Section IV-B's switch-cost methodology (dd: 600 MB of
 // zeroes written in parallel on every VM of one physical machine).
+// run_single_host is the one rig both run on (the spec engine's
+// mode=sysbench and mode=switchcost points).
 //
 // sysbench seqwr's defaults matter for the shape: 16 KB write requests and
 // an fsync every 100 requests. Each fsync is a synchronous barrier — the
@@ -14,6 +16,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "virt/physical_host.hpp"
@@ -38,14 +41,17 @@ struct SeqWriteParams {
   /// Journal commit write issued by each fsync (ext3 commit record).
   std::int64_t journal_bytes = 64 * 1024;
   /// Observer: cluster-wide (bytes_done, bytes_total) after every barrier
-  /// or file completion. Used by the switch-cost harness to trigger a
-  /// mid-run scheduler switch.
+  /// or file completion. run_single_host uses it to trigger a mid-run
+  /// scheduler switch.
   std::function<void(std::int64_t, std::int64_t)> on_progress;
 };
 
 struct SeqWriteResult {
   sim::Time elapsed;                   // all VMs finished
   std::vector<sim::Time> per_vm_done;  // per-VM completion times
+  /// kDrained unless a budget installed on the simulator stopped the run
+  /// first (then `elapsed` is where it stopped).
+  sim::StopReason stop = sim::StopReason::kDrained;
 };
 
 /// Run one sequential writer per VM of `host`; returns once the simulator
@@ -53,6 +59,16 @@ struct SeqWriteResult {
 /// simulator driving the host.
 SeqWriteResult run_seq_writers(sim::Simulator& simr, virt::PhysicalHost& host,
                                const SeqWriteParams& p);
+
+/// One run of `p` on a fresh single-host rig: a PhysicalHost built from
+/// `host` with `boot` installed, `vms` VMs and the raw `seed`, one writer
+/// per VM. With `switch_to`, the whole host switches to that pair once half
+/// of the data is written (Section IV-B's switch-cost methodology). The
+/// simulation runs under `budget`.
+SeqWriteResult run_single_host(const virt::HostConfig& host, iosched::SchedulerPair boot,
+                               int vms, std::uint64_t seed, SeqWriteParams p,
+                               std::optional<iosched::SchedulerPair> switch_to = std::nullopt,
+                               const sim::SimBudget& budget = {});
 
 /// dd-style parameters: one big file, no periodic fsync, large requests.
 inline SeqWriteParams dd_params(std::int64_t bytes_per_vm) {

@@ -91,11 +91,12 @@ TEST(Executor, SerialCancelsOnFirstFailure) {
 
 TEST(Executor, ParallelCancelKeepsDeterministicFirstError) {
   // Several runs fail; the reported representative must be the smallest
-  // failing run_index regardless of completion interleaving.
+  // failing run_index regardless of completion interleaving. Runs are
+  // claimed in index order and a claimed run always completes, so run 5 is
+  // recorded even when a later failure cancels the sweep first.
   const auto tasks = synthetic_tasks(32);
   ExecutorOptions opts;
   opts.workers = 8;
-  opts.cancel_on_failure = false;  // let every failure land
   const auto res = execute_all(
       tasks,
       [](const RunTask& t) {
@@ -107,8 +108,8 @@ TEST(Executor, ParallelCancelKeepsDeterministicFirstError) {
         return o;
       },
       opts);
-  EXPECT_EQ(res.failed, 4u);
-  EXPECT_EQ(res.skipped, 0u);
+  EXPECT_TRUE(res.cancelled);
+  EXPECT_GE(res.failed, 1u);
   EXPECT_EQ(res.first_error_run, 5u);
   EXPECT_EQ(res.first_error, "fail@5");
 }

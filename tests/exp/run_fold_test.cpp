@@ -3,6 +3,8 @@
 // computed with cluster::run_job / run_job_avg at derive_run_seed(base, i).
 // Fig 6, Fig 8 and Table II are judged on these metrics, so a drift between
 // the spec path and the cluster runner would silently change the figures.
+// Likewise the single-host modes (Fig 1, Fig 5) against
+// workloads::run_single_host at the run's raw seed.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +16,7 @@
 #include "exp/scenario.hpp"
 #include "sim/random.hpp"
 #include "workloads/benchmarks.hpp"
+#include "workloads/microbench.hpp"
 
 namespace iosim::exp {
 namespace {
@@ -91,6 +94,57 @@ TEST(RunFold, RepeatsMatchRunJobAndTheirMeanMatchesRunJobAvg) {
     }
     EXPECT_EQ(pa.metrics[5].name, "shuffle_tail_pct");
   }
+}
+
+ScenarioPoint single_host_point(const char* text) {
+  std::string err;
+  const auto spec = ScenarioSpec::parse(text, &err);
+  EXPECT_TRUE(spec.has_value()) << err;
+  return spec ? spec->expand().at(0) : ScenarioPoint{};
+}
+
+TEST(RunFold, SysbenchPointIsOneRigRun) {
+  const ScenarioPoint pt = single_host_point("mode=sysbench\npair=ad\nhosts=1\nvms=2\nmb=16\n");
+  EXPECT_EQ(pt.label(), "sysbench v2 16MB (a,d)");
+  const RunOutput out = execute_point(pt, 77);
+  ASSERT_TRUE(out.ok) << out.error;
+  ASSERT_EQ(out.metrics.size(), 1u);
+  workloads::SeqWriteParams p;
+  p.bytes_per_vm = 16 * mapred::kMiB;
+  EXPECT_EQ(metric(out, "seconds"),
+            workloads::run_single_host({}, pt.pair, 2, 77, p).elapsed.sec());
+}
+
+TEST(RunFold, SwitchcostPointMeasuresOneRow) {
+  const ScenarioPoint pt =
+      single_host_point("mode=switchcost\npair=cc\nhosts=1\nvms=2\nmb=32\n");
+  const RunOutput out = execute_point(pt, 42);
+  ASSERT_TRUE(out.ok) << out.error;
+  // T(cc) alone, T(cc -> cc), then T(cc -> xy) for the 15 other pairs.
+  ASSERT_EQ(out.metrics.size(), 17u);
+  EXPECT_EQ(out.metrics[0].first, "seconds");
+  EXPECT_EQ(out.metrics[1].first, "self_seconds");
+  EXPECT_EQ(out.metrics[2].first, "to_nn_seconds");
+  EXPECT_EQ(out.metrics[16].first, "to_ca_seconds");
+  // The diagonal is non-zero: re-issuing the same pair costs time.
+  EXPECT_GT(metric(out, "self_seconds"), metric(out, "seconds"));
+  const auto dd = workloads::dd_params(32 * mapred::kMiB);
+  const iosched::SchedulerPair to{iosched::SchedulerKind::kDeadline,
+                                  iosched::SchedulerKind::kNoop};
+  EXPECT_EQ(metric(out, "to_dn_seconds"),
+            workloads::run_single_host({}, pt.pair, 2, 42, dd, to).elapsed.sec());
+  const RunOutput again = execute_point(pt, 42);
+  EXPECT_EQ(again.metrics, out.metrics);
+}
+
+TEST(RunFold, SingleHostPointStopsAtItsEventBudget) {
+  const RunOutput out = execute_point(
+      single_host_point("mode=switchcost\nhosts=1\nvms=2\nmb=32\nmax_events=10\n"), 42);
+  EXPECT_FALSE(out.ok);
+  EXPECT_TRUE(out.budget_stop);
+  EXPECT_FALSE(out.infra_failure);
+  EXPECT_TRUE(out.metrics.empty());  // the first (solo) run already stopped
+  EXPECT_NE(out.error.find("seconds stopped early"), std::string::npos) << out.error;
 }
 
 }  // namespace

@@ -375,6 +375,58 @@ TEST(ScenarioSpec, StreamAxisRejectsBadInput) {
 }
 
 
+TEST(ScenarioSpec, SingleHostModesParseAndRoundTrip) {
+  for (const char* mode : {"sysbench", "switchcost"}) {
+    SCOPED_TRACE(mode);
+    std::string err;
+    const auto s = ScenarioSpec::parse(std::string("mode=") + mode +
+                                           "\npair=cc,ad\nhosts=1\nvms=1,3\nmb=1024\n",
+                                       &err);
+    ASSERT_TRUE(s.has_value()) << err;
+    EXPECT_TRUE(is_single_host(s->mode));
+    EXPECT_STREQ(to_string(s->mode), mode);
+    const auto rt = ScenarioSpec::parse(s->to_string(), &err);
+    ASSERT_TRUE(rt.has_value()) << err;
+    EXPECT_EQ(rt->to_string(), s->to_string());
+    EXPECT_EQ(rt->fingerprint(), s->fingerprint());
+    // The label leaves out the ignored workload (and the one host).
+    const auto pts = s->expand();
+    ASSERT_EQ(pts.size(), 4u);
+    EXPECT_EQ(pts[2].label(), std::string(mode) + " v3 1024MB (c,c)");
+  }
+}
+
+TEST(ScenarioSpec, SingleHostModesRejectClusterAxes) {
+  const std::string kStream(kStreamText);
+  // Each rejection, with the phrase its one-line diagnostic must carry.
+  const std::pair<std::string, const char*> kBad[] = {
+      {"hosts=2\n", "requires hosts=1"},
+      {"hosts=1,2\n", "requires hosts=1"},
+      {"hosts=1\nworkload=sort,wc\n", "at most one"},
+      {"hosts=1\nfault=none|failslow:host=0,factor=2\n", "no fault= axis"},
+      {"hosts=1\nstream=" + kStream + "\n", "no stream= axis"},
+      {"hosts=1\nstream_policy=fair\n", "no stream_policy= axis"},
+      {"hosts=1\nmeta=policy=ucb\n", "no meta= axis"},
+  };
+  for (const char* mode : {"sysbench", "switchcost"}) {
+    for (const auto& [body, phrase] : kBad) {
+      SCOPED_TRACE(std::string(mode) + ": " + body);
+      std::string err;
+      EXPECT_FALSE(
+          ScenarioSpec::parse(std::string("mode=") + mode + "\n" + body, &err).has_value());
+      EXPECT_NE(err.find(std::string("mode=") + mode), std::string::npos) << err;
+      EXPECT_NE(err.find(phrase), std::string::npos) << err;
+      EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+    }
+  }
+  // fault=none is the fault-free point, not an axis to reject.
+  EXPECT_TRUE(ScenarioSpec::parse("mode=sysbench\nhosts=1\nfault=none\n").has_value());
+  std::string err;
+  EXPECT_FALSE(ScenarioSpec::parse("mode=fio\n", &err).has_value());
+  EXPECT_NE(err.find("run|adapt|sysbench|switchcost"), std::string::npos) << err;
+}
+
+
 // The three text grammars, pinned as the committed inputs parse today:
 // every bench spec's resume fingerprint and canonical text, and for every
 // fuzz corpus document whether it is accepted and what canonical text it
@@ -390,7 +442,9 @@ struct GrammarPin {
 };
 
 constexpr GrammarPin kGrammarPins[] = {
+    {"bench/specs/fig1.spec", true, 0x0f215e014079beabULL, 0x282564e24dbd42edULL},
     {"bench/specs/fig2.spec", true, 0xe4f6000ea0363e7bULL, 0xdd0bd41de76ecf71ULL},
+    {"bench/specs/fig5.spec", true, 0x836698e6a2dfa4f1ULL, 0xd4d52f86a2fd5c29ULL},
     {"bench/specs/fig8.spec", true, 0xec61644734fcfe56ULL, 0xe78583bf15a69103ULL},
     {"bench/specs/fig7_degraded.spec", true, 0x13faa0acfe7dfb44ULL, 0x7416dd306043194eULL},
     {"bench/specs/fig7_online.spec", true, 0xf8f529f529acada5ULL, 0xdb9f297a344af465ULL},
@@ -415,6 +469,8 @@ constexpr GrammarPin kGrammarPins[] = {
     {"tests/fuzz/corpus/scenario/regress-axis-product-overflow.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
     {"tests/fuzz/corpus/scenario/regress-nonfinite-timeout.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
     {"tests/fuzz/corpus/scenario/stream-axis.txt", true, 0x66d7de08a378852cULL, 0x38caf4d6346055b0ULL},
+    {"tests/fuzz/corpus/scenario/switchcost-basic.txt", true, 0x43871deea7360c5fULL, 0x70f9789525763ae3ULL},
+    {"tests/fuzz/corpus/scenario/sysbench-basic.txt", true, 0xfbfc2c869ad1df83ULL, 0xa352708f93f184eeULL},
     {"tests/fuzz/corpus/stream/admit-gate.txt", true, 0x0000000000000000ULL, 0xd6b9a55c11d829f4ULL},
     {"tests/fuzz/corpus/stream/adversarial-admit.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
     {"tests/fuzz/corpus/stream/adversarial-dup-class.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},

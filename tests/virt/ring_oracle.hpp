@@ -77,6 +77,9 @@ struct OracleCase {
   double error_p = 0.0;
   /// Install the auditor, the attribution and a tracer.
   bool observe = true;
+  /// Bursts of up to 24 bios instead of 6: enough segments at one instant
+  /// to overfill a ring whatever the elevators (see ring_overfilled).
+  bool dense = false;
   /// The Dom0 layer's merge limit (BlockLayerConfig::max_request_sectors).
   std::int64_t dom0_max_sectors = 512;
   /// Times of Dom0 elevator switches; the i-th targets the kind i + 1
@@ -135,7 +138,7 @@ inline constexpr int kBiosPerVm = 120;
 
 /// The seeded guest bio stream of one case: per guest task a sequential
 /// cursor, mixed with random placements; arrivals in bursts that often
-/// share an instant.
+/// share an instant (larger ones when `dense`).
 inline std::vector<GuestBio> make_stream(const OracleCase& c) {
   std::uint64_t rng = c.seed * 0x2545f4914f6cdd1dULL + static_cast<std::uint64_t>(c.vms);
   std::vector<GuestBio> out;
@@ -144,7 +147,7 @@ inline std::vector<GuestBio> make_stream(const OracleCase& c) {
   const int total = kBiosPerVm * c.vms;
   while (static_cast<int>(out.size()) < total) {
     t += sim::Time::from_us(static_cast<std::int64_t>(mix(rng) % 4) * 1000);
-    const int burst = 1 + static_cast<int>(mix(rng) % 6);
+    const int burst = 1 + static_cast<int>(mix(rng) % (c.dense ? 24 : 6));
     for (int b = 0; b < burst && static_cast<int>(out.size()) < total; ++b) {
       GuestBio g;
       g.at = t;

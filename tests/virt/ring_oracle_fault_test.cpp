@@ -27,17 +27,25 @@ class RingOracleFault : public ::testing::TestWithParam<int> {};
 TEST_P(RingOracleFault, MatchesPerSegmentRingUnderIoErrors) {
   const auto pair = iosched::SchedulerPair::from_index(GetParam());
   const std::uint64_t seed = fault_seed() * 31 + static_cast<std::uint64_t>(GetParam());
-  for (const bool observe : {true, false}) {
-    std::uint64_t failed = 0;
-    for (const Drive drive : {Drive::kSeek, Drive::kInstant}) {
-      for (int vms = 1; vms <= 4; ++vms) {
-        SCOPED_TRACE(pair.to_string() + " vms=" + std::to_string(vms) +
-                     (drive == Drive::kInstant ? " instant drive" : " seek drive") +
-                     (observe ? " observed" : " unobserved") + " seed=" + std::to_string(seed));
-        failed += failed_bios(expect_rings_agree({pair, vms, drive, seed, 0.05, observe}));
+  // As in the fault-free half, every dense case overfills a ring.
+  for (const bool dense : {false, true}) {
+    for (const bool observe : {true, false}) {
+      std::uint64_t failed = 0;
+      for (const Drive drive : {Drive::kSeek, Drive::kInstant}) {
+        for (int vms = 1; vms <= 4; ++vms) {
+          SCOPED_TRACE(pair.to_string() + " vms=" + std::to_string(vms) +
+                       (drive == Drive::kInstant ? " instant drive" : " seek drive") +
+                       (observe ? " observed" : " unobserved") + (dense ? " dense" : "") +
+                       " seed=" + std::to_string(seed));
+          const Outcome o = expect_rings_agree({pair, vms, drive, seed, 0.05, observe, dense});
+          failed += failed_bios(o);
+          if (dense) {
+            EXPECT_TRUE(ring_overfilled(o)) << "the dense stream never overfilled a ring";
+          }
+        }
       }
+      EXPECT_GT(failed, 0u) << "the fault plan never failed a guest bio";
     }
-    EXPECT_GT(failed, 0u) << "the fault plan never failed a guest bio";
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "workloads/benchmarks.hpp"
 #include "workloads/microbench.hpp"
 
@@ -154,6 +157,37 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(std::get<0>(param_info.param))) + "_" +
              to_string(std::get<1>(param_info.param));
     });
+
+// The switch-cost methodology on the single-host rig: dd on 2 VMs, 64 MB
+// each, a switch at half the data.
+double dd_seconds(iosched::SchedulerPair from,
+                  std::optional<iosched::SchedulerPair> to = std::nullopt) {
+  return run_single_host({}, from, 2, 42, dd_params(64LL * 1024 * 1024), to).elapsed.sec();
+}
+
+TEST(SwitchCost, SoloRunCompletes) {
+  EXPECT_GT(dd_seconds(iosched::kDefaultPair), 0.0);
+}
+
+TEST(SwitchCost, SoloRunsDeterministic) {
+  EXPECT_DOUBLE_EQ(dd_seconds(iosched::kDefaultPair), dd_seconds(iosched::kDefaultPair));
+}
+
+TEST(SwitchCost, SwitchedRunCompletesAndIsSlowwerThanBestHalf) {
+  const iosched::SchedulerPair a = iosched::kDefaultPair;
+  const iosched::SchedulerPair b{SchedulerKind::kDeadline, SchedulerKind::kDeadline};
+  const double both = dd_seconds(a, b);
+  EXPECT_GT(both, 0.0);
+  // The switched run can never beat running the faster configuration alone
+  // by more than noise (the quiesce alone costs time).
+  EXPECT_GT(both, std::min(dd_seconds(a), dd_seconds(b)) * 0.9);
+}
+
+TEST(SwitchCost, SamePairSwitchStillCostsTime) {
+  // The paper: "re-assigning the same disk I/O scheduler pair is costly".
+  const iosched::SchedulerPair p = iosched::kDefaultPair;
+  EXPECT_GT(dd_seconds(p, p), dd_seconds(p));
+}
 
 }  // namespace
 }  // namespace iosim::workloads

@@ -28,7 +28,7 @@
 #include "core/meta_scheduler.hpp"
 #include "core/online_scheduler.hpp"
 #include "core/phase_detector.hpp"
-#include "core/switch_cost.hpp"
+#include "exp/runner.hpp"
 #include "fault/fault_plan.hpp"
 #include "metrics/iostat_sampler.hpp"
 #include "metrics/registry_table.hpp"
@@ -40,7 +40,6 @@
 #include "trace/registry.hpp"
 #include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
-#include "workloads/microbench.hpp"
 
 using namespace iosim;
 
@@ -407,23 +406,42 @@ int cmd_finegrained(const Args& a) {
   return 0;
 }
 
+/// A single-host microbenchmark point (mode=sysbench / mode=switchcost) of
+/// the spec engine, from the command's flags.
+exp::ScenarioPoint single_host_point(exp::RunMode mode, iosched::SchedulerPair pair, int vms,
+                                     std::int64_t mb) {
+  exp::ScenarioPoint pt;
+  pt.mode = mode;
+  pt.pair = pair;
+  pt.hosts = 1;
+  pt.vms = vms;
+  pt.mb = mb;
+  return pt;
+}
+
+/// Execute one point; a failed run is fatal (exit 1) with its diagnostic.
+std::optional<exp::RunOutput> execute(const exp::ScenarioPoint& pt, std::uint64_t seed) {
+  auto out = exp::execute_point(pt, seed);
+  if (!out.ok) {
+    std::fprintf(stderr, "%s FAILED: %s\n", pt.label().c_str(), out.error.c_str());
+    return std::nullopt;
+  }
+  return out;
+}
+
 int cmd_sysbench(const Args& a) {
   const auto cfg = cluster_of(a);
-  sim::Simulator simr;
-  virt::HostConfig hc;
-  hc.dom0_blk.scheduler = cfg.pair.vmm;
-  hc.domu.guest_blk.scheduler = cfg.pair.guest;
-  virt::PhysicalHost host(simr, hc, 0, 0, cfg.seed);
-  for (int v = 0; v < cfg.vms_per_host; ++v) host.add_vm();
-  workloads::SeqWriteParams p;
-  p.bytes_per_vm = a.num("mb", 1024) * mapred::kMiB;
-  const auto res = workloads::run_seq_writers(simr, host, p);
+  const auto mb = a.num("mb", 1024);
+  const auto out = execute(
+      single_host_point(exp::RunMode::kSysbench, cfg.pair, cfg.vms_per_host, mb), cfg.seed);
+  if (!out) return 1;
+  const double seconds = out->metrics.at(0).second;
   metrics::Table tab("sysbench seqwr");
   tab.headers({"pair", "VMs", "MB/VM", "elapsed s", "agg MB/s"});
-  tab.row({cfg.pair.to_string(), std::to_string(cfg.vms_per_host),
-           std::to_string(a.num("mb", 1024)), metrics::Table::num(res.elapsed.sec(), 1),
-           metrics::Table::num(static_cast<double>(p.bytes_per_vm) * cfg.vms_per_host /
-                                   res.elapsed.sec() / 1e6,
+  tab.row({cfg.pair.to_string(), std::to_string(cfg.vms_per_host), std::to_string(mb),
+           metrics::Table::num(seconds, 1),
+           metrics::Table::num(static_cast<double>(mb * mapred::kMiB) * cfg.vms_per_host /
+                                   seconds / 1e6,
                                1)});
   emit(a, tab);
   return 0;
@@ -505,18 +523,34 @@ int cmd_stream(const Args& a) {
   return 0;
 }
 
+/// The Fig. 5 matrix: one mode=switchcost point per `from` pair (dd, 4 VMs,
+/// raw seed 42), Cost(a -> b) = T(a then b) - (T(a) + T(b)) / 2.
 int cmd_switchcost(const Args& a) {
-  core::SwitchCostConfig cfg;
-  cfg.dd_bytes_per_vm = a.num("mb", 600) * mapred::kMiB;
-  const auto m = core::SwitchCostMatrix::measure(cfg);
   const auto pairs = iosched::all_scheduler_pairs();
+  std::vector<exp::RunOutput> rows;
+  for (const auto& p : pairs) {
+    auto out = execute(single_host_point(exp::RunMode::kSwitchcost, p, 4, a.num("mb", 600)), 42);
+    if (!out) return 1;
+    rows.push_back(std::move(*out));
+  }
+  const auto metric = [&](const iosched::SchedulerPair& p, const std::string& name) {
+    for (const auto& [k, v] : rows[static_cast<std::size_t>(p.index())].metrics) {
+      if (k == name) return v;
+    }
+    return 0.0;  // unreachable: every point emits all 17 metrics
+  };
   metrics::Table tab("switch-cost matrix (seconds)");
   std::vector<std::string> hdr{"from \\ to"};
   for (const auto& p : pairs) hdr.push_back(p.letters());
   tab.headers(hdr);
   for (const auto& x : pairs) {
     std::vector<std::string> row{x.letters()};
-    for (const auto& y : pairs) row.push_back(metrics::Table::num(m.cost_seconds(x, y), 1));
+    for (const auto& y : pairs) {
+      const double both =
+          metric(x, x == y ? "self_seconds" : "to_" + y.letters() + "_seconds");
+      const double base = 0.5 * (metric(x, "seconds") + metric(y, "seconds"));
+      row.push_back(metrics::Table::num(both - base, 1));
+    }
     tab.row(row);
   }
   emit(a, tab);
