@@ -51,8 +51,7 @@ void run_scenario(metrics::Table& tab, const Scenario& sc) {
       c.seed = sim::derive_run_seed(fcfg.seed, static_cast<std::uint64_t>(s));
       std::shared_ptr<core::FineGrainedController> ctl;
       const auto r = cluster::run_job(c, jc, [&ctl](cluster::Cluster& cl, mapred::Job& job) {
-        ctl = core::FineGrainedController::attach(cl, job, core::FineGrainedPolicy{},
-                                                  core::SwitchPredictor{2.0});
+        ctl = core::FineGrainedController::attach(cl, job);
       });
       sum += r.seconds;
       switches = ctl->total_switches();

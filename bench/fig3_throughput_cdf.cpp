@@ -12,6 +12,10 @@
 // Dom0 layer give the CDF (nearest-rank percentiles); each guest layer's
 // completed bytes over the job's seconds give the per-VM means; the
 // attribution waterfall gives host 0's guest-read latency.
+//
+// Self-check: exits 1 unless (anticipatory, deadline)'s mean Dom0
+// throughput is above (cfq, cfq)'s. The VM-fairness ordering is printed
+// but not checked (EXPERIMENTS.md lists it as unresolved).
 #include <numeric>
 
 #include "bench_util.hpp"
@@ -132,5 +136,13 @@ int main(int argc, char** argv) {
   print_expectation(
       "(anticipatory, deadline) achieves the better overall throughput while "
       "(cfq, cfq) achieves better fairness amongst the VMs.");
+
+  if (!(mean(ad.dom0) > mean(cc.dom0))) {
+    std::fprintf(stderr,
+                 "fig3_throughput_cdf: (a,d) mean Dom0 throughput %.3f MB/s is not above "
+                 "(c,c)'s %.3f MB/s\n",
+                 mean(ad.dom0), mean(cc.dom0));
+    return 1;
+  }
   return 0;
 }

@@ -7,6 +7,11 @@
 // The composite lower bound — picking the best pair per interval — is the
 // paper's "optimal solution" (26% better than the default, 15% better than
 // (anticipatory, deadline) on its testbed).
+//
+// Self-check: exits 1 when one pair wins every progress interval, since
+// then there is nothing for adaptive switching to gain.
+#include <set>
+
 #include "bench_util.hpp"
 
 using namespace iosim;
@@ -57,6 +62,7 @@ int main(int argc, char** argv) {
 
   double composite = 0, def_total = 0, ad_total = 0;
   std::vector<double> prev(pairs.size(), 0.0);
+  std::set<std::size_t> winners;
   for (std::size_t m = 0; m < n_milestones; ++m) {
     std::vector<std::string> row{metrics::Table::num(5.0 * static_cast<double>(m + 1), 0) + "%"};
     double best = 1e300;
@@ -70,6 +76,7 @@ int main(int argc, char** argv) {
       }
     }
     composite += best;
+    winners.insert(best_i);
     def_total += times[0][m] - prev[0];
     ad_total += times[4][m] - prev[4];
     row.push_back(pairs[best_i].letters());
@@ -94,5 +101,11 @@ int main(int argc, char** argv) {
       "is 26% better than (cfq, cfq) and 15% better than (anticipatory, "
       "deadline). The composite here is an optimistic bound that ignores "
       "switch costs, exactly like the paper's Fig. 4 analysis.");
+
+  if (winners.size() < 2) {
+    std::fprintf(stderr, "fig4_subphase_scores: one pair wins all %zu progress intervals\n",
+                 n_milestones);
+    return 1;
+  }
   return 0;
 }

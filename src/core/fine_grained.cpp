@@ -6,21 +6,40 @@
 
 namespace iosim::core {
 
+namespace {
+
+// Regime -> pair map, following the per-phase profiling insight: read-heavy
+// map-style traffic and write-heavy reduce-style traffic prefer different
+// pairs. A host's sync-read byte share at or above kReadRegimeThreshold is
+// read-dominated; at or below kWriteRegimeThreshold, write-dominated.
+constexpr double kReadRegimeThreshold = 0.55;
+constexpr double kWriteRegimeThreshold = 0.35;
+constexpr iosched::SchedulerPair kReadPair{iosched::SchedulerKind::kAnticipatory,
+                                           iosched::SchedulerKind::kAnticipatory};
+constexpr iosched::SchedulerPair kWritePair{iosched::SchedulerKind::kDeadline,
+                                            iosched::SchedulerKind::kDeadline};
+constexpr iosched::SchedulerPair kMixedPair{iosched::SchedulerKind::kDeadline,
+                                            iosched::SchedulerKind::kAnticipatory};
+
+// Hysteresis: the classifier must propose the same target pair for this
+// many consecutive samples before a switch is issued (the mixed middle of a
+// job oscillates around the thresholds).
+constexpr int kConfirmSamples = 3;
+
+}  // namespace
+
 std::shared_ptr<FineGrainedController> FineGrainedController::attach(
-    cluster::Cluster& cl, mapred::Job& job, FineGrainedPolicy policy,
-    SwitchPredictor predictor) {
-  auto ctl = std::shared_ptr<FineGrainedController>(new FineGrainedController(
-      cl, job, std::move(policy), std::move(predictor)));
+    cluster::Cluster& cl, mapred::Job& job, FineGrainedPolicy policy) {
+  auto ctl = std::shared_ptr<FineGrainedController>(
+      new FineGrainedController(cl, job, policy));
   cl.simr().after(ctl->policy_.sample_period,
                   [ctl] { ctl->sample(ctl); });
   return ctl;
 }
 
 FineGrainedController::FineGrainedController(cluster::Cluster& cl, mapred::Job& job,
-                                             FineGrainedPolicy policy,
-                                             SwitchPredictor predictor)
-    : cl_(cl), job_(job), policy_(policy), predictor_(std::move(predictor)),
-      hosts_(cl.n_hosts()) {}
+                                             FineGrainedPolicy policy)
+    : cl_(cl), job_(job), policy_(policy), hosts_(cl.n_hosts()) {}
 
 void FineGrainedController::sample(const std::shared_ptr<FineGrainedController>& self) {
   if (job_.done()) return;  // stop sampling; no further events scheduled
@@ -44,11 +63,11 @@ void FineGrainedController::sample(const std::shared_ptr<FineGrainedController>&
     if (total <= 0) continue;  // idle host: nothing to adapt to
 
     const double read_share = static_cast<double>(reads) / static_cast<double>(total);
-    iosched::SchedulerPair target = policy_.mixed_pair;
-    if (read_share >= policy_.read_regime_threshold) {
-      target = policy_.read_pair;
-    } else if (read_share <= policy_.write_regime_threshold) {
-      target = policy_.write_pair;
+    iosched::SchedulerPair target = kMixedPair;
+    if (read_share >= kReadRegimeThreshold) {
+      target = kReadPair;
+    } else if (read_share <= kWriteRegimeThreshold) {
+      target = kWritePair;
     }
 
     const iosched::SchedulerPair current = host.pair();
@@ -63,18 +82,15 @@ void FineGrainedController::sample(const std::shared_ptr<FineGrainedController>&
       st.pending_target = target;
       st.pending_count = 1;
     }
-    if (st.pending_count < policy_.confirm_samples) continue;
+    if (st.pending_count < kConfirmSamples) continue;
     if (now - st.last_switch < policy_.min_switch_gap) continue;
 
-    // Gate on the predictor: a rough remaining horizon from job progress.
+    // Gate on the switch cost: a rough remaining horizon from job progress.
     const double progress = job_.progress();
     const double elapsed = (now - job_.stats().t_start).sec();
     const double remaining =
         progress > 0.02 ? elapsed * (1.0 - progress) / progress : 600.0;
-    if (!predictor_.worthwhile(current, target, policy_.assumed_rate_gain,
-                               sim::Time::from_sec_f(remaining))) {
-      continue;
-    }
+    if (policy_.assumed_rate_gain * remaining <= kSwitchCostSeconds) continue;
 
     if (auto* tr = trace::tracer()) {
       tr->instant(tr->track("core"), tr->ids.fg_switch, tr->ids.cat_core, now,

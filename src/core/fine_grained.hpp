@@ -9,47 +9,31 @@
 // samples each host's Dom0 I/O composition (read/write byte mix and observed
 // load) on a fixed period, classifies the host's current regime, and
 // switches that host's pair independently with PhysicalHost::set_pair. It
-// has no cluster-wide switch command, so it stays outside that base. A
-// SwitchPredictor gates each switch so hosts don't thrash when the expected
-// benefit cannot repay the quiesce cost.
+// has no cluster-wide switch command, so it stays outside that base. Each
+// switch is gated on kSwitchCostSeconds (core/pair_schedule.hpp) so hosts
+// don't thrash when the expected benefit cannot repay the quiesce cost.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "core/switch_predictor.hpp"
+#include "core/pair_schedule.hpp"
 #include "mapred/job.hpp"
 
 namespace iosim::core {
 
-/// Regime -> pair policy. Defaults follow the per-phase profiling insight:
-/// read-heavy map-style traffic and write-heavy reduce-style traffic prefer
-/// different pairs.
+/// Sampling and gating knobs. The regime -> pair map below is fixed; tests
+/// shorten the period and gap to reach switching on small jobs, and move
+/// the assumed gain to open or close the switch-cost gate.
 struct FineGrainedPolicy {
-  /// Sync-read byte share above which a host counts as read-dominated.
-  double read_regime_threshold = 0.55;
-  /// Below this read share the host counts as write-dominated.
-  double write_regime_threshold = 0.35;
-
-  iosched::SchedulerPair read_pair{iosched::SchedulerKind::kAnticipatory,
-                                   iosched::SchedulerKind::kAnticipatory};
-  iosched::SchedulerPair write_pair{iosched::SchedulerKind::kDeadline,
-                                    iosched::SchedulerKind::kDeadline};
-  iosched::SchedulerPair mixed_pair{iosched::SchedulerKind::kDeadline,
-                                    iosched::SchedulerKind::kAnticipatory};
-
   /// Sampling period and the minimum spacing between switches per host.
   sim::Time sample_period = sim::Time::from_sec(10);
   sim::Time min_switch_gap = sim::Time::from_sec(120);
 
-  /// Hysteresis: the regime classifier must propose the same target pair
-  /// for this many consecutive samples before a switch is issued (the
-  /// mixed middle of a job oscillates around the thresholds).
-  int confirm_samples = 3;
-
-  /// Assumed rate gain from running the regime-matched pair (gates the
-  /// switch through the predictor); calibrate from profiling.
+  /// Assumed rate gain from running the regime-matched pair: a switch is
+  /// issued only when `assumed_rate_gain * remaining seconds` exceeds
+  /// kSwitchCostSeconds. Calibrate from profiling.
   double assumed_rate_gain = 0.04;
 };
 
@@ -59,15 +43,14 @@ class FineGrainedController {
   /// scheduled sampling events; sampling stops when the job completes.
   static std::shared_ptr<FineGrainedController> attach(cluster::Cluster& cl,
                                                        mapred::Job& job,
-                                                       FineGrainedPolicy policy,
-                                                       SwitchPredictor predictor);
+                                                       FineGrainedPolicy policy = {});
 
   int total_switches() const { return total_switches_; }
   int samples() const { return samples_; }
 
  private:
   FineGrainedController(cluster::Cluster& cl, mapred::Job& job,
-                        FineGrainedPolicy policy, SwitchPredictor predictor);
+                        FineGrainedPolicy policy);
   void sample(const std::shared_ptr<FineGrainedController>& self);
 
   struct HostState {
@@ -81,7 +64,6 @@ class FineGrainedController {
   cluster::Cluster& cl_;
   mapred::Job& job_;
   FineGrainedPolicy policy_;
-  SwitchPredictor predictor_;
   std::vector<HostState> hosts_;
   int total_switches_ = 0;
   int samples_ = 0;

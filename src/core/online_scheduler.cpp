@@ -372,9 +372,7 @@ void OnlineScheduler::pull(sim::Time t) {
       std::max({horizon_s_, 0.5 * (t - run_start_).sec(), 1.0});
   for (int a = 0; a < iosched::kNumSchedulerPairs; ++a) {
     if (a == cur_arm) continue;
-    penalty[static_cast<std::size_t>(a)] =
-        predictor_.predict_seconds(cur, iosched::SchedulerPair::from_index(a)) /
-        amort * rate;
+    penalty[static_cast<std::size_t>(a)] = kSwitchCostSeconds / amort * rate;
   }
 
   const int arm = policy_->select(cur_kind_, cur_arm, penalty);

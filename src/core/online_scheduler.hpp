@@ -26,7 +26,7 @@
 //             a cluster-wide switch through the PairController base (same
 //             retry/supersede semantics as the offline controllers).
 //   switch    candidate arms are discounted by the predicted switch cost
-//   cost      from the SwitchPredictor's quiesce estimate, amortized
+//   cost      (kSwitchCostSeconds, one cluster quiesce), amortized
 //             over the expected phase duration and converted to reward
 //             units — a marginally-better arm does not justify a 2 s
 //             cluster quiesce near a phase boundary.
@@ -61,7 +61,6 @@
 #include "core/pair_controller.hpp"
 #include "core/pair_schedule.hpp"
 #include "core/phase_plan.hpp"
-#include "core/switch_predictor.hpp"
 #include "sim/random.hpp"
 #include "trace/trace.hpp"
 #include "tenancy/stream_runner.hpp"
@@ -168,7 +167,6 @@ class OnlineScheduler : public PairController {
 
   double event_decay_;  // resolved decay factor for on_fault_event
   std::unique_ptr<OnlinePolicy> policy_;
-  SwitchPredictor predictor_;
 
   int cur_kind_ = -1;
   sim::Time win_start_ = sim::Time::zero();

@@ -11,6 +11,14 @@ namespace iosim::core {
 
 using iosched::SchedulerPair;
 
+/// Predicted cost of one elevator switch: a cluster-wide quiesce (drain and
+/// re-init on every layer), the same for every (from, to). A first step
+/// toward the paper's "general prediction model for the scheduler switch"
+/// (Section VII). The online scheduler discounts candidate arms by it and
+/// the fine-grained controller switches only when the predicted saving
+/// exceeds it.
+inline constexpr double kSwitchCostSeconds = 2.0;
+
 /// `phases[i]` is the pair to install when phase i begins; `nullopt` is the
 /// paper's "0" entry: keep the previous phase's pair, perform no switch.
 /// phases[0] must be set (it is the boot configuration).

@@ -138,7 +138,7 @@ std::string to_json(const ScenarioSpec& spec, const SweepAggregate& agg,
   for (const auto& pa : agg.points) {
     w.obj_begin();
     w.kv("label", pa.point.label());
-    w.kv("workload", pa.point.workload);
+    if (!pa.point.workload.empty()) w.kv("workload", pa.point.workload);
     w.kv("hosts", pa.point.hosts);
     w.kv("vms", pa.point.vms);
     w.kv("mb", static_cast<std::int64_t>(pa.point.mb));

@@ -149,13 +149,11 @@ RunOutput run_with_retries(const RunFn& fn, const RunTask& task,
     }
     ++attempt;
     // The wait doubles with each retry, up to this cap.
+    constexpr double kRetryBackoffSeconds = 0.5;
     constexpr double kRetryBackoffCapSeconds = 10.0;
     const double backoff =
-        std::min(opts.retry_backoff_seconds * std::ldexp(1.0, attempt - 1),
-                 kRetryBackoffCapSeconds);
-    if (backoff > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-    }
+        std::min(kRetryBackoffSeconds * std::ldexp(1.0, attempt - 1), kRetryBackoffCapSeconds);
+    std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
   }
 }
 

@@ -95,10 +95,8 @@ struct ExecutorOptions {
   /// so it also stops runs executing inline at one worker.
   double run_timeout_seconds = 0.0;
   /// Infra-failure retries per run (0 = fail on first attempt). The n-th
-  /// retry waits retry_backoff_seconds * 2^(n-1), capped at 10 s; tests set
-  /// the backoff to 0 so a retried run does not sleep.
+  /// retry waits 0.5 s * 2^(n-1), capped at 10 s.
   int max_retries = 0;
-  double retry_backoff_seconds = 0.5;
   /// External cancellation (signal handler flag). When it becomes true,
   /// workers stop claiming runs and drain in-flight ones; a flag set after
   /// the last run was claimed interrupts nothing.

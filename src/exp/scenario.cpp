@@ -508,7 +508,8 @@ std::vector<ScenarioPoint> ScenarioSpec::expand() const {
                     ScenarioPoint pt;
                     pt.mode = mode;
                     pt.pair = p;
-                    pt.workload = w;
+                    // A single-host mode runs no MapReduce job.
+                    pt.workload = is_single_host(mode) ? "" : w;
                     pt.hosts = h;
                     pt.vms = v;
                     pt.mb = m;

@@ -113,7 +113,7 @@ const char* to_string(RunMode m);
 struct ScenarioPoint {
   RunMode mode = RunMode::kRun;
   iosched::SchedulerPair pair;  // kRun: the fixed pair; kAdapt: the boot/default pair
-  std::string workload = "sort";
+  std::string workload = "sort";  // empty for a single-host mode (no job)
   int hosts = 4;
   int vms = 4;
   std::int64_t mb = 512;

@@ -8,9 +8,7 @@
 
 namespace iosim::membership {
 
-MembershipService::MembershipService(mapred::ClusterEnv& env,
-                                     MembershipConfig cfg)
-    : env_(env), cfg_(cfg) {
+MembershipService::MembershipService(mapred::ClusterEnv& env) : env_(env) {
   vms_.resize(static_cast<std::size_t>(env_.n_vms()));
   assert(env_.faults != nullptr &&
          "membership is only built for clusters with a fault plan");
@@ -54,7 +52,7 @@ void MembershipService::handle_vm_down(int vm) {
 
 void MembershipService::schedule_miss_check(int vm, int generation,
                                             int misses) {
-  simr().after(cfg_.heartbeat_period, [this, vm, generation, misses] {
+  simr().after(kHeartbeatPeriod, [this, vm, generation, misses] {
     VmInfo& info = vms_[static_cast<std::size_t>(vm)];
     if (info.generation != generation) return;  // VM came back; chain is stale
     if (env_.vm_alive(vm)) {
@@ -62,11 +60,11 @@ void MembershipService::schedule_miss_check(int vm, int generation,
       info.monitored = false;
       return;
     }
-    if (misses >= cfg_.misses_to_dead) {
+    if (misses >= kMissesToDead) {
       declare_dead(vm);
       return;
     }
-    if (misses == cfg_.misses_to_suspect && info.st == VmState::kAlive) {
+    if (misses == kMissesToSuspect && info.st == VmState::kAlive) {
       info.st = VmState::kSuspect;
       ++counters_.suspects;
       emit_instant("tt_suspect", vm, misses);
@@ -143,7 +141,7 @@ int MembershipService::blacklisted_vm_count() const {
 void MembershipService::note_task_failure(int vm) {
   VmInfo& info = vms_[static_cast<std::size_t>(vm)];
   if (info.st == VmState::kDead || info.st == VmState::kBlacklisted) return;
-  if (++info.strikes >= cfg_.blacklist_strikes) blacklist_vm(vm);
+  if (++info.strikes >= kBlacklistStrikes) blacklist_vm(vm);
 }
 
 void MembershipService::blacklist_vm(int vm) {
@@ -165,7 +163,7 @@ void MembershipService::blacklist_vm(int vm) {
 }
 
 void MembershipService::schedule_probe(int vm) {
-  simr().after(cfg_.probation, [this, vm] {
+  simr().after(kProbation, [this, vm] {
     VmInfo& info = vms_[static_cast<std::size_t>(vm)];
     if (info.st != VmState::kBlacklisted) return;  // died / cleared meanwhile
     if (env_.vm_alive(vm)) {
@@ -248,7 +246,7 @@ void MembershipService::enqueue_repairs(int dead_vm) {
 }
 
 void MembershipService::pump_repairs() {
-  while (active_repairs_ < cfg_.repair_streams && !repair_queue_.empty()) {
+  while (active_repairs_ < kRepairStreams && !repair_queue_.empty()) {
     RepairItem item = repair_queue_.front();
     repair_queue_.erase(repair_queue_.begin());
     run_repair(item);
@@ -298,7 +296,7 @@ void MembershipService::run_repair(RepairItem item) {
   auto failed = [this, item]() mutable {
     --active_repairs_;
     RepairItem retry = item;
-    if (++retry.attempts >= cfg_.repair_attempts) {
+    if (++retry.attempts >= kRepairAttempts) {
       abandon_repair(retry, /*job_gone=*/false);
     } else {
       repair_queue_.push_back(retry);
@@ -310,7 +308,7 @@ void MembershipService::run_repair(RepairItem item) {
   // on the target — all through the per-VM server contexts, so repair I/O
   // contends with foreground shuffle and HDFS traffic in both elevators.
   virt::IoStreamParams rp;
-  rp.unit_sectors = cfg_.io_unit_bytes / disk::kSectorBytes;
+  rp.unit_sectors = kIoUnitBytes / disk::kSectorBytes;
   rp.window = 2;
   virt::IoStream::run(
       *sh.vm, mapred::ctx::server(src_vm), src_vlba, bytes, iosched::Dir::kRead,
@@ -327,7 +325,7 @@ void MembershipService::run_repair(RepairItem item) {
               const disk::Lba at = th.vm->alloc(
                   virt::DiskZone::kData, bytes / disk::kSectorBytes + 1);
               virt::IoStreamParams wp;
-              wp.unit_sectors = cfg_.io_unit_bytes / disk::kSectorBytes;
+              wp.unit_sectors = kIoUnitBytes / disk::kSectorBytes;
               wp.window = 4;
               virt::IoStream::run(
                   *th.vm, mapred::ctx::server(target), at, bytes,

@@ -36,27 +36,25 @@
 
 namespace iosim::membership {
 
-struct MembershipConfig {
-  /// TaskTracker heartbeat interval (Hadoop 0.19 default: 3 s).
-  sim::Time heartbeat_period = sim::Time::from_sec_f(3.0);
-  /// Consecutive missed heartbeats before suspicion / declared-dead.
-  int misses_to_suspect = 2;
-  int misses_to_dead = 4;
-  /// Failed task attempts on one VM before it is blacklisted.
-  int blacklist_strikes = 3;
-  /// Probation: time until the un-blacklist probe.
-  sim::Time probation = sim::Time::from_sec_f(30.0);
-  /// Concurrent block-repair copies (dfs.max-repl-streams flavor).
-  int repair_streams = 4;
-  /// Per-block copy attempts before the repair is given up.
-  int repair_attempts = 3;
-  /// Bio sizing for repair streams (matches JobConf::io_unit_bytes default).
-  std::int64_t io_unit_bytes = 256 * 1024;
-};
-
 class MembershipService final : public mapred::MembershipIface {
  public:
-  explicit MembershipService(mapred::ClusterEnv& env, MembershipConfig cfg = {});
+  /// TaskTracker heartbeat interval (Hadoop 0.19 default: 3 s).
+  static constexpr sim::Time kHeartbeatPeriod = sim::Time::from_sec(3);
+  /// Consecutive missed heartbeats before suspicion / declared-dead.
+  static constexpr int kMissesToSuspect = 2;
+  static constexpr int kMissesToDead = 4;
+  /// Failed task attempts on one VM before it is blacklisted.
+  static constexpr int kBlacklistStrikes = 3;
+  /// Probation: time until the un-blacklist probe.
+  static constexpr sim::Time kProbation = sim::Time::from_sec(30);
+  /// Concurrent block-repair copies (dfs.max-repl-streams flavor).
+  static constexpr int kRepairStreams = 4;
+  /// Per-block copy attempts before the repair is given up.
+  static constexpr int kRepairAttempts = 3;
+  /// Bio sizing for repair streams (matches JobConf::io_unit_bytes default).
+  static constexpr std::int64_t kIoUnitBytes = 256 * 1024;
+
+  explicit MembershipService(mapred::ClusterEnv& env);
   MembershipService(const MembershipService&) = delete;
   MembershipService& operator=(const MembershipService&) = delete;
 
@@ -133,7 +131,6 @@ class MembershipService final : public mapred::MembershipIface {
   void emit_instant(const char* name, int vm, std::int64_t arg);
 
   mapred::ClusterEnv& env_;
-  MembershipConfig cfg_;
   std::vector<VmInfo> vms_;
   /// Registered block tables in registration order (deterministic scans).
   std::vector<std::pair<int, std::vector<hdfs::DfsBlock>*>> tables_;

@@ -7,8 +7,7 @@
 
 namespace iosim::metrics {
 
-IostatSampler::IostatSampler(sim::Simulator& simr, IostatOptions opt)
-    : simr_(simr), opt_(opt) {}
+IostatSampler::IostatSampler(sim::Simulator& simr) : simr_(simr) {}
 
 IostatSampler::~IostatSampler() { stop(); }
 
@@ -31,7 +30,7 @@ const std::vector<IostatSampler::Sample>& IostatSampler::series(std::size_t i) c
 void IostatSampler::start() {
   assert(ev_ == sim::kInvalidEvent && "sampler already started");
   last_tick_ = simr_.now();
-  ev_ = simr_.after(opt_.period, [this] { tick(); });
+  ev_ = simr_.after(kPeriod, [this] { tick(); });
 }
 
 void IostatSampler::stop() {
@@ -101,11 +100,11 @@ void IostatSampler::tick() {
     }
     if (idle) return;
   }
-  ev_ = simr_.after(opt_.period, [this] { tick(); });
+  ev_ = simr_.after(kPeriod, [this] { tick(); });
 }
 
 Table IostatSampler::table() const {
-  Table tab("iostat (" + Table::num(opt_.period.sec(), 1) + "s windows)");
+  Table tab("iostat (" + Table::num(kPeriod.sec(), 1) + "s windows)");
   tab.headers({"layer", "samples", "avg qdepth", "peak qdepth", "avg read MB/s",
                "avg write MB/s"});
   for (const auto& w : watched_) {

@@ -26,10 +26,6 @@
 
 namespace iosim::metrics {
 
-struct IostatOptions {
-  sim::Time period = sim::Time::from_sec(1);
-};
-
 class IostatSampler {
  public:
   struct Sample {
@@ -40,7 +36,10 @@ class IostatSampler {
     double write_mb_s = 0.0;
   };
 
-  explicit IostatSampler(sim::Simulator& simr, IostatOptions opt = {});
+  /// Sampling period: one iostat window per simulated second.
+  static constexpr sim::Time kPeriod = sim::Time::from_sec(1);
+
+  explicit IostatSampler(sim::Simulator& simr);
   ~IostatSampler();
   IostatSampler(const IostatSampler&) = delete;
   IostatSampler& operator=(const IostatSampler&) = delete;
@@ -73,7 +72,6 @@ class IostatSampler {
   };
 
   sim::Simulator& simr_;
-  IostatOptions opt_;
   std::vector<Watched> watched_;
   std::function<bool()> stop_pred_;
   sim::EventId ev_ = sim::kInvalidEvent;

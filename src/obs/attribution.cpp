@@ -28,7 +28,7 @@ void lanes_of(const AttrRecord& r, std::int64_t out[kNumLanes]) {
 
 }  // namespace
 
-Attribution::Attribution(AttributionConfig cfg) : cfg_(cfg) {
+Attribution::Attribution(StallConfig stall) : stall_(stall) {
   arena_.reserve(256);
 }
 
@@ -42,7 +42,7 @@ Attribution::KeyStats& Attribution::stats_of(const AttrKey& key) {
   const std::uint64_t packed = key.pack();
   if (auto it = key_idx_.find(packed); it != key_idx_.end()) return keys_[it->second];
   key_idx_.emplace(packed, keys_.size());
-  keys_.emplace_back(key, cfg_.window, cfg_.frames);
+  keys_.emplace_back(key);
   return keys_.back();
 }
 
@@ -132,10 +132,10 @@ void Attribution::on_complete(AttrHandle h, sim::Time now) {
   const QuantileSketch& totals = ks.lanes[static_cast<int>(Lane::kTotal)];
   bool stalled = false;
   std::int64_t threshold = 0;
-  if (totals.count() >= cfg_.stall.min_samples) {
+  if (totals.count() >= stall_.min_samples) {
     const auto p99 = static_cast<double>(totals.quantile(0.99));
-    threshold = std::max(cfg_.stall.floor.ns(),
-                         static_cast<std::int64_t>(p99 * cfg_.stall.factor));
+    threshold = std::max(stall_.floor.ns(),
+                         static_cast<std::int64_t>(p99 * stall_.factor));
     stalled = total > threshold;
   }
 
@@ -145,7 +145,7 @@ void Attribution::on_complete(AttrHandle h, sim::Time now) {
 
   if (stalled) {
     ++stalls_total_;
-    if (stall_log_.size() < cfg_.stall.max_log) {
+    if (stall_log_.size() < stall_.max_log) {
       StallEvent ev;
       ev.key = r->key;
       ev.lba = r->lba;

@@ -52,16 +52,13 @@ struct StallConfig {
   std::size_t max_log = 256;
 };
 
-struct AttributionConfig {
-  StallConfig stall;
-  /// Windowed total-latency sketch: `frames` windows of `window` each.
-  sim::Time window = sim::Time::from_sec(1);
-  int frames = 8;
-};
-
 class Attribution {
  public:
-  explicit Attribution(AttributionConfig cfg = {});
+  /// Windowed total-latency sketch: kWindowFrames windows of kWindow each.
+  static constexpr sim::Time kWindow = sim::Time::from_sec(1);
+  static constexpr int kWindowFrames = 8;
+
+  explicit Attribution(StallConfig stall = {});
   Attribution(const Attribution&) = delete;
   Attribution& operator=(const Attribution&) = delete;
 
@@ -132,21 +129,18 @@ class Attribution {
   /// iosim-report consumes from the trace JSON.
   void export_to_trace(trace::Tracer& tr);
 
-  const AttributionConfig& config() const { return cfg_; }
-
  private:
   struct KeyStats {
     AttrKey key;
     QuantileSketch lanes[kNumLanes];
     WindowedSketch windowed;
-    explicit KeyStats(const AttrKey& k, sim::Time window, int frames)
-        : key(k), windowed(window, frames) {}
+    explicit KeyStats(const AttrKey& k) : key(k), windowed(kWindow, kWindowFrames) {}
   };
 
   AttrRecord* record_of(AttrHandle h);
   KeyStats& stats_of(const AttrKey& key);
 
-  AttributionConfig cfg_;
+  StallConfig stall_;
   std::vector<AttrRecord> arena_;
   std::vector<std::uint32_t> free_;  // recycled arena indices
   std::vector<KeyStats> keys_;       // first-touch order
@@ -174,8 +168,8 @@ inline void set_attribution(Attribution* a) { detail::g_attribution = a; }
 /// RAII install/uninstall, mirroring TraceSession / MetricsSession.
 class AttributionSession {
  public:
-  explicit AttributionSession(AttributionConfig cfg = {})
-      : attribution_(cfg), prev_(obs::attribution()) {
+  explicit AttributionSession(StallConfig stall = {})
+      : attribution_(stall), prev_(obs::attribution()) {
     set_attribution(&attribution_);
   }
   ~AttributionSession() { set_attribution(prev_); }

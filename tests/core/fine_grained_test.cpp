@@ -2,15 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include "core/switch_predictor.hpp"
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace iosim::core {
 namespace {
 
 using cluster::ClusterConfig;
-using iosched::SchedulerKind;
-using iosched::SchedulerPair;
 
 ClusterConfig tiny() {
   ClusterConfig cfg;
@@ -19,30 +21,11 @@ ClusterConfig tiny() {
   return cfg;
 }
 
-TEST(SwitchPredictor, AnalyticSeedUniform) {
-  SwitchPredictor p(3.0);
-  const SchedulerPair a = iosched::kDefaultPair;
-  const SchedulerPair b{SchedulerKind::kDeadline, SchedulerKind::kDeadline};
-  EXPECT_DOUBLE_EQ(p.predict_seconds(a, b), 3.0);
-  EXPECT_DOUBLE_EQ(p.predict_seconds(b, a), 3.0);
-}
-
-TEST(SwitchPredictor, WorthwhileComparesBenefitToCost) {
-  SwitchPredictor p(5.0);
-  const SchedulerPair a = iosched::kDefaultPair;
-  const SchedulerPair b{SchedulerKind::kDeadline, SchedulerKind::kDeadline};
-  // 10% gain over 100s = 10s saving > 5s cost.
-  EXPECT_TRUE(p.worthwhile(a, b, 0.10, sim::Time::from_sec(100)));
-  // 1% gain over 100s = 1s saving < 5s cost.
-  EXPECT_FALSE(p.worthwhile(a, b, 0.01, sim::Time::from_sec(100)));
-}
-
 TEST(FineGrained, JobCompletesUnderController) {
   cluster::Cluster cl(tiny());
   auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
   mapred::Job job(cl.env(), jc, 3);
-  auto ctl = FineGrainedController::attach(cl, job, FineGrainedPolicy{},
-                                           SwitchPredictor{1.0});
+  auto ctl = FineGrainedController::attach(cl, job);
   job.run();
   cl.simr().run();
   EXPECT_TRUE(job.done());
@@ -55,7 +38,7 @@ TEST(FineGrained, SamplingStopsAfterJob) {
   mapred::Job job(cl.env(), jc, 3);
   FineGrainedPolicy pol;
   pol.sample_period = sim::Time::from_sec(1);
-  auto ctl = FineGrainedController::attach(cl, job, pol, SwitchPredictor{1.0});
+  auto ctl = FineGrainedController::attach(cl, job, pol);
   job.run();
   cl.simr().run();  // must terminate: the controller stops rescheduling
   EXPECT_TRUE(job.done());
@@ -63,12 +46,16 @@ TEST(FineGrained, SamplingStopsAfterJob) {
   EXPECT_FALSE(cl.simr().step());
 }
 
-TEST(FineGrained, HighPredictedCostBlocksSwitching) {
+TEST(FineGrained, ZeroAssumedGainBlocksSwitching) {
+  // CheapSwitchingAdaptsToRegimes' run, which does switch, with the gate shut.
   cluster::Cluster cl(tiny());
-  auto jc = workloads::make_job(workloads::stream_sort(), 128 * mapred::kMiB);
+  auto jc = workloads::make_job(workloads::stream_sort(), 256 * mapred::kMiB);
   mapred::Job job(cl.env(), jc, 3);
-  auto ctl = FineGrainedController::attach(cl, job, FineGrainedPolicy{},
-                                           SwitchPredictor{1e9});  // prohibitive
+  FineGrainedPolicy pol;
+  pol.sample_period = sim::Time::from_sec(5);
+  pol.min_switch_gap = sim::Time::from_sec(5);
+  pol.assumed_rate_gain = 0.0;  // no saving ever repays kSwitchCostSeconds
+  auto ctl = FineGrainedController::attach(cl, job, pol);
   job.run();
   cl.simr().run();
   EXPECT_EQ(ctl->total_switches(), 0);
@@ -82,7 +69,8 @@ TEST(FineGrained, CheapSwitchingAdaptsToRegimes) {
   FineGrainedPolicy pol;
   pol.sample_period = sim::Time::from_sec(5);
   pol.min_switch_gap = sim::Time::from_sec(5);
-  auto ctl = FineGrainedController::attach(cl, job, pol, SwitchPredictor{0.0});
+  pol.assumed_rate_gain = 1e9;  // any remaining work repays a switch
+  auto ctl = FineGrainedController::attach(cl, job, pol);
   job.run();
   cl.simr().run();
   EXPECT_TRUE(job.done());
@@ -98,10 +86,42 @@ TEST(FineGrained, MinGapRateLimitsSwitching) {
   FineGrainedPolicy pol;
   pol.sample_period = sim::Time::from_sec(1);
   pol.min_switch_gap = sim::Time::from_sec(100000);  // once per host, ever
-  auto ctl = FineGrainedController::attach(cl, job, pol, SwitchPredictor{0.0});
+  pol.assumed_rate_gain = 1e9;  // any remaining work repays a switch
+  auto ctl = FineGrainedController::attach(cl, job, pol);
   job.run();
   cl.simr().run();
   EXPECT_LE(ctl->total_switches(), static_cast<int>(cl.n_hosts()));
+}
+
+TEST(FineGrained, DefaultPolicySwitchesAtPaperScale) {
+  // The default thresholds, pairs, hysteresis, gap and gain, on the default
+  // 4x4 cluster: a 512 MB sort is long enough to cross regimes and to repay
+  // the switch cost, and no host switches twice within min_switch_gap.
+  trace::TraceSession session;
+  cluster::Cluster cl(ClusterConfig{});
+  auto jc = workloads::make_job(workloads::stream_sort(), 512 * mapred::kMiB);
+  mapred::Job job(cl.env(), jc, 3);
+  const FineGrainedPolicy pol;
+  auto ctl = FineGrainedController::attach(cl, job, pol);
+  job.run();
+  cl.simr().run();
+  ASSERT_TRUE(job.done());
+  EXPECT_GE(ctl->total_switches(), 1);
+
+  auto& tr = session.tracer();
+  std::map<std::int64_t, std::vector<std::int64_t>> switch_ns_by_host;
+  tr.for_each([&](const trace::Event& e) {
+    if (e.name == tr.ids.fg_switch) switch_ns_by_host[e.arg[0]].push_back(e.ts_ns);
+  });
+  int traced = 0;
+  for (auto& [host, times] : switch_ns_by_host) {
+    std::sort(times.begin(), times.end());
+    traced += static_cast<int>(times.size());
+    for (std::size_t i = 1; i < times.size(); ++i) {
+      EXPECT_GE(times[i] - times[i - 1], pol.min_switch_gap.ns()) << "host " << host;
+    }
+  }
+  EXPECT_EQ(traced, ctl->total_switches());
 }
 
 }  // namespace

@@ -154,7 +154,6 @@ TEST(ExecutorRobustness, InfraFailureRetriedUntilSuccess) {
   const auto tasks = synthetic_tasks(4);
   ExecutorOptions opts;
   opts.max_retries = 3;
-  opts.retry_backoff_seconds = 0.0;  // no sleeping in tests
   std::atomic<int> attempts_of_2{0};
   const auto res = execute_all(
       tasks,
@@ -181,7 +180,6 @@ TEST(ExecutorRobustness, DeterministicFailureNeverRetried) {
   const auto tasks = synthetic_tasks(3);
   ExecutorOptions opts;
   opts.max_retries = 5;
-  opts.retry_backoff_seconds = 0.0;
   std::atomic<int> calls{0};
   const auto res = execute_all(
       tasks,
@@ -206,7 +204,6 @@ TEST(ExecutorRobustness, ExceptionIsInfraAndRetried) {
   const auto tasks = synthetic_tasks(1);
   ExecutorOptions opts;
   opts.max_retries = 1;
-  opts.retry_backoff_seconds = 0.0;
   std::atomic<int> calls{0};
   const auto res = execute_all(
       tasks,
@@ -224,7 +221,6 @@ TEST(ExecutorRobustness, RetryBudgetExhaustionKeepsInfraFlag) {
   const auto tasks = synthetic_tasks(1);
   ExecutorOptions opts;
   opts.max_retries = 2;
-  opts.retry_backoff_seconds = 0.0;
   const auto res = execute_all(
       tasks,
       [](const RunTask&) -> RunOutput { throw std::runtime_error("always"); },
@@ -302,7 +298,6 @@ TEST(ExecutorRobustness, WatchdogTimesOutCooperativeRun) {
   ExecutorOptions opts;
   opts.run_timeout_seconds = 0.05;
   opts.max_retries = 1;
-  opts.retry_backoff_seconds = 0.0;
   std::atomic<int> calls{0};
   const auto t0 = std::chrono::steady_clock::now();
   const auto res = execute_all(

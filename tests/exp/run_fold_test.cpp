@@ -12,6 +12,7 @@
 
 #include "cluster/runner.hpp"
 #include "exp/aggregate.hpp"
+#include "exp/executor.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "sim/random.hpp"
@@ -145,6 +146,30 @@ TEST(RunFold, SingleHostPointStopsAtItsEventBudget) {
   EXPECT_FALSE(out.infra_failure);
   EXPECT_TRUE(out.metrics.empty());  // the first (solo) run already stopped
   EXPECT_NE(out.error.find("seconds stopped early"), std::string::npos) << out.error;
+}
+
+/// The BENCH JSON of a one-point spec, run to completion.
+std::string bench_json_of(const char* text) {
+  std::string err;
+  const auto spec = ScenarioSpec::parse(text, &err);
+  EXPECT_TRUE(spec.has_value()) << err;
+  if (!spec) return "";
+  const auto points = spec->expand();
+  const auto tasks = build_run_matrix(*spec);
+  const auto res = execute_all(tasks, make_run_fn(points), ExecutorOptions{});
+  EXPECT_TRUE(res.all_ok()) << res.first_error;
+  return to_json(*spec, aggregate(*spec, points, tasks, res));
+}
+
+TEST(RunFold, SingleHostPointRecordsNoWorkload) {
+  // A single-host mode runs no MapReduce job, so its point names none; a
+  // mode=run point keeps its workload.
+  EXPECT_EQ(single_host_point("mode=switchcost\nhosts=1\nvms=1\nmb=4\n").workload, "");
+  const std::string sysbench = bench_json_of("name=sb\nmode=sysbench\nhosts=1\nvms=1\nmb=4\n");
+  EXPECT_NE(sysbench.find("\"label\":\"sysbench v1 4MB (c,c)\""), std::string::npos) << sysbench;
+  EXPECT_EQ(sysbench.find("\"workload\""), std::string::npos) << sysbench;
+  const std::string run = bench_json_of("name=r\nmode=run\nworkload=sort\nhosts=1\nvms=1\nmb=16\n");
+  EXPECT_NE(run.find("\"workload\":\"sort\""), std::string::npos) << run;
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ struct FixedLatencyRig {
   FixedLatencySink sink;
   blk::BlockLayer layer;
 
-  explicit FixedLatencyRig(Time latency = Time::from_ms(2))
+  explicit FixedLatencyRig(Time latency = 2_sec)
       : sink(simr, latency), layer(simr, sink, [] {
           blk::BlockLayerConfig cfg;
           cfg.scheduler = iosched::SchedulerKind::kNoop;
@@ -86,54 +86,59 @@ struct FixedLatencyRig {
   }
 };
 
-/// Σ over the windows of MB/s × period, in bytes.
-double window_bytes(const IostatSampler& s, Time period) {
+/// Σ over the windows of MB/s × the sampling period, in bytes.
+double window_bytes(const IostatSampler& s) {
   double bytes = 0;
-  for (const auto& w : s.series(0)) bytes += (w.read_mb_s + w.write_mb_s) * period.sec() * 1e6;
+  for (const auto& w : s.series(0)) {
+    bytes += (w.read_mb_s + w.write_mb_s) * IostatSampler::kPeriod.sec() * 1e6;
+  }
   return bytes;
 }
 
 TEST(IostatSampler, HandComputedTwoRequestWindows) {
-  // Sink latency 2ms, noop, capacity 1, 1ms sampling period:
-  //   t=0ms: sync read submitted, completes t=2ms;
-  //   t=1ms: async write submitted, waits for the sink, completes t=4ms.
+  // Sink latency 2s, noop, capacity 1, 1s sampling period:
+  //   t=0s: sync read submitted, completes t=2s;
+  //   t=1s: async write submitted, waits for the sink, completes t=4s.
   // A completion at a tick's instant lands in that tick's window (the
-  // completion was scheduled before the tick), so window (1ms, 2ms] holds
-  // the read and (3ms, 4ms] the write: 4096 B / 1ms = 4.096 MB/s each.
+  // completion was scheduled before the tick), so window (1s, 2s] holds
+  // the read and (3s, 4s] the write: 4096 B / 1s = 0.004096 MB/s each.
   FixedLatencyRig r;
-  IostatSampler sampler(r.simr, {.period = 1_ms});
+  IostatSampler sampler(r.simr);
   sampler.watch(r.layer);
   sampler.start();
   r.submit(1'000, 8, Dir::kRead, /*sync=*/true);
-  r.simr.after(1_ms, [&] { r.submit(50'000, 8, Dir::kWrite, /*sync=*/false); });
+  r.simr.after(1_sec, [&] { r.submit(50'000, 8, Dir::kWrite, /*sync=*/false); });
   r.simr.run();  // the drain guard stops the sampler at the first idle tick
 
   const auto& s = sampler.series(0);
   ASSERT_EQ(s.size(), 4u);
-  const double read[] = {0.0, 4.096, 0.0, 0.0};
-  const double write[] = {0.0, 0.0, 0.0, 4.096};
+  const double read[] = {0.0, 0.004096, 0.0, 0.0};
+  const double write[] = {0.0, 0.0, 0.0, 0.004096};
   for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_EQ(s[i].t, Time::from_ms(static_cast<std::int64_t>(i) + 1)) << "window " << i;
+    EXPECT_EQ(s[i].t, Time::from_sec(static_cast<std::int64_t>(i) + 1)) << "window " << i;
     EXPECT_DOUBLE_EQ(s[i].read_mb_s, read[i]) << "window " << i;
     EXPECT_DOUBLE_EQ(s[i].write_mb_s, write[i]) << "window " << i;
   }
-  EXPECT_DOUBLE_EQ(window_bytes(sampler, 1_ms), 2.0 * 8 * disk::kSectorBytes);
+  EXPECT_DOUBLE_EQ(window_bytes(sampler), 2.0 * 8 * disk::kSectorBytes);
 }
 
 TEST(IostatSampler, WindowBytesSumToBytesCompleted) {
   sim::Simulator simr;
   blk::DiskDevice disk(simr, disk::DiskParams{}, 1);
   blk::BlockLayer layer(simr, disk, blk::BlockLayerConfig{});
-  IostatSampler sampler(simr, {.period = 10_ms});
+  IostatSampler sampler(simr);
   sampler.watch(layer);
   sampler.start();
+  // One bio every 100 ms: the I/O spans several 1 s windows.
   for (int i = 0; i < 20; ++i) {
-    blk::Bio b;
-    b.lba = 1'000'000 + i * 512;
-    b.sectors = 512;
-    b.dir = i % 3 ? Dir::kWrite : Dir::kRead;
-    b.ctx = 1;
-    layer.submit(std::move(b));
+    simr.after(Time::from_ms(100 * i), [&layer, i] {
+      blk::Bio b;
+      b.lba = 1'000'000 + i * 512;
+      b.sectors = 512;
+      b.dir = i % 3 ? Dir::kWrite : Dir::kRead;
+      b.ctx = 1;
+      layer.submit(std::move(b));
+    });
   }
   simr.run();
 
@@ -141,7 +146,7 @@ TEST(IostatSampler, WindowBytesSumToBytesCompleted) {
   const auto completed = c.bytes_completed[0] + c.bytes_completed[1];
   ASSERT_EQ(completed, 20 * 512 * disk::kSectorBytes);
   EXPECT_GT(sampler.series(0).size(), 1u);
-  EXPECT_NEAR(window_bytes(sampler, 10_ms), static_cast<double>(completed),
+  EXPECT_NEAR(window_bytes(sampler), static_cast<double>(completed),
               static_cast<double>(completed) * 1e-9);
 }
 

@@ -173,11 +173,11 @@ TEST(Attribution, HooksIgnoreNoAttrAndStaleHandles) {
 }
 
 TEST(Attribution, StallDetectorFiresAboveArmedThreshold) {
-  AttributionConfig cfg;
-  cfg.stall.factor = 1.5;
-  cfg.stall.floor = Time::from_us(100);
-  cfg.stall.min_samples = 8;
-  Attribution at(cfg);
+  StallConfig stall;
+  stall.factor = 1.5;
+  stall.floor = Time::from_us(100);
+  stall.min_samples = 8;
+  Attribution at(stall);
 
   // 8 well-behaved sync reads (~250µs total each) arm the detector; the
   // detector compares against history *before* each request joins it, so
@@ -215,12 +215,12 @@ TEST(Attribution, StallDetectorFiresAboveArmedThreshold) {
 }
 
 TEST(Attribution, StallLogIsBoundedButCountIsNot) {
-  AttributionConfig cfg;
-  cfg.stall.factor = 1.0;
-  cfg.stall.floor = Time::from_us(1);
-  cfg.stall.min_samples = 1;
-  cfg.stall.max_log = 2;
-  Attribution at(cfg);
+  StallConfig stall;
+  stall.factor = 1.0;
+  stall.floor = Time::from_us(1);
+  stall.min_samples = 1;
+  stall.max_log = 2;
+  Attribution at(stall);
   // First request arms the key; every later one is 10x slower than history
   // ever saw, so each trips the detector.
   walk(at, 0, 1, 2, 3, 4, 5);

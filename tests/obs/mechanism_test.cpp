@@ -110,11 +110,11 @@ struct MechanismResult {
 MechanismResult run_pair(SchedulerKind vmm, SchedulerKind guest) {
   // Lowered stall thresholds: the quiet baseline is only kQuietReads deep,
   // so the detector must arm before the flood begins.
-  obs::AttributionConfig acfg;
-  acfg.stall.factor = 1.5;
-  acfg.stall.floor = sim::Time::from_ms(5);
-  acfg.stall.min_samples = 16;
-  obs::AttributionSession attr(acfg);
+  obs::StallConfig stall;
+  stall.factor = 1.5;
+  stall.floor = sim::Time::from_ms(5);
+  stall.min_samples = 16;
+  obs::AttributionSession attr(stall);
 
   Fig2Rig rig(vmm, guest);
   rig.run();

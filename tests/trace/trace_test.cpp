@@ -436,9 +436,7 @@ TEST(IostatSampler, TicksStopAtPredicateAndRecordSeries) {
     layer.submit(std::move(bio));
   }
 
-  metrics::IostatOptions opt;
-  opt.period = sim::Time::from_ms(10);
-  metrics::IostatSampler sampler(simr, opt);
+  metrics::IostatSampler sampler(simr);
   sampler.watch(layer);
   sampler.stop_when([&done] { return done; });
   sampler.start();

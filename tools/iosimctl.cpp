@@ -391,8 +391,7 @@ int cmd_finegrained(const Args& a) {
   std::shared_ptr<core::FineGrainedController> ctl;
   const auto r =
       cluster::run_job(cfg, jc, [&ctl, &tel](cluster::Cluster& cl, mapred::Job& job) {
-        ctl = core::FineGrainedController::attach(cl, job, core::FineGrainedPolicy{},
-                                                  core::SwitchPredictor{2.0});
+        ctl = core::FineGrainedController::attach(cl, job);
         tel.attach_sampler(cl, job);
       });
   tel.print_iostat();
@@ -569,7 +568,7 @@ int main(int argc, char** argv) {
   FlagSet adapt_flags = cluster_flags;
   adapt_flags.valued.insert("phases");
   adapt_flags.boolean.insert("verbose");
-  const FlagSet sysbench_flags{{"vms", "mb", "pair", "seed", "hosts"}, {"csv"}};
+  const FlagSet sysbench_flags{{"vms", "mb", "pair", "seed"}, {"csv"}};
   const FlagSet switchcost_flags{{"mb"}, {"csv"}};
   const FlagSet stream_flags{{"spec", "policy", "hosts", "vms", "pair", "seed",
                               "trace", "fault", "fault-file"},
