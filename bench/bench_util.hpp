@@ -14,7 +14,6 @@
 #include "iosched/pair.hpp"
 #include "metrics/registry_table.hpp"
 #include "metrics/table.hpp"
-#include "sim/random.hpp"
 #include "trace/registry.hpp"
 #include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
@@ -27,9 +26,6 @@ using iosched::SchedulerPair;
 
 /// The paper's testbed: 4 physical nodes, 4 VMs each, 512 MB per data node.
 inline ClusterConfig paper_cluster() { return ClusterConfig{}; }
-
-/// Seeds averaged per data point (the paper averages 3 consecutive runs).
-inline constexpr int kSeeds = 3;
 
 /// Machine-readable bench results. Every bench accumulates flat
 /// (name, value) metrics here via report().add(), and

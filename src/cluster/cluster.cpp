@@ -23,14 +23,8 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   }
 
   for (int h = 0; h < cfg.n_hosts; ++h) {
-    virt::HostConfig hc = c.host;
-    if (static_cast<std::size_t>(h) < cfg.host_disk_speed.size()) {
-      const double f = cfg.host_disk_speed[static_cast<std::size_t>(h)];
-      hc.disk.outer_mb_s *= f;
-      hc.disk.inner_mb_s *= f;
-    }
     hosts_.push_back(std::make_unique<virt::PhysicalHost>(
-        simr_, hc, h,
+        simr_, c.host, h,
         /*vm_ctx_base=*/static_cast<std::uint64_t>(h) * 100,
         /*seed=*/seeder.next_u64(), faults_.get()));
     for (int v = 0; v < cfg.vms_per_host; ++v) hosts_.back()->add_vm();

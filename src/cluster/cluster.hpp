@@ -25,11 +25,6 @@ struct ClusterConfig {
   /// Initial (VMM, guest) elevator pair, installed at construction (no
   /// switch cost — the machine boots with it).
   SchedulerPair pair = iosched::kDefaultPair;
-  /// Per-host disk speed factors (scales the media transfer rate); empty =
-  /// homogeneous. Shorter than n_hosts: remaining hosts get 1.0. Used to
-  /// model heterogeneous nodes — the scenario the paper names as breaking
-  /// the coarse (cluster-synchronized) meta-scheduler.
-  std::vector<double> host_disk_speed;
   /// Faults to inject during the run; empty = fault-free (no injector is
   /// even constructed, so behavior is bit-identical to pre-fault builds).
   fault::FaultPlan faults;

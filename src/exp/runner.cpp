@@ -1,8 +1,10 @@
 #include "exp/runner.hpp"
 
 #include "cluster/runner.hpp"
+#include "core/fine_grained.hpp"
 #include "core/meta_scheduler.hpp"
 #include "core/online_scheduler.hpp"
+#include "sim/text.hpp"
 #include "tenancy/stream_runner.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/microbench.hpp"
@@ -85,13 +87,18 @@ RunOutput execute_point(const ScenarioPoint& pt, std::uint64_t seed) {
     return execute_single_host(pt, seed);
   }
   RunOutput out;
-  const auto model = workloads::by_name(pt.workload);
-  if (!model) {  // unreachable after a successful spec parse; belt and braces
-    out.ok = false;
-    out.error = "unknown workload '" + pt.workload + "'";
-    return out;
+  // One job, or the jobs of a `+`-joined chain (mode=adapt only).
+  std::vector<mapred::JobConf> confs;
+  for (const std::string_view name : lex::split(pt.workload, '+')) {
+    const auto model = workloads::by_name(std::string(name));
+    if (!model) {  // unreachable after a successful spec parse; belt and braces
+      out.ok = false;
+      out.error = "unknown workload '" + pt.workload + "'";
+      return out;
+    }
+    confs.push_back(workloads::make_job(*model, pt.mb * mapred::kMiB));
   }
-  const auto jc = workloads::make_job(*model, pt.mb * mapred::kMiB);
+  const mapred::JobConf& jc = confs.front();
   const auto cfg = cluster_of(pt, seed);
 
   if (!pt.stream_text.empty()) {
@@ -155,14 +162,40 @@ RunOutput execute_point(const ScenarioPoint& pt, std::uint64_t seed) {
     return out;
   }
 
+  if (pt.mode == RunMode::kFinegrained) {
+    // Per-host online control (paper Section VII) from the boot pair, against
+    // the same job left at that pair; no profiling runs.
+    std::shared_ptr<core::FineGrainedController> ctl;
+    const cluster::RunResult fine =
+        cluster::run_job(cfg, jc, [&ctl](cluster::Cluster& cl, mapred::Job& job) {
+          ctl = core::FineGrainedController::attach(cl, job);
+        });
+    const cluster::RunResult def = cluster::run_job(cfg, jc);
+    if (fine.failed || def.failed) note_run_failure(&out, fine.failed ? fine : def);
+    out.metrics = {{"seconds", fine.seconds},
+                   {"default_seconds", def.seconds},
+                   {"gain_vs_default_pct", 100.0 * (1.0 - fine.seconds / def.seconds)},
+                   {"switches", static_cast<double>(ctl->total_switches())}};
+    return out;
+  }
+
   // mode=adapt: the full pipeline — profile all 16 pairs, Algorithm 1,
-  // final adaptive run — exactly what the Fig. 7 benches measure.
-  core::MetaSchedulerOptions opts;
-  opts.plan = core::PhasePlan::for_job(jc, cfg.n_hosts * cfg.vms_per_host);
-  opts.seeds_per_eval = 1;
-  core::MetaScheduler ms(cfg, jc, opts);
+  // final adaptive run — exactly what the Fig. 7 specs measure. A chain
+  // (the paper's Pig scenario, Section IV-C) takes its first job's phase
+  // plan for every job.
+  const core::Experiment experiment = core::make_chain_experiment(
+      cfg, confs, /*seeds_per_eval=*/1,
+      core::PhasePlan::for_job(jc, cfg.n_hosts * cfg.vms_per_host));
+  const int bound = experiment.phases * iosched::kNumSchedulerPairs;  // P x S
+  core::MetaScheduler ms(experiment, core::MetaSchedulerOptions{});
   const core::MetaResult r = ms.optimize();
-  if (r.adaptive_run.failed) note_run_failure(&out, r.adaptive_run);
+  if (r.adaptive_run.failed) {
+    note_run_failure(&out, r.adaptive_run);
+  } else if (r.heuristic_evaluations > bound) {
+    out.ok = false;
+    out.error = "Algorithm 1 issued " + std::to_string(r.heuristic_evaluations) +
+                " heuristic executions, over its P x S bound of " + std::to_string(bound);
+  }
   out.metrics = {{"adaptive_seconds", r.adaptive_seconds},
                  {"default_seconds", r.default_seconds},
                  {"best_single_seconds", r.best_single_seconds},

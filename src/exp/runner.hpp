@@ -2,10 +2,11 @@
 //
 // execute_point is the RunFn body of the experiment engine: it builds a
 // private ClusterConfig + JobConf from the scenario point, runs either a
-// plain job (mode=run) or the full meta-scheduler pipeline (mode=adapt),
-// or runs a single-host microbenchmark on workloads::run_single_host
-// (mode=sysbench, mode=switchcost), and returns the mode's fixed metric
-// list. It holds no state — safe to call concurrently from executor
+// plain job (mode=run), the full meta-scheduler pipeline over one job or a
+// chain (mode=adapt), or the fine-grained controller against the same job
+// left alone (mode=finegrained), or runs a single-host microbenchmark on
+// workloads::run_single_host (mode=sysbench, mode=switchcost), and returns
+// the mode's fixed metric list. It holds no state — safe to call concurrently from executor
 // workers.
 #pragma once
 
@@ -20,7 +21,12 @@ namespace iosim::exp {
 /// mode=run:   seconds, ph1_seconds, ph2_seconds, ph3_seconds, ph23_seconds,
 ///             shuffle_tail_pct (JobStats::shuffle_tail_pct, Table II)
 /// mode=adapt: adaptive_seconds, default_seconds, best_single_seconds,
-///             gain_vs_default_pct, gain_vs_best_pct, heuristic_evals
+///             gain_vs_default_pct, gain_vs_best_pct, heuristic_evals; the
+///             run fails when heuristic_evals exceeds the paper's P x S
+///             bound (16 x the experiment's phases)
+/// mode=finegrained: seconds (FineGrainedController attached, booted at
+///             pair), default_seconds (the same job and seed left at pair),
+///             gain_vs_default_pct, switches
 /// mode=sysbench: seconds (sysbench seqwr, mb MB per VM, all VMs done)
 /// mode=switchcost: seconds (dd, mb MB per VM, T(pair) alone),
 ///             self_seconds (switched to pair itself at half the data),

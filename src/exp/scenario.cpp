@@ -54,6 +54,18 @@ constexpr const char* kReducers[] = {"", "min(", "max(", "mean("};
 constexpr std::string_view kMetricChars =
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_";
 
+/// The canonical name of a workload or of a `+`-joined chain of them
+/// ("wc+sort" -> "wordcount+sort"); nullopt when a part names no workload.
+std::optional<std::string> canonical_workload(std::string_view v) {
+  std::string out;
+  for (const std::string_view part : lex::split(v, '+')) {
+    const auto model = workloads::by_name(std::string(lex::trim(part)));
+    if (!model) return std::nullopt;
+    out += (out.empty() ? "" : "+") + model->name;
+  }
+  return out;
+}
+
 int axis_index(std::string_view axis) {
   const auto* it = std::find(std::begin(kCheckAxes), std::end(kCheckAxes), axis);
   return it == std::end(kCheckAxes) ? -1 : static_cast<int>(it - std::begin(kCheckAxes));
@@ -99,8 +111,8 @@ bool parse_term(std::string_view t, ExpectTerm* out, std::string* error) {
     std::string lerr;
     if (!split_list(kv->value, '|', &values, &lerr)) return fail(lerr);
     for (auto& v : values) {
-      const auto model = workloads::by_name(v);
-      if (model && axis == "workload") v = model->name;
+      const auto name = canonical_workload(v);
+      if (name && axis == "workload") v = *name;
     }
   }
   return true;
@@ -145,7 +157,7 @@ std::string Expectation::to_string() const {
 }
 
 const char* to_string(RunMode m) {
-  constexpr const char* kNames[] = {"run", "adapt", "sysbench", "switchcost"};
+  constexpr const char* kNames[] = {"run", "adapt", "sysbench", "switchcost", "finegrained"};
   return kNames[static_cast<int>(m)];
 }
 
@@ -182,13 +194,14 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
   }
   if (key == "mode") {
     for (const RunMode m : {RunMode::kRun, RunMode::kAdapt, RunMode::kSysbench,
-                            RunMode::kSwitchcost}) {
+                            RunMode::kSwitchcost, RunMode::kFinegrained}) {
       if (value == exp::to_string(m)) {
         mode = m;
         return true;
       }
     }
-    return fail("bad mode '" + std::string(value) + "' (run|adapt|sysbench|switchcost)");
+    return fail("bad mode '" + std::string(value) +
+                "' (run|adapt|sysbench|switchcost|finegrained)");
   }
   if (key == "base_seed") {
     if (!lex::parse_u64(value, &base_seed)) {
@@ -233,9 +246,9 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     if (!split_list(value, ',', &items, &lerr)) return fail(lerr + " in workload");
     std::vector<std::string> named;
     for (const auto& it : items) {
-      const auto model = workloads::by_name(it);
-      if (!model) return fail("unknown workload '" + it + "'");
-      named.push_back(model->name);  // canonical: "wc" and "wordcount" collide
+      const auto canon = canonical_workload(it);
+      if (!canon) return fail("unknown workload '" + it + "'");
+      named.push_back(*canon);  // canonical: "wc" and "wordcount" collide
     }
     workloads = std::move(named);
     return true;
@@ -433,25 +446,33 @@ bool ScenarioSpec::validate(std::string* error) const {
     }
     return false;
   }();
+  const bool any_stream_policy = !(stream_policies.size() == 1 && stream_policies[0].empty());
+  const std::string in_mode = "mode=" + std::string(exp::to_string(mode));
+  if (mode != RunMode::kAdapt) {
+    for (const auto& w : workloads) {
+      if (w.find('+') != std::string::npos) {
+        return fail("workload '" + w + "' is a job chain, which only mode=adapt runs, not " +
+                    in_mode);
+      }
+    }
+  }
   if (is_single_host(mode)) {
     // A microbenchmark on one PhysicalHost: no cluster, no job, no stream.
-    const std::string m = "mode=" + std::string(exp::to_string(mode));
     const bool any_fault = std::any_of(faults.begin(), faults.end(),
                                        [](const auto& f) { return !f.second.empty(); });
-    if (hosts != std::vector<int>{1}) return fail(m + " requires hosts=1 (one physical host)");
-    if (workloads.size() > 1) return fail(m + " ignores workload; give at most one");
-    if (any_fault) return fail(m + " takes no fault= axis");
-    if (any_stream) return fail(m + " takes no stream= axis");
-    if (!(stream_policies.size() == 1 && stream_policies[0].empty())) {
-      return fail(m + " takes no stream_policy= axis");
+    if (hosts != std::vector<int>{1}) {
+      return fail(in_mode + " requires hosts=1 (one physical host)");
     }
-    if (any_meta) return fail(m + " takes no meta= axis");
+    if (workloads.size() > 1) return fail(in_mode + " ignores workload; give at most one");
+    if (any_fault) return fail(in_mode + " takes no fault= axis");
   }
-  if (any_stream && mode == RunMode::kAdapt) {
-    return fail("stream= requires mode=run (the meta-scheduler pipeline is "
-                "single-job)");
+  if (mode != RunMode::kRun) {
+    // Every other mode runs one job (or one chain) per run, or none.
+    if (any_stream) return fail(in_mode + " takes no stream= axis (streams require mode=run)");
+    if (any_stream_policy) return fail(in_mode + " takes no stream_policy= axis");
+    if (any_meta) return fail(in_mode + " takes no meta= axis");
   }
-  if (!any_stream && !(stream_policies.size() == 1 && stream_policies[0].empty())) {
+  if (!any_stream && any_stream_policy) {
     return fail("stream_policy= without a stream= axis");
   }
   if (!any_stream && any_meta) {

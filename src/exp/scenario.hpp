@@ -17,9 +17,13 @@
 // an error:
 //
 //   name=fig7a            identifier used for BENCH_<name>.json
-//   mode=run|adapt|sysbench|switchcost
+//   mode=run|adapt|sysbench|switchcost|finegrained
 //                         run: one job per point with the fixed pair
-//                         adapt: full meta-scheduler pipeline per point
+//                         adapt: full meta-scheduler pipeline per point;
+//                         the only mode that takes a job chain
+//                         finegrained: per run, the job booted at pair
+//                         with the per-host fine-grained controller
+//                         attached, then the same job left at pair
 //                         sysbench: one sysbench seqwr run per point (Fig.
 //                         1): vms writers on one host, mb MB each
 //                         switchcost: per point the dd switch-cost row of
@@ -41,7 +45,9 @@
 //                         meta= policies) measure the policy, not the
 //                         arrival-process draw
 //   pair=cc,ad,...        two-letter pair codes (VMM then guest), or all16
-//   workload=sort,...     sort | wordcount|wc | wc-nocombiner|wcnc
+//   workload=sort,...     sort | wordcount|wc | wc-nocombiner|wcnc, or a
+//                         `+`-joined chain of them (wc+sort+wcnc: the jobs
+//                         run back to back on one cluster, mode=adapt only)
 //   hosts=3,4             physical hosts
 //   vms=2,4,6             VMs per host
 //   mb=256,512            input MB per data node
@@ -52,7 +58,8 @@
 //                         (the stream grammar uses `,` and `;`); `none` is
 //                         the classic one-job-per-run point. A stream point
 //                         ignores the workload/mb axes (its classes carry
-//                         their own) and requires mode=run
+//                         their own) and requires mode=run, as do
+//                         stream_policy= and meta=
 //   stream_policy=fifo,.. slot-policy alternatives (fifo|fair|capacity)
 //                         applied on top of each stream's own policy; omit
 //                         to keep what the stream spec says
@@ -100,6 +107,7 @@ enum class RunMode : std::uint8_t {
   kAdapt = 1,       // full meta-scheduler pipeline (profile + search + final run)
   kSysbench = 2,    // one sysbench seqwr run on a single host (Fig. 1)
   kSwitchcost = 3,  // one switch-cost row on a single host (Fig. 5)
+  kFinegrained = 4, // fine-grained controller vs the same boot pair left alone
 };
 
 /// The single-host microbenchmark modes, which ignore the cluster axes.
@@ -112,8 +120,10 @@ const char* to_string(RunMode m);
 /// One cell of the expanded cross product.
 struct ScenarioPoint {
   RunMode mode = RunMode::kRun;
-  iosched::SchedulerPair pair;  // kRun: the fixed pair; kAdapt: the boot/default pair
-  std::string workload = "sort";  // empty for a single-host mode (no job)
+  iosched::SchedulerPair pair;  // kRun: the fixed pair; kAdapt: the boot/default pair;
+                                // kFinegrained: the pair both runs boot with
+  std::string workload = "sort";  // canonical names, `+`-joined for a chain;
+                                  // empty for a single-host mode (no job)
   int hosts = 4;
   int vms = 4;
   std::int64_t mb = 512;

@@ -427,6 +427,81 @@ TEST(ScenarioSpec, SingleHostModesRejectClusterAxes) {
 }
 
 
+TEST(ScenarioSpec, FinegrainedModeAndJobChainsRoundTrip) {
+  std::string err;
+  const auto fg = ScenarioSpec::parse(
+      "mode=finegrained\npair=cc\nhosts=2\nvms=2\nmb=64\n"
+      "fault=none|failslow:host=1,factor=1.5\n",
+      &err);
+  ASSERT_TRUE(fg.has_value()) << err;
+  EXPECT_EQ(fg->mode, RunMode::kFinegrained);
+  EXPECT_STREQ(to_string(fg->mode), "finegrained");
+  EXPECT_FALSE(is_single_host(fg->mode));
+  const auto fg_pts = fg->expand();
+  ASSERT_EQ(fg_pts.size(), 2u);
+  EXPECT_EQ(fg_pts[0].label(), "sort h2 v2 64MB (c,c)");
+  EXPECT_EQ(fg_pts[1].label(), "sort h2 v2 64MB (c,c) fault=failslow:host=1,factor=1.5");
+
+  // A chain's parts are canonicalized like single workloads, in the axis,
+  // the point label and an `expect` filter alike.
+  const auto chain = ScenarioSpec::parse(
+      "mode=adapt\nworkload=wc + sort + wcnc, sort\nhosts=2\nvms=2\nmb=32\nrepeats=1\n"
+      "expect=adaptive_seconds[workload=wc+sort+wcnc] <= best_single_seconds[workload=sort]\n",
+      &err);
+  ASSERT_TRUE(chain.has_value()) << err;
+  const std::string kChain = "wordcount+sort+wordcount-nocombiner";
+  EXPECT_EQ(chain->workloads, (std::vector<std::string>{kChain, "sort"}));
+  EXPECT_EQ(chain->expand()[0].label(), kChain + " h2 v2 32MB (c,c)");
+  EXPECT_EQ(chain->expects[0].lhs.filter[0].second, std::vector<std::string>{kChain});
+
+  for (const auto* s : {&*fg, &*chain}) {
+    SCOPED_TRACE(s->to_string());
+    const auto rt = ScenarioSpec::parse(s->to_string(), &err);
+    ASSERT_TRUE(rt.has_value()) << err;
+    EXPECT_EQ(rt->to_string(), s->to_string());
+    EXPECT_EQ(rt->fingerprint(), s->fingerprint());
+    EXPECT_EQ(rt->workloads, s->workloads);
+  }
+  for (const char* bad : {"wc+fio", "wc+", "+sort", "wc++sort"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(
+        ScenarioSpec::parse(std::string("mode=adapt\nworkload=") + bad + "\n", &err));
+    EXPECT_NE(err.find("unknown workload"), std::string::npos) << err;
+  }
+}
+
+TEST(ScenarioSpec, ChainsAndStreamAxesAreRejectedOutsideTheirModes) {
+  // A chain runs only under mode=adapt; every other mode says so in one line.
+  for (const char* mode : {"run", "finegrained", "sysbench", "switchcost"}) {
+    SCOPED_TRACE(mode);
+    std::string err;
+    EXPECT_FALSE(ScenarioSpec::parse(std::string("mode=") + mode +
+                                         "\nhosts=1\nworkload=sort+wc\n",
+                                     &err));
+    EXPECT_NE(err.find("job chain"), std::string::npos) << err;
+    EXPECT_NE(err.find("only mode=adapt"), std::string::npos) << err;
+    EXPECT_NE(err.find(std::string("mode=") + mode), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+  }
+  // mode=finegrained runs one job per run: no stream, slot policy or meta axis.
+  const std::string kStream(kStreamText);
+  const std::pair<std::string, const char*> kBad[] = {
+      {"stream=" + kStream + "\n", "mode=finegrained takes no stream= axis"},
+      {"stream_policy=fair\n", "mode=finegrained takes no stream_policy= axis"},
+      {"meta=policy=ucb\n", "mode=finegrained takes no meta= axis"},
+      {"stream=" + kStream + "\nmeta=policy=ucb\n", "mode=finegrained takes no stream= axis"},
+  };
+  for (const auto& [body, phrase] : kBad) {
+    SCOPED_TRACE(body);
+    std::string err;
+    EXPECT_FALSE(ScenarioSpec::parse("mode=finegrained\n" + body, &err));
+    EXPECT_NE(err.find(phrase), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+  }
+  // Faults are the fine-grained study's second axis, and stay legal.
+  EXPECT_TRUE(ScenarioSpec::parse("mode=finegrained\nfault=none|failslow:host=1,factor=2\n"));
+}
+
 // The three text grammars, pinned as the committed inputs parse today:
 // every bench spec's resume fingerprint and canonical text, and for every
 // fuzz corpus document whether it is accepted and what canonical text it
@@ -442,6 +517,9 @@ struct GrammarPin {
 };
 
 constexpr GrammarPin kGrammarPins[] = {
+    {"bench/specs/ext_chain.spec", true, 0x27e8a706e4c59890ULL, 0xe2779f49264ce2a8ULL},
+    {"bench/specs/ext_faults.spec", true, 0xef22afb54e9521bcULL, 0x3eabdbff08d076b3ULL},
+    {"bench/specs/ext_finegrained.spec", true, 0x24b8564f8c94daadULL, 0x2a0a9390f38b2be0ULL},
     {"bench/specs/fig1.spec", true, 0x0f215e014079beabULL, 0x282564e24dbd42edULL},
     {"bench/specs/fig2.spec", true, 0xe4f6000ea0363e7bULL, 0xdd0bd41de76ecf71ULL},
     {"bench/specs/fig5.spec", true, 0x836698e6a2dfa4f1ULL, 0xd4d52f86a2fd5c29ULL},
@@ -457,6 +535,7 @@ constexpr GrammarPin kGrammarPins[] = {
     {"bench/specs/scale.spec", true, 0x6d2f7fda326c7bb4ULL, 0x0a33a352a08a47e8ULL},
     {"bench/specs/smoke.spec", true, 0xf18c221c05e02858ULL, 0xfb92908a45ace0c3ULL},
     {"tests/fuzz/corpus/scenario/adapt-all16.txt", true, 0xbd2e5a377987e067ULL, 0x6b6fee95999b212cULL},
+    {"tests/fuzz/corpus/scenario/adapt-chain.txt", true, 0xf66da6747abe1a1eULL, 0xaf6d15efc7297ad0ULL},
     {"tests/fuzz/corpus/scenario/adversarial-dup-key.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
     {"tests/fuzz/corpus/scenario/adversarial-expect-ambiguous.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
     {"tests/fuzz/corpus/scenario/adversarial-expect-inf-factor.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
@@ -465,6 +544,7 @@ constexpr GrammarPin kGrammarPins[] = {
     {"tests/fuzz/corpus/scenario/comments-blanks.txt", true, 0xe9bf20bfed80c74dULL, 0xe864b4b16b758c3dULL},
     {"tests/fuzz/corpus/scenario/expect-checks.txt", true, 0x55fa7054663d830eULL, 0x845a8a7bc1e02f32ULL},
     {"tests/fuzz/corpus/scenario/fault-axis.txt", true, 0xbb2229b8971d3d1aULL, 0x4069da638bb3a07eULL},
+    {"tests/fuzz/corpus/scenario/finegrained-faults.txt", true, 0xd96a3311905b889cULL, 0xc28f0d51522a7a63ULL},
     {"tests/fuzz/corpus/scenario/meta-axis.txt", true, 0x98eb1302381510b9ULL, 0x2d3dc390ddf4c671ULL},
     {"tests/fuzz/corpus/scenario/regress-axis-product-overflow.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
     {"tests/fuzz/corpus/scenario/regress-nonfinite-timeout.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},

@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
       "fuzz_scenario", opt, check_scenario,
       {"name=", "mode=", "base_seed=", "repeats=", "pair=", "workload=", "hosts=",
        "vms=", "mb=", "fault=", "timeout=", "max_events=", "max_sim_seconds=",
-       "all16", "run", "adapt", "sysbench", "switchcost", "sort", "wordcount",
-       "wc-nocombiner",
+       "all16", "run", "adapt", "sysbench", "switchcost", "finegrained", "sort",
+       "wordcount", "wc-nocombiner", "+", "wc+sort+wcnc",
        "none", "transient:host=0,p=0.1", "lse:host=0,lba=0-100", "|", ",", ";",
        "stream=", "stream_policy=", "arrive,poisson,rate=0.1,jobs=4",
        "class,name=a,wl=sort,mb=8-8", "policy,fair", "fifo", "fair", "capacity",
