@@ -191,15 +191,7 @@ Lba BlockLayer::back_merge(Request* rq, Bio& run, Lba lba, Lba end,
   return lba;
 }
 
-Request* BlockLayer::acquire_request() {
-  if (free_.empty()) {
-    pool_.push_back(std::make_unique<Request>());
-    return pool_.back().get();
-  }
-  Request* rq = free_.back();
-  free_.pop_back();
-  return rq;
-}
+Request* BlockLayer::acquire_request() { return pool_.acquire(); }
 
 void BlockLayer::release_request(Request* rq) {
   // Everything the next user does not overwrite goes back to its initial
@@ -210,7 +202,7 @@ void BlockLayer::release_request(Request* rq) {
   rq->dispatch = Time{};
   rq->completions.clear();
   rq->attrs.clear();
-  free_.push_back(rq);
+  pool_.release(rq);
 }
 
 void BlockLayer::switch_scheduler(SchedulerKind kind) {

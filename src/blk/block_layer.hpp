@@ -19,6 +19,7 @@
 #include "blk/request_sink.hpp"
 #include "iosched/scheduler.hpp"
 #include "obs/attr.hpp"
+#include "sim/chunk_pool.hpp"
 #include "sim/simulator.hpp"
 
 namespace iosim::blk {
@@ -149,13 +150,10 @@ class BlockLayer {
   std::unique_ptr<IoScheduler> sched_;
 
   std::uint64_t next_rq_id_ = 1;
-  /// Request pool: every request this layer ever built, plus the ones free
-  /// for reuse (LIFO, so the most recently completed, cache-warm one goes
-  /// out first). A request returns to the pool only after its completion
-  /// callbacks have run; the pool's size is the layer's peak number of
-  /// live requests.
-  std::vector<std::unique_ptr<Request>> pool_;
-  std::vector<Request*> free_;
+  /// Request pool: every request this layer ever built. A request returns
+  /// to it only after its completion callbacks have run, so the pool holds
+  /// the layer's peak number of live requests, rounded up to a chunk.
+  sim::ChunkPool<Request> pool_;
   /// Back-merge index over *queued* requests: end LBA -> request.
   MergeIndex merge_idx_;
 

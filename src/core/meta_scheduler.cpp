@@ -118,22 +118,21 @@ std::vector<ProfileEntry> MetaScheduler::profile_all_pairs() const {
   return out;
 }
 
-double MetaScheduler::evaluate(
-    const PairSchedule& schedule,
-    std::vector<std::pair<std::string, double>>& cache) const {
-  const std::string key = schedule.key();
-  for (const auto& [k, v] : cache) {
-    if (k == key) return v;
+const cluster::RunResult& MetaScheduler::evaluate(const PairSchedule& schedule,
+                                                  std::vector<Evaluation>& cache) const {
+  std::string key = schedule.key();
+  for (const Evaluation& e : cache) {
+    if (e.key == key) return e.run;
   }
-  const double secs = exp_.execute(schedule).seconds;
+  cluster::RunResult run = exp_.execute(schedule);
+  const double secs = run.seconds;
   meta_clock_ = meta_clock_ + sim::Time::from_sec_f(secs);
   if (auto* tr = trace::tracer()) {
     tr->instant(tr->track("meta"), tr->ids.probe, tr->ids.cat_meta, meta_clock_,
                 tr->ids.value, static_cast<std::int64_t>(secs * 1000.0));
   }
   if (auto* reg = trace::registry()) reg->counter("meta.heuristic_evals").inc();
-  cache.emplace_back(key, secs);
-  return secs;
+  return cache.emplace_back(Evaluation{std::move(key), std::move(run)}).run;
 }
 
 MetaResult MetaScheduler::optimize() {
@@ -179,7 +178,7 @@ MetaResult MetaScheduler::optimize() {
   }
 
   // ---- Step 2: Algorithm 1. ----
-  std::vector<std::pair<std::string, double>> cache;
+  std::vector<Evaluation> cache;
   int evals = 0;
   PairSchedule sol;
   sol.phases.assign(static_cast<std::size_t>(P), std::nullopt);
@@ -208,7 +207,7 @@ MetaResult MetaScheduler::optimize() {
     std::size_t j = 0;
     auto count_eval = [&](const PairSchedule& s) {
       const std::size_t before = cache.size();
-      const double v = evaluate(s, cache);
+      const double v = evaluate(s, cache).seconds;
       if (cache.size() != before) ++evals;
       return v;
     };
@@ -234,9 +233,11 @@ MetaResult MetaScheduler::optimize() {
     }
   }
 
-  // ---- Step 3: final adaptive execution. ----
+  // ---- Step 3: the adaptive run. ----
+  // The last phase's search evaluated the solution itself (its probe is the
+  // fixed prefix, the chosen pair, no suffix), so its run is in the cache.
   res.solution = sol;
-  res.adaptive_run = execute(sol);
+  res.adaptive_run = evaluate(sol, cache);
   res.adaptive_seconds = res.adaptive_run.seconds;
   res.heuristic_evaluations = evals;
 

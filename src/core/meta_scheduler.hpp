@@ -40,7 +40,9 @@ struct MetaSchedulerOptions {
 
 struct MetaResult {
   PairSchedule solution;
-  double adaptive_seconds = 0.0;      // full run with `solution`
+  /// The full run with `solution`: Algorithm 1's own execution of it, or
+  /// the fallback's run of the best single pair.
+  double adaptive_seconds = 0.0;
   cluster::RunResult adaptive_run;
 
   double default_seconds = 0.0;       // (cfq, cfq) single pair
@@ -82,7 +84,9 @@ class MetaScheduler {
   /// phase count — `experiment.phases` rules.
   MetaScheduler(Experiment experiment, MetaSchedulerOptions opts);
 
-  /// Full pipeline: profile -> Algorithm 1 -> final adaptive run.
+  /// Full pipeline: profile -> Algorithm 1, whose own execution of the
+  /// solution is the adaptive run (the fallback runs the best single pair
+  /// once more).
   MetaResult optimize();
 
   /// Execute the experiment under `schedule` (adaptive switching applied);
@@ -93,8 +97,15 @@ class MetaScheduler {
   std::vector<ProfileEntry> profile_all_pairs() const;
 
  private:
-  double evaluate(const PairSchedule& schedule,
-                  std::vector<std::pair<std::string, double>>& cache) const;
+  /// One full execution Algorithm 1 issued, by schedule key.
+  struct Evaluation {
+    std::string key;
+    cluster::RunResult run;
+  };
+  /// The run of `schedule`: from `cache`, or executed once and added to
+  /// it. The reference lasts until the next call adds to `cache`.
+  const cluster::RunResult& evaluate(const PairSchedule& schedule,
+                                     std::vector<Evaluation>& cache) const;
   /// One profiling run: advances the meta clock, emits the trace/metrics
   /// record.
   ProfileEntry profile_one(iosched::SchedulerPair p) const;

@@ -113,11 +113,12 @@ void MapTask::read_failed(std::int64_t chunk) {
 
 void MapTask::chunk_read(std::int64_t bytes) {
   const WorkloadModel& w = job_.conf().workload;
-  job_.vm(vm_).cpu->run(cpu_cost(w.map_cpu_ns_per_byte, bytes),
-                        [this, bytes] {
-                          if (cancelled_) return;
-                          chunk_computed(bytes);
-                        });
+  const auto computed = [this, bytes] {
+    if (cancelled_) return;
+    chunk_computed(bytes);
+  };
+  static_assert(sim::EventFn::fits_inline<decltype(computed)>());
+  job_.vm(vm_).cpu->run(cpu_cost(w.map_cpu_ns_per_byte, bytes), computed);
 }
 
 void MapTask::chunk_computed(std::int64_t in_bytes) {

@@ -78,7 +78,9 @@ void MergeOp::unit_read_done(std::shared_ptr<MergeOp> self, std::int64_t unit_by
   ++cpu_write_inflight_;
   const auto cpu = sim::Time::from_ns(
       static_cast<std::int64_t>(p_.cpu_ns_per_byte * static_cast<double>(unit_bytes)));
-  vm_.cpu->run(cpu, [this, self, unit_bytes] {
+  // One burst per unit read: inline in its EventFn (pointer, shared_ptr,
+  // count), so the merge's CPU stage allocates nothing per unit.
+  auto burst = [this, self, unit_bytes] {
     // Emit output for this unit (carry fractional bytes across units).
     write_pending_bytes_ +=
         static_cast<std::int64_t>(p_.write_ratio * static_cast<double>(unit_bytes));
@@ -109,7 +111,9 @@ void MergeOp::unit_read_done(std::shared_ptr<MergeOp> self, std::int64_t unit_by
                           maybe_finish(t2);
                         });
     }
-  });
+  };
+  static_assert(sim::EventFn::fits_inline<decltype(burst)>());
+  vm_.cpu->run(cpu, std::move(burst));
 }
 
 void MergeOp::maybe_finish(sim::Time t) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "mapred/cluster_env.hpp"
+#include "sim/event_fn.hpp"
 #include "sim/time.hpp"
 
 namespace iosim::mapred {
@@ -39,7 +40,7 @@ struct MergeOpParams {
   /// Polled before issuing each read/write. When it returns true the op
   /// stops issuing, drains what is outstanding and reports kError — the
   /// killed task's process is gone, so no new I/O may reach the disk.
-  std::function<bool()> cancelled;
+  sim::SmallFn<bool()> cancelled;
 };
 
 /// Fire-and-forget; `on_done` runs after every read, burst and write has

@@ -20,7 +20,8 @@ sim::Time cpu_cost(double ns_per_byte, std::int64_t bytes) {
 
 ReduceTask::ReduceTask(Job& job, int task_id, int vm, int attempt)
     : job_(job), task_id_(task_id), vm_(vm), attempt_(attempt),
-      io_ctx_(ctx::reduce_task(task_id, job.ctx_base())) {}
+      io_ctx_(ctx::reduce_task(task_id, job.ctx_base())),
+      map_fetched_(static_cast<std::size_t>(job.stats().maps_total), 0) {}
 
 void ReduceTask::start() {
   if (cancelled_) return;
@@ -88,37 +89,35 @@ void ReduceTask::fetch(const MapOutput& mo) {
   const disk::Lba off =
       (mo.bytes * task_id_ / R) / disk::kSectorBytes;
 
-  const VmHandle& srcvm = job_.vm(mo.vm);
-  const VmHandle& me = job_.vm(vm_);
-
   virt::IoStreamParams sp;
   sp.unit_sectors = c.io_unit_bytes / disk::kSectorBytes;
   sp.window = c.read_window;
   sp.cancelled = [this] { return cancelled_; };
   // DataNode-side read of the partition, then the network hop (loopback for
-  // a same-host source), then arrival processing.
-  virt::IoStream::run(*srcvm.vm, ctx::server(mo.vm), mo.vlba + off, part,
-                      iosched::Dir::kRead, /*sync=*/true, sp,
-                      [this, part, mo, &srcvm, &me](sim::Time, iosched::IoStatus st) {
-                        if (cancelled_) return;
-                        if (st != iosched::IoStatus::kOk) {
-                          fetch_failed(mo);
-                          return;
-                        }
-                        job_.env().net->start_flow(
-                            srcvm.host, me.host, part,
-                            [this, part, mo](sim::Time) {
-                              if (cancelled_) return;
-                              fetch_arrived(mo.map_id, part);
-                            });
-                      });
+  // a same-host source), then arrival processing. Both callbacks capture
+  // (this, part, mo), 40 bytes, and look the hosts up again: inline in
+  // their SmallFns, so a fetch allocates nothing.
+  const auto on_read = [this, part, mo](sim::Time, iosched::IoStatus st) {
+    if (cancelled_) return;
+    if (st != iosched::IoStatus::kOk) {
+      fetch_failed(mo);
+      return;
+    }
+    const auto on_arrival = [this, part, mo](sim::Time) {
+      if (cancelled_) return;
+      fetch_arrived(mo.map_id, part);
+    };
+    static_assert(net::FlowDoneFn::fits_inline<decltype(on_arrival)>());
+    job_.env().net->start_flow(job_.vm(mo.vm).host, job_.vm(vm_).host, part,
+                               on_arrival);
+  };
+  static_assert(iosched::CompletionFn::fits_inline<decltype(on_read)>());
+  virt::IoStream::run(*job_.vm(mo.vm).vm, ctx::server(mo.vm), mo.vlba + off, part,
+                      iosched::Dir::kRead, /*sync=*/true, sp, on_read);
 }
 
 void ReduceTask::fetch_arrived(int map_id, std::int64_t bytes) {
   const JobConf& c = job_.conf();
-  if (map_fetched_.size() <= static_cast<std::size_t>(map_id)) {
-    map_fetched_.resize(static_cast<std::size_t>(map_id) + 1, 0);
-  }
   map_fetched_[static_cast<std::size_t>(map_id)] = 1;
   received_ += bytes;
   mem_used_ += bytes;

@@ -88,7 +88,7 @@ class ReduceTask {
   bool cancelled_ = false;
   std::deque<MapOutput> fetch_queue_;
   std::vector<int> fetch_fail_counts_;  // per map id, lazily sized
-  std::vector<char> map_fetched_;       // per map id, lazily sized
+  std::vector<char> map_fetched_;       // per map id, sized at construction
   int active_fetches_ = 0;
   int maps_fetched_ = 0;
   bool shuffle_complete_ = false;

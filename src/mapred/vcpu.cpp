@@ -1,8 +1,7 @@
 #include "mapred/vcpu.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <limits>
-#include <vector>
 
 namespace iosim::mapred {
 
@@ -10,7 +9,7 @@ namespace {
 constexpr double kEpsilonNs = 1.0;
 }
 
-void VCpu::run(Time cpu_time, std::function<void()> done) {
+void VCpu::run(Time cpu_time, sim::EventFn done) {
   advance(simr_.now());
   if (cpu_time <= Time::zero()) {
     // Zero-cost burst: complete on a fresh event to keep callback ordering
@@ -19,8 +18,7 @@ void VCpu::run(Time cpu_time, std::function<void()> done) {
     reschedule();
     return;
   }
-  bursts_.emplace(next_id_++,
-                  Burst{static_cast<double>(cpu_time.ns()), std::move(done)});
+  bursts_.push_back(Burst{static_cast<double>(cpu_time.ns()), std::move(done)});
   reschedule();
 }
 
@@ -29,8 +27,7 @@ void VCpu::advance(Time now) {
   last_update_ = now;
   if (dt_ns <= 0.0 || bursts_.empty()) return;
   const double share = dt_ns / static_cast<double>(bursts_.size());
-  for (auto& [id, b] : bursts_) {
-    (void)id;
+  for (Burst& b : bursts_) {
     b.remaining_ns -= share;
     if (b.remaining_ns < 0.0) b.remaining_ns = 0.0;
   }
@@ -45,27 +42,35 @@ void VCpu::reschedule() {
   if (bursts_.empty()) return;
 
   double soonest_ns = std::numeric_limits<double>::infinity();
-  for (const auto& [id, b] : bursts_) {
-    (void)id;
+  for (const Burst& b : bursts_) {
     const double t = std::max(0.0, b.remaining_ns - kEpsilonNs) *
                      static_cast<double>(bursts_.size());
     soonest_ns = std::min(soonest_ns, t);
   }
-  ev_ = simr_.after(Time::from_ns(static_cast<std::int64_t>(soonest_ns) + 1), [this] {
-    ev_ = sim::kInvalidEvent;
-    advance(simr_.now());
-    std::vector<std::function<void()>> done;
-    for (auto it = bursts_.begin(); it != bursts_.end();) {
-      if (it->second.remaining_ns <= kEpsilonNs) {
-        done.push_back(std::move(it->second.done));
-        it = bursts_.erase(it);
-      } else {
-        ++it;
-      }
+  ev_ = simr_.after(Time::from_ns(static_cast<std::int64_t>(soonest_ns) + 1),
+                    [this] { on_completion(); });
+}
+
+void VCpu::on_completion() {
+  ev_ = sim::kInvalidEvent;
+  advance(simr_.now());
+  // Compact the survivors in place, in order; the finished bursts'
+  // callbacks go to done_ in submission order.
+  std::size_t kept = 0;
+  for (Burst& b : bursts_) {
+    if (b.remaining_ns <= kEpsilonNs) {
+      done_.push_back(std::move(b.done));
+    } else {
+      if (&bursts_[kept] != &b) bursts_[kept] = std::move(b);
+      ++kept;
     }
-    reschedule();
-    for (auto& fn : done) fn();
-  });
+  }
+  bursts_.erase(bursts_.begin() + static_cast<std::ptrdiff_t>(kept), bursts_.end());
+  reschedule();
+  // A callback may submit a burst (run() does not touch done_), but no
+  // completion runs inside another: each is its own event.
+  for (sim::EventFn& fn : done_) fn();
+  done_.clear();
 }
 
 }  // namespace iosim::mapred

@@ -31,7 +31,7 @@ double FlowNetwork::rate(FlowId id) const {
 }
 
 FlowId FlowNetwork::start_flow(int src, int dst, std::int64_t bytes,
-                               std::function<void(Time)> on_done) {
+                               FlowDoneFn on_done) {
   assert(src >= 0 && src < n_hosts_);
   assert(dst >= 0 && dst < n_hosts_);
   assert(bytes > 0);

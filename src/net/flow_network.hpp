@@ -22,9 +22,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "sim/event_fn.hpp"
 #include "sim/simulator.hpp"
 
 namespace iosim::net {
@@ -43,6 +43,12 @@ struct NetParams {
 
 using FlowId = std::uint64_t;
 
+/// Completion callback of a flow (argument: the arrival time of its last
+/// byte). Inline up to 48 bytes of capture, like sim::EventFn: a shuffle
+/// fetch's callback (task pointer, byte count, map output) costs no
+/// allocation.
+using FlowDoneFn = sim::SmallFn<void(Time)>;
+
 /// One fluid flow between two hosts (src == dst means loopback).
 class FlowNetwork {
  public:
@@ -51,8 +57,7 @@ class FlowNetwork {
   /// Start a flow of `bytes` from host `src` to host `dst`; `on_done` fires
   /// when the last byte arrives. Flows that finish at the same instant fire
   /// in ascending FlowId order.
-  FlowId start_flow(int src, int dst, std::int64_t bytes,
-                    std::function<void(Time)> on_done);
+  FlowId start_flow(int src, int dst, std::int64_t bytes, FlowDoneFn on_done);
 
   /// Number of flows currently in the system.
   std::size_t active_flows() const { return order_.size(); }
@@ -84,7 +89,7 @@ class FlowNetwork {
     double total = 0.0;      // payload bytes (for accounting)
     double remaining = 0.0;  // bytes
     double rate = 0.0;       // bytes/sec, valid since last_update_
-    std::function<void(Time)> on_done;
+    FlowDoneFn on_done;
   };
 
   /// The links of the flow in the same slot and its fixed stamp, apart
@@ -153,7 +158,7 @@ class FlowNetwork {
   /// links in no particular order. Sized 3n + 1 in the constructor.
   std::vector<Open> open_;
   std::uint64_t stamp_ = 0;  // one per re-level
-  std::vector<std::function<void(Time)>> done_;  // completion callbacks
+  std::vector<FlowDoneFn> done_;  // completion callbacks
   Work work_;
 };
 

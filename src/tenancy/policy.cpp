@@ -54,16 +54,19 @@ std::int64_t PolicyArbiter::now_ns() const {
   return simr_ != nullptr ? simr_->now().ns() : 0;
 }
 
-std::vector<int> PolicyArbiter::compute_grants(bool reduce) const {
+const std::vector<int>& PolicyArbiter::compute_grants(bool reduce) const {
   const int total =
       n_vms_ * (reduce ? reduce_slots_per_vm_ : map_slots_per_vm_);
-  std::vector<int> grants(jobs_.size(), 0);
+  std::vector<int>& grants = scratch_.grants;
+  grants.assign(jobs_.size(), 0);
 
   // Want = what the job is already holding plus its unassigned demand; a
   // grant may never land below the holding (no preemption — over-quota
   // jobs just stop acquiring).
-  std::vector<int> want(jobs_.size(), 0);
-  std::vector<std::size_t> live;
+  std::vector<int>& want = scratch_.want;
+  want.assign(jobs_.size(), 0);
+  std::vector<std::size_t>& live = scratch_.live;
+  live.clear();
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const Entry& e = jobs_[i];
     if (!e.live) continue;
@@ -85,7 +88,8 @@ std::vector<int> PolicyArbiter::compute_grants(bool reduce) const {
   switch (policy_) {
     case Policy::kFifo: {
       // Priority order, arrival breaking ties; each job takes all it can.
-      std::vector<std::size_t> order = live;
+      std::vector<std::size_t>& order = scratch_.order;
+      order = live;
       std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
         if (jobs_[a].priority != jobs_[b].priority) {
           return jobs_[a].priority > jobs_[b].priority;
@@ -128,7 +132,8 @@ std::vector<int> PolicyArbiter::compute_grants(bool reduce) const {
       if (n_classes == 0) break;
       const double share_sum = std::accumulate(
           class_shares_.begin(), class_shares_.end(), 0.0);
-      std::vector<int> guaranteed(static_cast<std::size_t>(n_classes), 0);
+      std::vector<int>& guaranteed = scratch_.guaranteed;
+      guaranteed.assign(static_cast<std::size_t>(n_classes), 0);
       for (int c = 0; c < n_classes; ++c) {
         const double share =
             share_sum > 0.0
@@ -138,7 +143,8 @@ std::vector<int> PolicyArbiter::compute_grants(bool reduce) const {
         guaranteed[static_cast<std::size_t>(c)] =
             static_cast<int>(share * total);
       }
-      std::vector<std::size_t> order = live;
+      std::vector<std::size_t>& order = scratch_.order;
+      order = live;
       std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
         if (jobs_[a].class_index != jobs_[b].class_index) {
           return jobs_[a].class_index < jobs_[b].class_index;
@@ -158,7 +164,7 @@ std::vector<int> PolicyArbiter::compute_grants(bool reduce) const {
 }
 
 int PolicyArbiter::quota(int job_id, bool reduce) const {
-  const std::vector<int> grants = compute_grants(reduce);
+  const std::vector<int>& grants = compute_grants(reduce);
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     if (jobs_[i].job_id == job_id) return grants[i];
   }

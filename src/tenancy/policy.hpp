@@ -100,8 +100,9 @@ class PolicyArbiter final : public mapred::SlotArbiter {
   std::int64_t now_ns() const;
 
   /// Water-fill / greedy entitlement of every live job for one slot type;
-  /// returns grants indexed like jobs_.
-  std::vector<int> compute_grants(bool reduce) const;
+  /// returns grants indexed like jobs_, in scratch_ (valid until the next
+  /// call).
+  const std::vector<int>& compute_grants(bool reduce) const;
 
   Policy policy_;
   int n_vms_;
@@ -112,6 +113,17 @@ class PolicyArbiter final : public mapred::SlotArbiter {
   std::vector<Entry> jobs_;
   std::vector<int> map_in_use_;     // per VM
   std::vector<int> reduce_in_use_;  // per VM
+
+  /// compute_grants' working lists, kept across calls: every slot request
+  /// asks for a quota, and the lists reach their peak size once.
+  struct Scratch {
+    std::vector<int> grants;              // indexed like jobs_
+    std::vector<int> want;                // indexed like jobs_
+    std::vector<std::size_t> live;        // jobs with want > 0
+    std::vector<std::size_t> order;       // live, in grant order
+    std::vector<int> guaranteed;          // Capacity: per class
+  };
+  mutable Scratch scratch_;
 };
 
 }  // namespace iosim::tenancy

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "virt/io_stream.hpp"
+
 namespace iosim::virt {
 
 DomU::DomU(sim::Simulator& simr, std::uint64_t vm_ctx, blk::BlockLayer& dom0,
@@ -17,6 +19,8 @@ DomU::DomU(sim::Simulator& simr, std::uint64_t vm_ctx, blk::BlockLayer& dom0,
   zones_[1] = Zone{data_sz, scratch_sz, data_sz};
   zones_[2] = Zone{data_sz + scratch_sz, output_sz, data_sz + scratch_sz};
 }
+
+DomU::~DomU() = default;
 
 void DomU::submit_io(std::uint64_t ctx, Lba vlba, std::int64_t sectors, Dir dir,
                      bool sync,

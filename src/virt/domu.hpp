@@ -7,6 +7,7 @@
 #include <string>
 
 #include "blk/block_layer.hpp"
+#include "sim/chunk_pool.hpp"
 #include "virt/blkfront_ring.hpp"
 
 namespace iosim::virt {
@@ -21,6 +22,8 @@ using iosched::SchedulerKind;
 /// structure instead of a single bump pointer.
 enum class DiskZone : std::uint8_t { kData = 0, kScratch = 1, kOutput = 2 };
 inline constexpr int kNumDiskZones = 3;
+
+class IoStream;
 
 struct DomUConfig {
   blk::BlockLayerConfig guest_blk;
@@ -37,6 +40,7 @@ class DomU {
   /// extent on the host disk.
   DomU(sim::Simulator& simr, std::uint64_t vm_ctx, blk::BlockLayer& dom0,
        Lba image_base, Lba image_sectors, const DomUConfig& cfg);
+  ~DomU();
 
   std::uint64_t vm_ctx() const { return vm_ctx_; }
   Lba image_sectors() const { return image_sectors_; }
@@ -59,6 +63,9 @@ class DomU {
   blk::BlockLayer& layer() { return *guest_layer_; }
   const blk::BlockLayer& layer() const { return *guest_layer_; }
 
+  /// The I/O streams issued on this VM (virt/io_stream.hpp).
+  sim::ChunkPool<IoStream>& streams() { return streams_; }
+
  private:
   std::uint64_t vm_ctx_;
   Lba image_sectors_;
@@ -71,6 +78,8 @@ class DomU {
     Lba next;
   };
   Zone zones_[kNumDiskZones];
+
+  sim::ChunkPool<IoStream> streams_;
 };
 
 }  // namespace iosim::virt

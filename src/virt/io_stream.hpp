@@ -3,9 +3,7 @@
 // a real process produces through readahead (reads) or writeback (writes).
 #pragma once
 
-#include <functional>
-#include <memory>
-
+#include "sim/event_fn.hpp"
 #include "virt/domu.hpp"
 
 namespace iosim::virt {
@@ -20,14 +18,20 @@ struct IoStreamParams {
   /// Polled before issuing each bio. When it returns true the stream stops
   /// issuing, drains in-flight bios and reports kError — the issuing
   /// process was killed, so no further I/O may reach the disk.
-  std::function<bool()> cancelled;
+  sim::SmallFn<bool()> cancelled;
 };
 
-/// Fire-and-forget sequential transfer on a DomU virtual disk. The object
-/// manages its own lifetime; `on_done(t, status)` is invoked once after the
-/// last bio completes. On the first bio error the stream stops issuing new
-/// bios, drains the ones already in flight, and reports kError — the shape
-/// of a read() loop hitting EIO.
+/// Fire-and-forget sequential transfer on a DomU virtual disk;
+/// `on_done(t, status)` is invoked once after the last bio completes. On the
+/// first bio error the stream stops issuing new bios, drains the ones
+/// already in flight, and reports kError — the shape of a read() loop
+/// hitting EIO. A stream cancelled while nothing is in flight ends without a
+/// report.
+///
+/// Streams come from their VM's pool (DomU::streams()): a stream goes back
+/// to the pool when its last bio is back, before `on_done` runs, so the bio
+/// callbacks capture one raw pointer and a stream costs no allocation once
+/// the pool is warm.
 class IoStream {
  public:
   /// Issue `bytes` at `vlba` for task `ctx`. Rounds the byte count up to
@@ -37,25 +41,21 @@ class IoStream {
                   iosched::CompletionFn on_done);
 
  private:
-  IoStream(DomU& vm, std::uint64_t ctx, disk::Lba vlba, std::int64_t sectors,
-           iosched::Dir dir, bool sync, IoStreamParams params,
-           iosched::CompletionFn on_done)
-      : vm_(vm), ctx_(ctx), next_lba_(vlba), end_lba_(vlba + sectors), dir_(dir),
-        sync_(sync), p_(params), on_done_(std::move(on_done)) {}
+  void pump();
+  void bio_done(sim::Time t, iosched::IoStatus st);
+  /// Back to the VM's pool; the object may be reused at once.
+  void release();
 
-  void pump(std::shared_ptr<IoStream> self);
-
-  DomU& vm_;
-  std::uint64_t ctx_;
-  disk::Lba next_lba_;
-  disk::Lba end_lba_;
-  iosched::Dir dir_;
-  bool sync_;
+  DomU* vm_ = nullptr;
+  std::uint64_t ctx_ = 0;
+  disk::Lba next_lba_ = 0;
+  disk::Lba end_lba_ = 0;
+  iosched::Dir dir_ = iosched::Dir::kRead;
+  bool sync_ = false;
+  bool failed_ = false;
+  int outstanding_ = 0;
   IoStreamParams p_;
   iosched::CompletionFn on_done_;
-  int outstanding_ = 0;
-  bool failed_ = false;
-  bool done_fired_ = false;
 };
 
 }  // namespace iosim::virt

@@ -87,6 +87,57 @@ TEST(MetaScheduler, ExecuteMatchesOptimizeResult) {
   EXPECT_NEAR(rerun.seconds, r.adaptive_seconds, 1e-9);  // deterministic
 }
 
+/// A synthetic three-phase experiment that counts its executions: phase k
+/// under pair p takes 10 + (7p + 5k) mod 16 s, a switch costs 1 s, and every
+/// execution pays `penalty` on top (a large one makes Algorithm 1's
+/// schedule lose to the best single pair, so optimize falls back).
+struct CountingExperiment {
+  static double phase_seconds(SchedulerPair p, int k) {
+    return 10.0 + static_cast<double>((7 * p.index() + 5 * k) % 16);
+  }
+  static double seconds(const PairSchedule& s, double penalty) {
+    double t = penalty + s.switches();
+    for (int k = 0; k < s.count(); ++k) t += phase_seconds(s.effective(k), k);
+    return t;
+  }
+  static Experiment make(int* executions, double penalty) {
+    Experiment e;
+    e.phases = 3;
+    e.profile = [](SchedulerPair p) {
+      ProfileEntry entry;
+      entry.pair = p;
+      for (int k = 0; k < 3; ++k) {
+        entry.phase_seconds.push_back(phase_seconds(p, k));
+        entry.total_seconds += entry.phase_seconds.back();
+      }
+      return entry;
+    };
+    e.execute = [executions, penalty](const PairSchedule& s) {
+      ++*executions;
+      cluster::RunResult r;
+      r.seconds = seconds(s, penalty);
+      return r;
+    };
+    return e;
+  }
+};
+
+TEST(MetaScheduler, OptimizeExecutesEachScheduleOnce) {
+  // The adaptive run is Algorithm 1's own evaluation of the solution: the
+  // experiment runs once per heuristic evaluation, and once more only for
+  // the fallback's best single pair.
+  for (const double penalty : {0.0, 1000.0}) {
+    int executions = 0;
+    MetaScheduler ms(CountingExperiment::make(&executions, penalty), {});
+    const MetaResult r = ms.optimize();
+    EXPECT_EQ(r.fell_back, penalty > 0.0);
+    EXPECT_EQ(executions, r.heuristic_evaluations + (r.fell_back ? 1 : 0))
+        << "penalty " << penalty;
+    EXPECT_EQ(r.adaptive_seconds, CountingExperiment::seconds(r.solution, penalty));
+    EXPECT_EQ(r.adaptive_run.seconds, r.adaptive_seconds);
+  }
+}
+
 TEST(MetaScheduler, ImprovementAccessors) {
   MetaResult r;
   r.adaptive_seconds = 75;

@@ -148,7 +148,9 @@ TEST(OnlineScheduler, SameSeedIsByteIdenticalWithOnlineControllerOn) {
 // Whole-run trace digests of every policy-driven controller path: the
 // bandit (both policies), the offline pipeline, the decay path (a VM crash
 // mid-stream) and the bandit's switch-failure telemetry. Any change to when
-// a controller pulls, switches, retries or what it traces moves these.
+// a controller pulls, switches, retries or what it traces moves these. The
+// offline pipeline's trace holds every side-cluster run Algorithm 1 makes;
+// it has no run after the search (the solution's run is the search's own).
 TEST(OnlineScheduler, PolicyTraceDigestsArePinned) {
   MetaStreamResult ucb, egreedy, offline;
   EXPECT_EQ(traced_policy_digest(spec_with_meta("policy=ucb"), 11, &ucb),
@@ -156,7 +158,7 @@ TEST(OnlineScheduler, PolicyTraceDigestsArePinned) {
   EXPECT_EQ(traced_policy_digest(spec_with_meta("policy=egreedy"), 11, &egreedy),
             0xf37c04d25f269930ULL);
   EXPECT_EQ(traced_policy_digest(spec_with_meta("policy=offline"), 11, &offline),
-            0x2083051abcd9a7a9ULL);
+            0xe91acf0a48d4a63eULL);
   // The pins must cover real switches, not just pulls.
   EXPECT_GT(ucb.arm_switches, 0);
   EXPECT_GT(egreedy.arm_switches, 0);

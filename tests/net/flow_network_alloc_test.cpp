@@ -5,8 +5,9 @@
 // completion — runs without a single call to operator new. Two wave shapes:
 // an all-to-all shuffle (one component) and many small components that a
 // bridging flow merges and splits. This binary replaces the global operator
-// new to count calls; the completion callbacks capture one pointer, which
-// std::function stores inline.
+// new to count calls. The completion callbacks have the shape of a shuffle
+// fetch's arrival callback: 40 bytes of capture (a pointer, a byte count and
+// a map output record), which net::FlowDoneFn must hold inline.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,12 +33,28 @@ namespace {
 
 constexpr int kHosts = 16;
 
+/// A map output record, as mapred::MapOutput: 24 bytes.
+struct Output {
+  int map_id;
+  int vm;
+  std::int64_t vlba;
+  std::int64_t bytes;
+};
+
+/// A completion callback shaped like ReduceTask::fetch's: (counter, bytes,
+/// output record).
+auto on_arrival(int* done, std::int64_t bytes) {
+  const Output mo{1, 2, 3, bytes};
+  return [done, bytes, mo](sim::Time) { *done += mo.bytes == bytes ? 1 : 0; };
+}
+static_assert(sizeof(decltype(on_arrival(nullptr, 0))) == 40);
+
 /// Every ordered host pair, loopback included, with sizes from three values.
 void start_wave(FlowNetwork& net, int* done) {
   for (int src = 0; src < kHosts; ++src) {
     for (int dst = 0; dst < kHosts; ++dst) {
       const std::int64_t bytes = 500'000 * (1 + (src + 3 * dst) % 3);
-      net.start_flow(src, dst, bytes, [done](sim::Time) { ++*done; });
+      net.start_flow(src, dst, bytes, on_arrival(done, bytes));
     }
   }
 }
@@ -48,12 +65,12 @@ void start_wave(FlowNetwork& net, int* done) {
 /// splits them when it finishes.
 void start_components(sim::Simulator& simr, FlowNetwork& net, int* done) {
   for (int h = 0; h + 1 < kHosts; h += 2) {
-    net.start_flow(h, h + 1, 1'000'000, [done](sim::Time) { ++*done; });
-    net.start_flow(h, h + 1, 1'000'000, [done](sim::Time) { ++*done; });
-    net.start_flow(h + 1, h + 1, 300'000, [done](sim::Time) { ++*done; });
+    net.start_flow(h, h + 1, 1'000'000, on_arrival(done, 1'000'000));
+    net.start_flow(h, h + 1, 1'000'000, on_arrival(done, 1'000'000));
+    net.start_flow(h + 1, h + 1, 300'000, on_arrival(done, 300'000));
   }
   simr.after(sim::Time::from_ms(2), [&net, done] {
-    net.start_flow(0, 3, 200'000, [done](sim::Time) { ++*done; });
+    net.start_flow(0, 3, 200'000, on_arrival(done, 200'000));
   });
 }
 
