@@ -4,7 +4,10 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -79,23 +82,41 @@ inline std::string basename_of(const std::string& path) {
 /// `--trace FILE` records a trace and writes it at exit (.csv extension
 /// selects CSV, anything else Chrome trace-event JSON); `--metrics` prints
 /// the named-metrics registry at exit; `--json FILE` writes the bench's
-/// accumulated BenchReport (see report()) at exit.
+/// accumulated BenchReport (see report()) at exit. `valued` and `boolean`
+/// name the bench's own flags, read back with value() and has(). Any other
+/// argument, or a valued flag without its value, exits 2 with a diagnostic.
 class Telemetry {
  public:
-  Telemetry(int argc, char** argv) {
+  Telemetry(int argc, char** argv, std::set<std::string> valued = {},
+            std::set<std::string> boolean = {}) {
     if (argc > 0) bench_name_ = basename_of(argv[0]);
+    valued.insert({"--trace", "--json"});
+    boolean.insert("--metrics");
     for (int i = 1; i < argc; ++i) {
       const std::string s = argv[i];
-      if (s == "--trace" && i + 1 < argc) {
-        trace_path_ = argv[++i];
-      } else if (s == "--json" && i + 1 < argc) {
-        json_path_ = argv[++i];
-      } else if (s == "--metrics") {
-        metrics_.emplace();
+      if (valued.count(s) != 0 && i + 1 < argc) {
+        flags_[s] = argv[++i];
+      } else if (boolean.count(s) != 0) {
+        flags_[s] = "";
+      } else {
+        std::fprintf(stderr, "%s: %s '%s'\n", bench_name_.c_str(),
+                     valued.count(s) != 0 ? "missing value for" : "unknown argument",
+                     s.c_str());
+        std::exit(2);
       }
     }
+    trace_path_ = value("--trace").value_or("");
+    json_path_ = value("--json").value_or("");
+    if (has("--metrics")) metrics_.emplace();
     if (!trace_path_.empty()) trace_.emplace();
   }
+  /// The value a valued flag was given, if it was.
+  std::optional<std::string> value(const std::string& flag) const {
+    const auto it = flags_.find(flag);
+    if (it == flags_.end()) return std::nullopt;
+    return it->second;
+  }
+  bool has(const std::string& flag) const { return flags_.count(flag) != 0; }
   ~Telemetry() {
     if (!json_path_.empty()) {
       std::string err;
@@ -125,6 +146,7 @@ class Telemetry {
 
  private:
   std::string bench_name_ = "bench";
+  std::map<std::string, std::string> flags_;
   std::string trace_path_;
   std::string json_path_;
   std::optional<trace::TraceSession> trace_;

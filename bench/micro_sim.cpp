@@ -40,7 +40,6 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -490,19 +489,14 @@ void row(const char* name, double per_sec, double wall) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Telemetry telemetry(argc, argv);
+  const bench::Telemetry telemetry(argc, argv, {"--reps"}, {"--quick"});
   int reps = 3;
-  std::uint64_t scale = 1;  // divide workloads by this (for test smoke runs)
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      if (!lex::parse_int(argv[++i], &reps) || reps < 1) {
-        std::fprintf(stderr, "micro_sim: --reps expects a positive integer, got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-    }
-    if (std::strcmp(argv[i], "--quick") == 0) scale = 16;
+  if (const auto v = telemetry.value("--reps"); v && (!lex::parse_int(*v, &reps) || reps < 1)) {
+    std::fprintf(stderr, "micro_sim: --reps expects a positive integer, got '%s'\n", v->c_str());
+    return 2;
   }
+  // Divide workloads by this (for test smoke runs).
+  const std::uint64_t scale = telemetry.has("--quick") ? 16 : 1;
 
   bench::print_header("micro_sim", "event-loop hot-path microbenchmarks");
   std::printf("reps: %d (reporting the best), scale divisor: %" PRIu64 "\n\n", reps,

@@ -20,7 +20,6 @@ int main() {
 
   core::MetaSchedulerOptions opts;
   opts.plan = core::PhasePlan::for_job(jc, cfg.n_hosts * cfg.vms_per_host);
-  opts.verbose = true;
 
   std::printf("sort, %d hosts x %d VMs, %lld MB per data node, %d phases (%.1f waves)\n\n",
               cfg.n_hosts, cfg.vms_per_host,
@@ -31,6 +30,14 @@ int main() {
   std::printf("step 1+2: profiling all 16 pairs, then Algorithm 1...\n");
   core::MetaScheduler ms(cfg, jc, opts);
   const core::MetaResult r = ms.optimize();
+  for (const auto& e : r.profile) {
+    std::printf("  profile %-28s total=%.1fs phases=[", e.pair.to_string().c_str(),
+                e.total_seconds);
+    for (std::size_t i = 0; i < e.phase_seconds.size(); ++i) {
+      std::printf("%s%.1f", i ? ", " : "", e.phase_seconds[i]);
+    }
+    std::printf("]\n");
+  }
 
   std::printf("\nresult\n------\n");
   std::printf("solution schedule   : %s%s\n", r.solution.to_string().c_str(),

@@ -42,7 +42,9 @@ FineGrainedController::FineGrainedController(cluster::Cluster& cl, mapred::Job& 
     : cl_(cl), job_(job), policy_(policy), hosts_(cl.n_hosts()) {}
 
 void FineGrainedController::sample(const std::shared_ptr<FineGrainedController>& self) {
-  if (job_.done()) return;  // stop sampling; no further events scheduled
+  // Stop sampling once the job ends either way; an aborted job that kept a
+  // sampler alive would keep the simulator from ever draining.
+  if (job_.done() || job_.failed()) return;
   ++samples_;
   const sim::Time now = cl_.simr().now();
   if (auto* tr = trace::tracer()) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <limits>
 
 #include "core/adaptive_controller.hpp"
@@ -80,11 +79,10 @@ Experiment make_chain_experiment(cluster::ClusterConfig cfg,
 MetaScheduler::MetaScheduler(cluster::ClusterConfig cluster_cfg,
                              mapred::JobConf job_conf, MetaSchedulerOptions opts)
     : exp_(make_chain_experiment(std::move(cluster_cfg), {std::move(job_conf)},
-                                 opts.seeds_per_eval, opts.plan)),
-      opts_(opts) {}
+                                 opts.seeds_per_eval, opts.plan)) {}
 
-MetaScheduler::MetaScheduler(Experiment experiment, MetaSchedulerOptions opts)
-    : exp_(std::move(experiment)), opts_(opts) {}
+MetaScheduler::MetaScheduler(Experiment experiment, MetaSchedulerOptions /*opts*/)
+    : exp_(std::move(experiment)) {}
 
 cluster::RunResult MetaScheduler::execute(const PairSchedule& schedule) const {
   return exp_.execute(schedule);
@@ -99,14 +97,6 @@ ProfileEntry MetaScheduler::profile_one(iosched::SchedulerPair p) const {
                 tr->ids.value, static_cast<std::int64_t>(e.total_seconds * 1000.0));
   }
   if (auto* reg = trace::registry()) reg->counter("meta.profile_runs").inc();
-  if (opts_.verbose) {
-    std::printf("  profile %-28s total=%.1fs phases=[", p.to_string().c_str(),
-                e.total_seconds);
-    for (std::size_t i = 0; i < e.phase_seconds.size(); ++i) {
-      std::printf("%s%.1f", i ? ", " : "", e.phase_seconds[i]);
-    }
-    std::printf("]\n");
-  }
   return e;
 }
 
@@ -227,10 +217,6 @@ MetaResult MetaScheduler::optimize() {
     } else {
       sol.phases[static_cast<std::size_t>(i)] = chosen;
     }
-    if (opts_.verbose) {
-      std::printf("  phase %d fixed: %s (probed %zu candidates, best %.1fs)\n",
-                  i + 1, chosen.to_string().c_str(), j + 2, t_cur);
-    }
   }
 
   // ---- Step 3: the adaptive run. ----
@@ -250,10 +236,6 @@ MetaResult MetaScheduler::optimize() {
     res.adaptive_seconds = res.adaptive_run.seconds;
     res.fell_back = true;
     if (auto* reg = trace::registry()) reg->counter("meta.fallbacks").inc();
-    if (opts_.verbose) {
-      std::printf("  fell back to single pair %s (%.1fs)\n",
-                  res.best_single.to_string().c_str(), res.adaptive_seconds);
-    }
   }
   return res;
 }

@@ -35,7 +35,6 @@ struct MetaSchedulerOptions {
   /// Seeds averaged per execution (the paper averages 3 runs; 1 keeps the
   /// search cheap and the simulator is deterministic anyway).
   int seeds_per_eval = 1;
-  bool verbose = false;
 };
 
 struct MetaResult {
@@ -80,8 +79,8 @@ class MetaScheduler {
   MetaScheduler(cluster::ClusterConfig cluster_cfg, mapred::JobConf job_conf,
                 MetaSchedulerOptions opts);
 
-  /// A custom experiment (e.g. a job chain); `opts.plan` is ignored for the
-  /// phase count — `experiment.phases` rules.
+  /// A custom experiment (e.g. a job chain). It carries its own phase
+  /// count and seeds, so `opts` sets nothing here.
   MetaScheduler(Experiment experiment, MetaSchedulerOptions opts);
 
   /// Full pipeline: profile -> Algorithm 1, whose own execution of the
@@ -111,7 +110,6 @@ class MetaScheduler {
   ProfileEntry profile_one(iosched::SchedulerPair p) const;
 
   Experiment exp_;
-  MetaSchedulerOptions opts_;
   /// Profiling/probe runs each spin up a private simulator, so there is no
   /// shared sim clock to stamp trace events with. Instead the search keeps
   /// its own clock: the accumulated simulated seconds of every run issued so

@@ -1,6 +1,5 @@
 #include "exp/runner.hpp"
 
-#include "cluster/runner.hpp"
 #include "core/fine_grained.hpp"
 #include "core/meta_scheduler.hpp"
 #include "core/online_scheduler.hpp"
@@ -22,17 +21,6 @@ sim::SimBudget budget_of(const ScenarioPoint& pt) {
   if (pt.max_sim_seconds > 0) b.max_sim_time = sim::Time::from_sec_f(pt.max_sim_seconds);
   b.abort = current_run_abort();
   return b;
-}
-
-cluster::ClusterConfig cluster_of(const ScenarioPoint& pt, std::uint64_t seed) {
-  cluster::ClusterConfig cfg;
-  cfg.n_hosts = pt.hosts;
-  cfg.vms_per_host = pt.vms;
-  cfg.pair = pt.pair;
-  cfg.faults = pt.faults;
-  cfg.seed = seed;
-  cfg.budget = budget_of(pt);
-  return cfg;
 }
 
 /// Failure bookkeeping shared by both modes: a watchdog abort is an infra
@@ -82,21 +70,38 @@ RunOutput execute_single_host(const ScenarioPoint& pt, std::uint64_t seed) {
 
 }  // namespace
 
+cluster::ClusterConfig cluster_of(const ScenarioPoint& pt, std::uint64_t seed) {
+  cluster::ClusterConfig cfg;
+  cfg.n_hosts = pt.hosts;
+  cfg.vms_per_host = pt.vms;
+  cfg.pair = pt.pair;
+  cfg.faults = pt.faults;
+  cfg.seed = seed;
+  cfg.budget = budget_of(pt);
+  return cfg;
+}
+
+std::vector<mapred::JobConf> jobs_of(const ScenarioPoint& pt) {
+  std::vector<mapred::JobConf> confs;
+  for (const std::string_view name : lex::split(pt.workload, '+')) {
+    const auto model = workloads::by_name(std::string(name));
+    if (!model) return {};
+    confs.push_back(workloads::make_job(*model, pt.mb * mapred::kMiB));
+  }
+  return confs;
+}
+
 RunOutput execute_point(const ScenarioPoint& pt, std::uint64_t seed) {
   if (is_single_host(pt.mode)) {
     return execute_single_host(pt, seed);
   }
   RunOutput out;
   // One job, or the jobs of a `+`-joined chain (mode=adapt only).
-  std::vector<mapred::JobConf> confs;
-  for (const std::string_view name : lex::split(pt.workload, '+')) {
-    const auto model = workloads::by_name(std::string(name));
-    if (!model) {  // unreachable after a successful spec parse; belt and braces
-      out.ok = false;
-      out.error = "unknown workload '" + pt.workload + "'";
-      return out;
-    }
-    confs.push_back(workloads::make_job(*model, pt.mb * mapred::kMiB));
+  const std::vector<mapred::JobConf> confs = jobs_of(pt);
+  if (confs.empty()) {
+    out.ok = false;
+    out.error = "unknown workload '" + pt.workload + "'";
+    return out;
   }
   const mapred::JobConf& jc = confs.front();
   const auto cfg = cluster_of(pt, seed);

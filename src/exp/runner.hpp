@@ -1,7 +1,8 @@
 // iosim: materialize one run of a scenario sweep into a simulation.
 //
 // execute_point is the RunFn body of the experiment engine: it builds a
-// private ClusterConfig + JobConf from the scenario point, runs either a
+// private ClusterConfig + JobConf from the scenario point (cluster_of and
+// jobs_of, the materializer iosimctl's one-point specs share), runs either a
 // plain job (mode=run), the full meta-scheduler pipeline over one job or a
 // chain (mode=adapt), or the fine-grained controller against the same job
 // left alone (mode=finegrained), or runs a single-host microbenchmark on
@@ -10,10 +11,23 @@
 // workers.
 #pragma once
 
+#include <vector>
+
+#include "cluster/runner.hpp"
 #include "exp/executor.hpp"
 #include "exp/scenario.hpp"
 
 namespace iosim::exp {
+
+/// The materializer: the point's cluster (hosts, VMs, pair, fault plan and
+/// event budgets; the executor's abort flag when a worker runs it) seeded
+/// with `seed` as given.
+cluster::ClusterConfig cluster_of(const ScenarioPoint& point, std::uint64_t seed);
+
+/// The point's jobs at `mb` MB per data node: one, or the jobs of a
+/// `+`-joined chain in order. Empty when a name is not a workload, which
+/// only a hand-built point can have (the grammar canonicalizes names).
+std::vector<mapred::JobConf> jobs_of(const ScenarioPoint& point);
 
 /// Metric names per mode, in emission order (the aggregator and the BENCH
 /// JSON preserve this order).

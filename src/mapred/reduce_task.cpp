@@ -41,8 +41,7 @@ void ReduceTask::map_output_ready(const MapOutput& mo) {
 void ReduceTask::pump_fetches() {
   const JobConf& c = job_.conf();
   while (active_fetches_ < c.shuffle_parallel && !fetch_queue_.empty()) {
-    const MapOutput mo = fetch_queue_.front();
-    fetch_queue_.pop_front();
+    const MapOutput mo = fetch_queue_.pop_front();
     // A stale advertisement (the original output before a map re-executed)
     // can coexist in the queue with the fresh one; pull each map once.
     if (has_fetched(mo.map_id)) continue;

@@ -19,10 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "mapred/map_task.hpp"
+#include "sim/ring_fifo.hpp"
 
 namespace iosim::mapred {
 
@@ -86,7 +86,7 @@ class ReduceTask {
 
   bool started_ = false;
   bool cancelled_ = false;
-  std::deque<MapOutput> fetch_queue_;
+  sim::RingFifo<MapOutput> fetch_queue_;
   std::vector<int> fetch_fail_counts_;  // per map id, lazily sized
   std::vector<char> map_fetched_;       // per map id, sized at construction
   int active_fetches_ = 0;

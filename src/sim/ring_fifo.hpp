@@ -4,7 +4,8 @@
 // it), so once a queue has reached its peak backlog pushes and pops
 // allocate nothing either; a std::deque allocates whenever a push or pop
 // crosses a block boundary, for as long as it lives. Noop's request queue,
-// CFQ's round-robin list and the blkfront ring's return queues use it.
+// CFQ's round-robin list, the blkfront ring's return queues and a reduce
+// task's shuffle fetch queue use it.
 #pragma once
 
 #include <cassert>

@@ -98,8 +98,10 @@ TEST(ChainAlloc, SecondJobAllocatesPerTaskNotPerIo) {
   const std::uint64_t diff =
       fine.news > coarse.news ? fine.news - coarse.news : coarse.news - fine.news;
   EXPECT_LT(diff * 1000, added_bios) << "allocations that follow I/O events";
-  EXPECT_EQ(coarse.news, 113u);
-  EXPECT_EQ(fine.news, 117u);
+  // Each of the 8 reduce tasks allocates its fetch queue's ring once, at
+  // the first push.
+  EXPECT_EQ(coarse.news, 105u);
+  EXPECT_EQ(fine.news, 109u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <map>
 #include <vector>
 
+#include "cluster/runner.hpp"
+#include "fault/fault_plan.hpp"
 #include "trace/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -44,6 +46,24 @@ TEST(FineGrained, SamplingStopsAfterJob) {
   EXPECT_TRUE(job.done());
   // The simulator drained, i.e. no immortal sampling loop.
   EXPECT_FALSE(cl.simr().step());
+}
+
+TEST(FineGrained, SamplingStopsAfterAbortedJob) {
+  // Every bio on the one host fails, so the job aborts; the sampler must
+  // stop with it and let the simulator drain. The event budget turns a
+  // sampler that outlives the job into a budget stop instead of a hang.
+  ClusterConfig cfg;
+  cfg.n_hosts = 1;
+  cfg.vms_per_host = 1;
+  cfg.faults = *fault::FaultPlan::parse("transient:host=0,p=1");
+  cfg.budget.max_events = 1'000'000;
+  auto jc = workloads::make_job(workloads::stream_sort(), 8 * mapred::kMiB);
+  std::shared_ptr<FineGrainedController> ctl;
+  const auto r = cluster::run_job(cfg, jc, [&ctl](cluster::Cluster& cl, mapred::Job& job) {
+    ctl = FineGrainedController::attach(cl, job);
+  });
+  EXPECT_TRUE(r.failed);
+  EXPECT_EQ(r.stop, sim::StopReason::kDrained);
 }
 
 TEST(FineGrained, ZeroAssumedGainBlocksSwitching) {

@@ -53,6 +53,31 @@ double metric(const RunOutput& out, const std::string& name) {
   return -1.0;
 }
 
+TEST(RunFold, MaterializerBuildsThePointsClusterAndJobs) {
+  std::string err;
+  const auto spec = ScenarioSpec::parse(
+      "mode=adapt\nrepeats=1\npair=ad\nworkload=wc+sort\nhosts=3\nvms=2\nmb=48\n"
+      "fault=failslow:host=1,factor=2\nmax_events=1000\n",
+      &err);
+  ASSERT_TRUE(spec.has_value()) << err;
+  const ScenarioPoint pt = spec->expand().front();
+  const cluster::ClusterConfig cfg = cluster_of(pt, 77);
+  EXPECT_EQ(cfg.n_hosts, 3);
+  EXPECT_EQ(cfg.vms_per_host, 2);
+  EXPECT_EQ(cfg.pair, pt.pair);
+  EXPECT_EQ(cfg.seed, 77u);  // as given: the caller derives run seeds
+  EXPECT_EQ(cfg.faults.specs.size(), 1u);
+  EXPECT_EQ(cfg.budget.max_events, 1000u);
+  const auto jobs = jobs_of(pt);
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].workload.name, "wordcount");
+  EXPECT_EQ(jobs[1].workload.name, "sort");
+  for (const auto& jc : jobs) EXPECT_EQ(jc.input_bytes_per_vm, 48 * mapred::kMiB);
+  ScenarioPoint unknown = pt;
+  unknown.workload = "sort+nosuch";
+  EXPECT_TRUE(jobs_of(unknown).empty());
+}
+
 TEST(RunFold, RepeatsMatchRunJobAndTheirMeanMatchesRunJobAvg) {
   std::string err;
   const auto spec = ScenarioSpec::parse(kSpec, &err);

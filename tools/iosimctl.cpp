@@ -1,20 +1,24 @@
 // iosimctl — command-line front end for the simulator.
 //
 //   iosimctl run      --workload sort --hosts 4 --vms 4 --mb 512 --pair ad
-//   iosimctl adapt    --workload sort [--phases 2|3]       (meta-scheduler)
+//   iosimctl adapt    --workload sort                      (meta-scheduler)
 //   iosimctl finegrained --workload sort                   (online controller)
 //   iosimctl sysbench --vms 3 --mb 1024 --pair cc
 //   iosimctl switchcost [--mb 600]                          (Fig. 5 matrix)
 //   iosimctl stream   --spec 'arrive,poisson,rate=0.05,jobs=8;class,...'
 //                     [--policy fifo|fair|capacity] [--jobs]
 //
-// Every command prints a table; `--csv` switches to CSV for scripting.
-// Unknown flags, stray positionals, non-integer numeric flags and malformed
-// `--fault` specs are rejected with a diagnostic and exit code 2.
+// Every command runs a one-point scenario spec (exp/scenario.hpp): the
+// command is its mode= line and each axis flag is one more spec line
+// (--seed is base_seed=, --seeds repeats=, --fault and --fault-file one
+// fault=, --spec stream=, --policy stream_policy=), so the flags take the
+// grammar's values and bounds. The engine's materializer (exp/runner.hpp)
+// builds the cluster and jobs. Every command prints a table; `--csv`
+// switches to CSV for scripting. Unknown or repeated flags, stray
+// positionals, values the grammar rejects and flags that give more than one
+// point exit 2 with a diagnostic.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -29,17 +33,13 @@
 #include "core/online_scheduler.hpp"
 #include "core/phase_detector.hpp"
 #include "exp/runner.hpp"
-#include "fault/fault_plan.hpp"
 #include "metrics/iostat_sampler.hpp"
 #include "metrics/registry_table.hpp"
 #include "metrics/table.hpp"
 #include "obs/attribution.hpp"
-#include "sim/text.hpp"
 #include "tenancy/stream_runner.hpp"
-#include "tenancy/stream_spec.hpp"
 #include "trace/registry.hpp"
 #include "trace/trace.hpp"
-#include "workloads/benchmarks.hpp"
 
 using namespace iosim;
 
@@ -52,16 +52,14 @@ struct Args {
     auto it = kv.find(k);
     return it == kv.end() ? d : it->second;
   }
-  /// Integer flag value (parse() has rejected malformed ones) or `d`.
-  std::int64_t num(const std::string& k, std::int64_t d) const {
-    if (auto it = kv.find(k); it != kv.end()) lex::parse_i64(it->second, &d);
-    return d;
-  }
 };
 
-/// Valued flags that take an integer.
-const std::set<std::string> kIntegerFlags = {"hosts", "vms", "mb", "seed", "seeds",
-                                             "phases"};
+/// The axis flags and the spec key each one writes. --fault and
+/// --fault-file together write one fault= line.
+const std::map<std::string, std::string> kSpecKeys = {
+    {"workload", "workload"}, {"hosts", "hosts"},     {"vms", "vms"},
+    {"mb", "mb"},             {"pair", "pair"},       {"seed", "base_seed"},
+    {"seeds", "repeats"},     {"spec", "stream"},     {"policy", "stream_policy"}};
 
 /// Per-command flag whitelist: `valued` flags consume the next argv token,
 /// `boolean` flags stand alone.
@@ -73,12 +71,17 @@ struct FlagSet {
 int usage() {
   std::fprintf(stderr,
                "usage: iosimctl <run|adapt|finegrained|sysbench|switchcost|stream> "
-               "[--workload sort|wordcount|wc-nocombiner] [--hosts N] [--vms N] "
-               "[--mb N] [--pair xy] [--seeds N] [--phases 2|3] [--csv] "
+               "[--workload sort|wordcount|wc|wc-nocombiner|wcnc] [--hosts N] [--vms N] "
+               "[--mb N] [--pair xy] [--seed N] [--seeds N] [--csv] "
                "[--trace FILE] [--metrics] [--fault SPEC] [--fault-file FILE] "
                "[--speculate]\n"
+               "axis flags take the sweep-spec grammar's values, one each: "
+               "--hosts/--vms 1-1024, --mb >= 1, --seed an unsigned integer "
+               "(base_seed=), --seeds N repeats (run: averaged over seeds "
+               "derived from --seed; adapt: seeds per evaluation)\n"
                "pair letters: n=noop d=deadline a=anticipatory c=cfq; first "
                "letter = VMM (Dom0), second = VM guests\n"
+               "adapt also takes a `+`-joined chain: --workload wc+sort\n"
                "--trace FILE   record a flight-recorder trace of the run; "
                "FILE ending in .csv selects CSV, anything else Chrome "
                "trace-event JSON (chrome://tracing / ui.perfetto.dev)\n"
@@ -101,14 +104,13 @@ int usage() {
   return 2;
 }
 
-/// Strict parser: every token must be a whitelisted flag; valued flags must
-/// have a value. Returns nullopt (after printing a diagnostic) on any
-/// violation so the caller can exit non-zero instead of silently ignoring a
-/// typo.
+/// Strict parser: every token must be a whitelisted flag given once (only
+/// --fault repeats); valued flags must have a value. Returns nullopt (after
+/// printing a diagnostic) on any violation so the caller can exit non-zero
+/// instead of silently ignoring a typo.
 std::optional<Args> parse(int argc, char** argv, int from, const std::string& cmd,
                           const FlagSet& flags) {
   Args a;
-  const std::set<std::string> fault_flags = {"fault", "fault-file", "speculate"};
   for (int i = from; i < argc; ++i) {
     const std::string s = argv[i];
     if (s.rfind("--", 0) != 0) {
@@ -117,38 +119,85 @@ std::optional<Args> parse(int argc, char** argv, int from, const std::string& cm
       return std::nullopt;
     }
     const std::string key = s.substr(2);
-    if (flags.valued.count(key) != 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "iosimctl %s: --%s requires a value\n", cmd.c_str(),
-                     key.c_str());
-        return std::nullopt;
-      }
-      const std::string val = argv[++i];
-      std::int64_t n = 0;
-      if (kIntegerFlags.count(key) != 0 && !lex::parse_i64(val, &n)) {
-        std::fprintf(stderr, "iosimctl %s: --%s expects an integer, got '%s'\n",
-                     cmd.c_str(), key.c_str(), val.c_str());
-        return std::nullopt;
-      }
-      if (key == "fault" && a.has("fault")) {
-        a.kv["fault"] += ";" + val;  // --fault is repeatable
-      } else {
-        a.kv[key] = val;
-      }
-    } else if (flags.boolean.count(key) != 0) {
-      a.kv[key] = "1";
-    } else if (fault_flags.count(key) != 0) {
-      std::fprintf(stderr, "iosimctl %s: fault injection (--%s) is not supported "
-                           "by this command\n",
-                   cmd.c_str(), key.c_str());
+    const bool valued = flags.valued.count(key) != 0;
+    if (!valued && flags.boolean.count(key) == 0) {
+      std::fprintf(stderr, "iosimctl %s: unknown flag --%s\n", cmd.c_str(), key.c_str());
       return std::nullopt;
-    } else {
-      std::fprintf(stderr, "iosimctl %s: unknown flag --%s\n", cmd.c_str(),
+    }
+    if (valued && i + 1 >= argc) {
+      std::fprintf(stderr, "iosimctl %s: --%s requires a value\n", cmd.c_str(),
                    key.c_str());
+      return std::nullopt;
+    }
+    const std::string val = valued ? argv[++i] : "1";
+    if (key == "fault" && a.has("fault")) {
+      a.kv["fault"] += ";" + val;  // --fault is repeatable
+    } else if (!a.kv.emplace(key, val).second) {
+      std::fprintf(stderr, "iosimctl %s: --%s given twice\n", cmd.c_str(), key.c_str());
       return std::nullopt;
     }
   }
   return a;
+}
+
+/// A command: the spec lines it writes before the flags' own (the mode
+/// first), and the flags it takes.
+struct Command {
+  int (*handler)(const Args&, const exp::ScenarioSpec&, const exp::ScenarioPoint&);
+  std::vector<std::pair<std::string, std::string>> lines;
+  FlagSet flags;
+};
+
+/// The fault= value of --fault-file's text and the --fault specs ("" when
+/// neither is given); nullopt after a diagnostic when the file is unreadable.
+std::optional<std::string> fault_text(const Args& a, const std::string& cmd) {
+  std::string text;
+  if (a.has("fault-file")) {
+    const std::string path = a.str("fault-file", "");
+    std::ifstream in(path);
+    if (!in) {
+      std::fprintf(stderr, "iosimctl %s: cannot read fault file '%s'\n", cmd.c_str(),
+                   path.c_str());
+      return std::nullopt;
+    }
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    text = ss.str();
+  }
+  if (a.has("fault")) {
+    if (!text.empty()) text += "\n";
+    text += a.str("fault", "");
+  }
+  return text;
+}
+
+/// The command line as a one-point spec: the command's lines, then one
+/// line per axis flag, validated and expanded by the grammar. nullopt after
+/// the grammar's diagnostic, or when the flags give more than one point.
+std::optional<exp::ScenarioSpec> spec_of(const Command& c, const Args& a,
+                                         const std::string& cmd) {
+  exp::ScenarioSpec spec;
+  spec.repeats = 1;
+  std::string err;
+  for (const auto& [key, value] : c.lines) spec.apply(key, value);
+  const auto fail = [&](const std::string& msg) {
+    std::fprintf(stderr, "iosimctl %s: %s\n", cmd.c_str(), msg.c_str());
+    return std::nullopt;
+  };
+  for (const auto& [flag, key] : kSpecKeys) {
+    if (a.has(flag) && !spec.apply(key, a.str(flag, ""), &err)) {
+      return fail("--" + flag + ": " + err);
+    }
+  }
+  const auto faults = fault_text(a, cmd);
+  if (!faults) return std::nullopt;
+  if (!faults->empty() && !spec.apply("fault", *faults, &err)) return fail(err);
+  if (!spec.validate(&err)) return fail(err);
+  if (spec.n_points() != 1) {
+    return fail("the flags give " + std::to_string(spec.n_points()) +
+                " points; give one value per axis");
+  }
+  return spec;
 }
 
 /// RAII wrapper for --trace / --metrics / --obs: installs the global tracer,
@@ -248,67 +297,6 @@ class Telemetry {
   std::vector<std::shared_ptr<metrics::IostatSampler>> samplers_;
 };
 
-mapred::JobConf workload_of(const Args& a) {
-  const std::string w = a.str("workload", "sort");
-  const auto mb = a.num("mb", 512);
-  const auto model = workloads::by_name(w);
-  if (!model) {
-    std::fprintf(stderr, "unknown workload '%s'\n", w.c_str());
-    std::exit(2);
-  }
-  auto jc = workloads::make_job(*model, mb * mapred::kMiB);
-  if (a.has("speculate")) jc.speculative_execution = true;
-  return jc;
-}
-
-/// Assemble the fault plan from --fault specs and/or --fault-file. Malformed
-/// specs and unreadable files are fatal (exit 2) with a diagnostic naming
-/// the offending token — a silently dropped fault would invalidate the
-/// experiment it was meant to perturb.
-fault::FaultPlan faults_of(const Args& a) {
-  std::string text;
-  if (a.has("fault-file")) {
-    const std::string path = a.str("fault-file", "");
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "iosimctl: cannot read fault file '%s'\n", path.c_str());
-      std::exit(2);
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    text = ss.str();
-  }
-  if (a.has("fault")) {
-    if (!text.empty()) text += "\n";
-    text += a.str("fault", "");
-  }
-  if (text.empty()) return {};
-  std::string err;
-  auto plan = fault::FaultPlan::parse(text, &err);
-  if (!plan) {
-    std::fprintf(stderr, "iosimctl: bad fault spec: %s\n", err.c_str());
-    std::exit(2);
-  }
-  return *plan;
-}
-
-cluster::ClusterConfig cluster_of(const Args& a) {
-  cluster::ClusterConfig cfg;
-  cfg.n_hosts = static_cast<int>(a.num("hosts", 4));
-  cfg.vms_per_host = static_cast<int>(a.num("vms", 4));
-  cfg.seed = static_cast<std::uint64_t>(a.num("seed", 1));
-  const std::string p = a.str("pair", "cc");
-  const auto pair = iosched::SchedulerPair::from_letters(p);
-  if (!pair) {
-    std::fprintf(stderr, "iosimctl: bad scheduler pair '%s' (two of n/d/a/c)\n",
-                 p.c_str());
-    std::exit(2);
-  }
-  cfg.pair = *pair;
-  cfg.faults = faults_of(a);
-  return cfg;
-}
-
 void emit(const Args& a, metrics::Table& tab) {
   if (a.has("csv")) {
     std::fputs(tab.to_csv().c_str(), stdout);
@@ -324,14 +312,23 @@ int report_failure(const cluster::RunResult& r) {
   return 1;
 }
 
-int cmd_run(const Args& a) {
-  const auto cfg = cluster_of(a);
-  const auto jc = workload_of(a);
+/// The point's jobs; --speculate turns on speculative map execution.
+std::vector<mapred::JobConf> jobs_of(const Args& a, const exp::ScenarioPoint& pt) {
+  auto confs = exp::jobs_of(pt);
+  for (auto& jc : confs) {
+    if (a.has("speculate")) jc.speculative_execution = true;
+  }
+  return confs;
+}
+
+int cmd_run(const Args& a, const exp::ScenarioSpec& spec, const exp::ScenarioPoint& pt) {
+  const auto cfg = exp::cluster_of(pt, spec.base_seed);
+  const auto jc = jobs_of(a, pt).front();
   Telemetry tel(a);
-  const auto plan = core::PhasePlan::for_job(jc, cfg.n_hosts * cfg.vms_per_host);
+  const auto plan = core::PhasePlan::for_job(jc, pt.hosts * pt.vms);
+  // The run matrix of a one-point spec: repeat i at derive_run_seed(seed, i).
   const auto r = cluster::run_job_avg(
-      cfg, jc, static_cast<int>(a.num("seeds", 1)),
-      [&tel, plan](cluster::Cluster& cl, mapred::Job& job) {
+      cfg, jc, spec.repeats, [&tel, plan](cluster::Cluster& cl, mapred::Job& job) {
         if (tel.active()) {
           // Observation only: phase-transition instants on the trace without
           // any switching (the adaptive commands do the switching).
@@ -344,7 +341,7 @@ int cmd_run(const Args& a) {
   metrics::Table tab("job run");
   tab.headers({"pair", "seconds", "ph1", "ph2", "ph3", "maps", "reduces",
                "shuffle MB", "output MB", "retries", "failovers"});
-  tab.row({cfg.pair.to_string(), metrics::Table::num(r.seconds, 1),
+  tab.row({pt.pair.to_string(), metrics::Table::num(r.seconds, 1),
            metrics::Table::num(r.ph1_seconds, 1), metrics::Table::num(r.ph2_seconds, 1),
            metrics::Table::num(r.ph3_seconds, 1), std::to_string(r.stats.maps_total),
            std::to_string(r.stats.reduces_total),
@@ -356,20 +353,17 @@ int cmd_run(const Args& a) {
   return 0;
 }
 
-int cmd_adapt(const Args& a) {
-  const auto cfg = cluster_of(a);
-  const auto jc = workload_of(a);
-  core::MetaSchedulerOptions opts;
-  if (a.has("phases")) {
-    opts.plan = core::PhasePlan{a.num("phases", 2) == 2};
-  } else {
-    opts.plan = core::PhasePlan::for_job(jc, cfg.n_hosts * cfg.vms_per_host);
-  }
-  opts.seeds_per_eval = static_cast<int>(a.num("seeds", 1));
-  opts.verbose = a.has("verbose");
+/// mode=adapt's pipeline at the raw seed, with --seeds runs averaged per
+/// evaluation; a chain takes its first job's phase plan for every job.
+int cmd_adapt(const Args& a, const exp::ScenarioSpec& spec, const exp::ScenarioPoint& pt) {
+  const auto confs = jobs_of(a, pt);
+  const auto plan = core::PhasePlan::for_job(confs.front(), pt.hosts * pt.vms);
   Telemetry tel(a);
-  core::MetaScheduler ms(cfg, jc, opts);
+  core::MetaScheduler ms(core::make_chain_experiment(exp::cluster_of(pt, spec.base_seed),
+                                                     confs, spec.repeats, plan),
+                         {});
   const auto r = ms.optimize();
+  if (r.adaptive_run.failed) return report_failure(r.adaptive_run);
   metrics::Table tab("meta-scheduler result");
   tab.headers({"metric", "value"});
   tab.row({"solution", r.solution.to_string() + (r.fell_back ? " (fallback)" : "")});
@@ -384,13 +378,14 @@ int cmd_adapt(const Args& a) {
   return 0;
 }
 
-int cmd_finegrained(const Args& a) {
-  const auto cfg = cluster_of(a);
-  const auto jc = workload_of(a);
+int cmd_finegrained(const Args& a, const exp::ScenarioSpec& spec,
+                    const exp::ScenarioPoint& pt) {
+  const auto jc = jobs_of(a, pt).front();
   Telemetry tel(a);
   std::shared_ptr<core::FineGrainedController> ctl;
-  const auto r =
-      cluster::run_job(cfg, jc, [&ctl, &tel](cluster::Cluster& cl, mapred::Job& job) {
+  const auto r = cluster::run_job(
+      exp::cluster_of(pt, spec.base_seed), jc,
+      [&ctl, &tel](cluster::Cluster& cl, mapred::Job& job) {
         ctl = core::FineGrainedController::attach(cl, job);
         tel.attach_sampler(cl, job);
       });
@@ -405,19 +400,6 @@ int cmd_finegrained(const Args& a) {
   return 0;
 }
 
-/// A single-host microbenchmark point (mode=sysbench / mode=switchcost) of
-/// the spec engine, from the command's flags.
-exp::ScenarioPoint single_host_point(exp::RunMode mode, iosched::SchedulerPair pair, int vms,
-                                     std::int64_t mb) {
-  exp::ScenarioPoint pt;
-  pt.mode = mode;
-  pt.pair = pair;
-  pt.hosts = 1;
-  pt.vms = vms;
-  pt.mb = mb;
-  return pt;
-}
-
 /// Execute one point; a failed run is fatal (exit 1) with its diagnostic.
 std::optional<exp::RunOutput> execute(const exp::ScenarioPoint& pt, std::uint64_t seed) {
   auto out = exp::execute_point(pt, seed);
@@ -428,65 +410,47 @@ std::optional<exp::RunOutput> execute(const exp::ScenarioPoint& pt, std::uint64_
   return out;
 }
 
-int cmd_sysbench(const Args& a) {
-  const auto cfg = cluster_of(a);
-  const auto mb = a.num("mb", 1024);
-  const auto out = execute(
-      single_host_point(exp::RunMode::kSysbench, cfg.pair, cfg.vms_per_host, mb), cfg.seed);
+int cmd_sysbench(const Args& a, const exp::ScenarioSpec& spec, const exp::ScenarioPoint& pt) {
+  const auto out = execute(pt, spec.base_seed);
   if (!out) return 1;
   const double seconds = out->metrics.at(0).second;
   metrics::Table tab("sysbench seqwr");
   tab.headers({"pair", "VMs", "MB/VM", "elapsed s", "agg MB/s"});
-  tab.row({cfg.pair.to_string(), std::to_string(cfg.vms_per_host), std::to_string(mb),
+  tab.row({pt.pair.to_string(), std::to_string(pt.vms), std::to_string(pt.mb),
            metrics::Table::num(seconds, 1),
-           metrics::Table::num(static_cast<double>(mb * mapred::kMiB) * cfg.vms_per_host /
+           metrics::Table::num(static_cast<double>(pt.mb * mapred::kMiB) * pt.vms /
                                    seconds / 1e6,
                                1)});
   emit(a, tab);
   return 0;
 }
 
-int cmd_stream(const Args& a) {
-  if (!a.has("spec")) {
+int cmd_stream(const Args& a, const exp::ScenarioSpec& spec, const exp::ScenarioPoint& pt) {
+  if (pt.stream_text.empty()) {
     std::fprintf(stderr, "iosimctl stream: --spec is required\n");
     return 2;
   }
-  std::string err;
-  auto spec = tenancy::StreamSpec::parse(a.str("spec", ""), &err);
-  if (!spec) {
-    std::fprintf(stderr, "iosimctl stream: bad --spec: %s\n", err.c_str());
-    return 2;
-  }
-  if (a.has("policy")) {
-    const auto p = tenancy::policy_by_name(a.str("policy", ""));
-    if (!p) {
-      std::fprintf(stderr, "iosimctl stream: bad --policy '%s' (fifo|fair|capacity)\n",
-                   a.str("policy", "").c_str());
-      return 2;
-    }
-    spec->policy = *p;
-  }
-  const auto cfg = cluster_of(a);
+  const auto cfg = exp::cluster_of(pt, spec.base_seed);
   Telemetry tel(a);
   // Honours the spec's meta segment: policy=static/offline/ucb/egreedy runs
   // through the meta-scheduling pipeline, a meta-free spec is a plain
   // run_stream (DESIGN.md §14).
-  const auto mr = core::run_stream_with_policy(cfg, *spec);
+  const auto mr = core::run_stream_with_policy(cfg, pt.stream);
   const auto& r = mr.stream;
   if (!r.ok) {
     std::fprintf(stderr, "stream FAILED: %s\n", r.error.c_str());
     return 1;
   }
-  metrics::Table head("job stream (" + std::string(tenancy::to_string(spec->policy)) +
+  metrics::Table head("job stream (" + std::string(tenancy::to_string(pt.stream.policy)) +
                       " policy)");
   head.headers({"pair", "jobs", "completed", "failed", "SLA viol", "makespan s"});
   head.row({cfg.pair.to_string(), std::to_string(static_cast<int>(r.jobs.size())),
             std::to_string(r.jobs_completed), std::to_string(r.jobs_failed),
             std::to_string(r.sla_violations), metrics::Table::num(r.makespan_s, 1)});
   emit(a, head);
-  if (spec->meta.enabled()) {
+  if (pt.stream.meta.enabled()) {
     metrics::Table mt("meta-scheduling (" +
-                      std::string(tenancy::to_string(spec->meta.policy)) + ")");
+                      std::string(tenancy::to_string(pt.stream.meta.policy)) + ")");
     mt.headers({"boot pair", "pulls", "switches", "switch fails", "decays",
                 "profile runs", "schedule"});
     mt.row({mr.boot_pair, std::to_string(mr.arm_pulls),
@@ -509,7 +473,7 @@ int cmd_stream(const Args& a) {
     metrics::Table jt("per-job timeline");
     jt.headers({"job", "class", "MB", "arrive s", "done s", "sojourn s", "state"});
     for (const auto& j : r.jobs) {
-      const auto& cname = spec->classes[static_cast<std::size_t>(j.class_index)].name;
+      const auto& cname = pt.stream.classes[static_cast<std::size_t>(j.class_index)].name;
       jt.row({std::to_string(j.job_id), cname, std::to_string(j.size_mb),
               metrics::Table::num(j.t_arrive_s, 1),
               j.completed ? metrics::Table::num(j.t_done_s, 1) : "-",
@@ -522,13 +486,16 @@ int cmd_stream(const Args& a) {
   return 0;
 }
 
-/// The Fig. 5 matrix: one mode=switchcost point per `from` pair (dd, 4 VMs,
-/// raw seed 42), Cost(a -> b) = T(a then b) - (T(a) + T(b)) / 2.
-int cmd_switchcost(const Args& a) {
+/// The Fig. 5 matrix: the point once per `from` pair (dd, 4 VMs, raw seed
+/// 42 by default), Cost(a -> b) = T(a then b) - (T(a) + T(b)) / 2.
+int cmd_switchcost(const Args& a, const exp::ScenarioSpec& spec,
+                   const exp::ScenarioPoint& pt) {
   const auto pairs = iosched::all_scheduler_pairs();
   std::vector<exp::RunOutput> rows;
   for (const auto& p : pairs) {
-    auto out = execute(single_host_point(exp::RunMode::kSwitchcost, p, 4, a.num("mb", 600)), 42);
+    exp::ScenarioPoint row = pt;
+    row.pair = p;
+    auto out = execute(row, spec.base_seed);
     if (!out) return 1;
     rows.push_back(std::move(*out));
   }
@@ -565,41 +532,36 @@ int main(int argc, char** argv) {
   const FlagSet cluster_flags{{"workload", "hosts", "vms", "mb", "pair", "seed",
                                "seeds", "trace", "fault", "fault-file"},
                               {"csv", "metrics", "obs", "speculate"}};
-  FlagSet adapt_flags = cluster_flags;
-  adapt_flags.valued.insert("phases");
-  adapt_flags.boolean.insert("verbose");
-  const FlagSet sysbench_flags{{"vms", "mb", "pair", "seed"}, {"csv"}};
-  const FlagSet switchcost_flags{{"mb"}, {"csv"}};
-  const FlagSet stream_flags{{"spec", "policy", "hosts", "vms", "pair", "seed",
-                              "trace", "fault", "fault-file"},
-                             {"csv", "metrics", "obs", "jobs"}};
-
-  const FlagSet* flags = nullptr;
-  int (*handler)(const Args&) = nullptr;
-  if (cmd == "run") {
-    flags = &cluster_flags;
-    handler = cmd_run;
-  } else if (cmd == "adapt") {
-    flags = &adapt_flags;
-    handler = cmd_adapt;
-  } else if (cmd == "finegrained") {
-    flags = &cluster_flags;
-    handler = cmd_finegrained;
-  } else if (cmd == "sysbench") {
-    flags = &sysbench_flags;
-    handler = cmd_sysbench;
-  } else if (cmd == "switchcost") {
-    flags = &switchcost_flags;
-    handler = cmd_switchcost;
-  } else if (cmd == "stream") {
-    flags = &stream_flags;
-    handler = cmd_stream;
-  } else {
+  FlagSet finegrained_flags = cluster_flags;
+  finegrained_flags.valued.erase("seeds");  // one run, no average
+  const std::map<std::string, Command> commands = {
+      {"run", {cmd_run, {{"mode", "run"}}, cluster_flags}},
+      {"adapt", {cmd_adapt, {{"mode", "adapt"}}, cluster_flags}},
+      {"finegrained", {cmd_finegrained, {{"mode", "finegrained"}}, finegrained_flags}},
+      {"sysbench",
+       {cmd_sysbench,
+        {{"mode", "sysbench"}, {"hosts", "1"}, {"mb", "1024"}},
+        {{"vms", "mb", "pair", "seed"}, {"csv"}}}},
+      {"switchcost",
+       {cmd_switchcost,
+        {{"mode", "switchcost"}, {"hosts", "1"}, {"vms", "4"}, {"mb", "600"},
+         {"base_seed", "42"}},
+        {{"mb"}, {"csv"}}}},
+      {"stream",
+       {cmd_stream,
+        {{"mode", "run"}},
+        {{"spec", "policy", "hosts", "vms", "pair", "seed", "trace", "fault", "fault-file"},
+         {"csv", "metrics", "obs", "jobs"}}}},
+  };
+  const auto it = commands.find(cmd);
+  if (it == commands.end()) {
     std::fprintf(stderr, "iosimctl: unknown command '%s'\n", cmd.c_str());
     return usage();
   }
-
-  const auto a = parse(argc, argv, 2, cmd, *flags);
+  const Command& c = it->second;
+  const auto a = parse(argc, argv, 2, cmd, c.flags);
   if (!a) return usage();
-  return handler(*a);
+  const auto spec = spec_of(c, *a, cmd);
+  if (!spec) return 2;
+  return c.handler(*a, *spec, spec->expand().front());
 }
