@@ -5,8 +5,8 @@
 // drives; request reordering belongs to the elevator above, which is the
 // paper's subject). With `ncq_depth > 1` the drive holds several commands
 // and services the one with the shortest positioning first — a simple
-// SATF approximation of native command queueing, used by the ablation
-// benches.
+// SATF approximation of native command queueing, set by the `ncq_depth`
+// tunable (bench/specs/ablation_ncq.spec).
 #pragma once
 
 #include <algorithm>

@@ -237,6 +237,15 @@ MetaResult MetaScheduler::optimize() {
     res.fell_back = true;
     if (auto* reg = trace::registry()) reg->counter("meta.fallbacks").inc();
   }
+  // The paper's bound: at most P x S executions. A search past it is a
+  // defect, so the result must not pass for a good run.
+  const int bound = P * iosched::kNumSchedulerPairs;
+  if (evals > bound && !res.adaptive_run.failed) {
+    res.adaptive_run.failed = true;
+    res.adaptive_run.failure = "Algorithm 1 issued " + std::to_string(evals) +
+                               " heuristic executions, over its P x S bound of " +
+                               std::to_string(bound);
+  }
   return res;
 }
 

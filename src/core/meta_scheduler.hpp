@@ -85,7 +85,8 @@ class MetaScheduler {
 
   /// Full pipeline: profile -> Algorithm 1, whose own execution of the
   /// solution is the adaptive run (the fallback runs the best single pair
-  /// once more).
+  /// once more). A search past the P x S bound marks the adaptive run
+  /// failed.
   MetaResult optimize();
 
   /// Execute the experiment under `schedule` (adaptive switching applied);

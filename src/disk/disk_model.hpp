@@ -59,8 +59,9 @@ struct DiskParams {
   /// Native command queueing depth. 1 (default) models the paper's
   /// 2.6.22-era serial dispatch, where reordering is entirely the
   /// elevator's job; >1 lets the drive hold that many commands and service
-  /// the one nearest the head — an ablation knob for "would NCQ have
-  /// erased the scheduler differences?".
+  /// the one nearest the head — the `ncq_depth` tunable
+  /// (bench/specs/ablation_ncq.spec: "would NCQ have erased the scheduler
+  /// differences?").
   int ncq_depth = 1;
 
   Time rotation_period() const { return Time::from_sec_f(60.0 / rpm); }

@@ -144,6 +144,7 @@ std::string to_json(const ScenarioSpec& spec, const SweepAggregate& agg,
     w.kv("mb", static_cast<std::int64_t>(pa.point.mb));
     w.kv("pair", pa.point.pair.letters());
     w.kv("fault", pa.point.fault_text);
+    if (!pa.point.tune.empty()) w.kv("tune", pa.point.tune.to_string());
     w.kv("runs", pa.runs);
     w.kv("failures", pa.failures);
     w.key("metrics").obj_begin();

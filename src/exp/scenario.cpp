@@ -45,11 +45,46 @@ bool parse_seconds(std::string_view v, double* out) {
   return true;
 }
 
+/// One axis: `value` split on `sep`, each item parsed by `parse`, which
+/// returns nullopt after writing why to its second argument; the diagnostic
+/// is "bad KEY 'ITEM': why". On the `|`-separated axes, whose items' own
+/// grammars use `,` and `;`, `none` is the default item. All-or-nothing.
+template <class T, class Parse>
+bool parse_axis(std::string_view key, std::string_view value, char sep, Parse parse,
+                std::vector<T>* out, std::string* error) {
+  std::vector<std::string> items;
+  std::string err;
+  if (!split_list(value, sep, &items, &err)) {
+    if (error) *error = err + " in " + std::string(key);
+    return false;
+  }
+  std::vector<T> parsed;
+  for (const auto& it : items) {
+    auto x = sep == '|' && it == "none" ? std::optional<T>(T{}) : parse(it, &err);
+    if (!x) {
+      if (error) *error = "bad " + std::string(key) + " '" + it + "': " + err;
+      return false;
+    }
+    parsed.push_back(std::move(*x));
+  }
+  *out = std::move(parsed);
+  return true;
+}
+
+/// `xs` rendered by `render` and joined by `sep`.
+template <class T, class Render>
+std::string join(const std::vector<T>& xs, const char* sep, Render render) {
+  std::string s;
+  for (std::size_t i = 0; i < xs.size(); ++i) s += (i ? sep : "") + render(xs[i]);
+  return s;
+}
+
 /// The axes an `expect` filter or `per` clause may name: expand()'s nested
 /// loop order, then vmm and guest, the two letters of pair.
-constexpr std::string_view kCheckAxes[] = {"workload", "hosts", "vms",           "mb",
-                                           "pair",     "fault", "stream",        "stream_policy",
-                                           "meta",     "vmm",   "guest"};
+constexpr std::string_view kCheckAxes[] = {"workload", "hosts", "vms",    "mb",
+                                           "pair",     "fault", "stream", "stream_policy",
+                                           "meta",     "tune",  "vmm",    "guest"};
+using Coordinates = std::array<std::string, std::size(kCheckAxes)>;
 constexpr const char* kReducers[] = {"", "min(", "max(", "mean("};
 constexpr std::string_view kMetricChars =
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_";
@@ -132,19 +167,20 @@ std::string term_to_string(const ExpectTerm& t) {
 }
 
 /// A point's value on every check axis, in kCheckAxes order.
-std::array<std::string, 11> coordinates(const ScenarioPoint& p) {
+Coordinates coordinates(const ScenarioPoint& p) {
   const auto text = [](const std::string& x) { return x.empty() ? "none" : x; };
   const std::string l = p.pair.letters();
   return {p.workload, std::to_string(p.hosts), std::to_string(p.vms), std::to_string(p.mb), l,
           text(p.fault_text), text(p.stream_text), text(p.stream_policy), text(p.meta_text),
-          l.substr(0, 1), l.substr(1)};
+          text(p.tune.to_string()), l.substr(0, 1), l.substr(1)};
 }
 
 /// Whether filter value `w` selects coordinates `c` on `axis`: exactly, or
-/// on the text axes (fault, stream, meta) by prefix.
-bool matches(const std::array<std::string, 11>& c, const std::string& axis, const std::string& w) {
+/// on the text axes (fault, stream, meta, tune) by prefix.
+bool matches(const Coordinates& c, const std::string& axis, const std::string& w) {
   const int k = axis_index(axis);
-  return c[k] == w || ((k == 5 || k == 6 || k == 8) && c[k] != "none" && c[k].rfind(w, 0) == 0);
+  return c[k] == w ||
+         ((k == 5 || k == 6 || k == 8 || k == 9) && c[k] != "none" && c[k].rfind(w, 0) == 0);
 }
 
 }  // namespace
@@ -172,6 +208,7 @@ std::string ScenarioPoint::label() const {
   if (!stream_text.empty()) s += " stream=" + stream_text;
   if (!stream_policy.empty()) s += " policy=" + stream_policy;
   if (!meta_text.empty()) s += " meta=" + meta_text;
+  if (!tune.empty()) s += " tune=" + tune.to_string();
   return s;
 }
 
@@ -184,9 +221,6 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
   key = lex::trim(key);
   value = lex::trim(value);
   if (value.empty()) return fail("empty value for '" + std::string(key) + "'");
-
-  std::vector<std::string> items;
-  std::string lerr;
 
   if (key == "name") {
     name = std::string(value);
@@ -227,58 +261,38 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     repeats = r;
     return true;
   }
-  if (key == "pair") {
-    if (value == "all16" || value == "all") {
-      const auto all = iosched::all_scheduler_pairs();
-      pairs.assign(all.begin(), all.end());
-      return true;
-    }
-    if (!split_list(value, ',', &items, &lerr)) return fail(lerr + " in pair");
-    pairs.clear();
-    for (const auto& it : items) {
-      const auto p = iosched::SchedulerPair::from_letters(it);
-      if (!p) return fail("bad pair '" + it + "' (two of n/d/a/c, or all16)");
-      pairs.push_back(*p);
-    }
+  if (key == "pair" && (value == "all16" || value == "all")) {
+    const auto all = iosched::all_scheduler_pairs();
+    pairs.assign(all.begin(), all.end());
     return true;
+  }
+  if (key == "pair") {
+    return parse_axis(key, value, ',', [](const std::string& it, std::string* e) {
+      *e = "two of n/d/a/c, or all16";
+      return iosched::SchedulerPair::from_letters(it);
+    }, &pairs, error);
   }
   if (key == "workload") {
-    if (!split_list(value, ',', &items, &lerr)) return fail(lerr + " in workload");
-    std::vector<std::string> named;
-    for (const auto& it : items) {
-      const auto canon = canonical_workload(it);
-      if (!canon) return fail("unknown workload '" + it + "'");
-      named.push_back(*canon);  // canonical: "wc" and "wordcount" collide
-    }
-    workloads = std::move(named);
-    return true;
+    // Canonical names: "wc" and "wordcount" collide.
+    return parse_axis(key, value, ',', [](const std::string& it, std::string* e) {
+      *e = "unknown workload";
+      return canonical_workload(it);
+    }, &workloads, error);
   }
   if (key == "hosts" || key == "vms") {
-    if (!split_list(value, ',', &items, &lerr)) {
-      return fail(lerr + " in " + std::string(key));
-    }
-    std::vector<int> xs;
-    for (const auto& it : items) {
-      int x;
-      if (!parse_pos_int(it, &x) || x > 1024) {
-        return fail("bad " + std::string(key) + " value '" + it + "'");
-      }
-      xs.push_back(x);
-    }
-    (key == "hosts" ? hosts : vms) = xs;
-    return true;
+    return parse_axis(key, value, ',', [](const std::string& it, std::string* e) {
+      int x = 0;
+      *e = "1..1024";
+      return parse_pos_int(it, &x) && x <= 1024 ? std::optional(x) : std::nullopt;
+    }, key == "hosts" ? &hosts : &vms, error);
   }
   if (key == "mb") {
-    if (!split_list(value, ',', &items, &lerr)) return fail(lerr + " in mb");
-    mb.clear();
-    for (const auto& it : items) {
-      std::int64_t x;
-      if (!lex::parse_i64(it, &x) || x < 1 || x > (std::int64_t{1} << 30)) {
-        return fail("bad mb value '" + it + "'");
-      }
-      mb.push_back(x);
-    }
-    return true;
+    return parse_axis(key, value, ',', [](const std::string& it, std::string* e) {
+      std::int64_t x = 0;
+      *e = "1..1073741824";
+      return lex::parse_i64(it, &x) && x >= 1 && x <= (std::int64_t{1} << 30) ? std::optional(x)
+                                                                               : std::nullopt;
+    }, &mb, error);
   }
   if (key == "timeout") {
     double s;
@@ -304,6 +318,7 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
   }
   if (key == "expect") {
     Expectation e;
+    std::string lerr;
     if (value.rfind("per ", 0) == 0) {
       const std::size_t colon = value.find(':');
       if (colon == std::string_view::npos) return fail("expected ':' after the per axes");
@@ -327,71 +342,32 @@ bool ScenarioSpec::apply(std::string_view key, std::string_view value,
     return true;
   }
   if (key == "fault") {
-    // Alternatives are `|`-separated because the fault-plan grammar itself
-    // uses `,` and `;`.
-    if (!split_list(value, '|', &items, &lerr)) return fail(lerr + " in fault");
-    faults.clear();
-    for (const auto& it : items) {
-      if (it == "none") {
-        faults.push_back({{}, ""});
-        continue;
-      }
-      std::string ferr;
-      auto plan = fault::FaultPlan::parse(it, &ferr);
-      if (!plan) return fail("bad fault '" + it + "': " + ferr);
-      faults.push_back({*plan, it});
-    }
-    return true;
+    return parse_axis(key, value, '|', [](const std::string& it, std::string* e) {
+      const auto plan = fault::FaultPlan::parse(it, e);
+      return plan ? std::optional(std::pair(*plan, it)) : std::nullopt;
+    }, &faults, error);
   }
   if (key == "stream") {
-    // `|`-separated like fault, because the stream grammar uses `,`/`;`.
-    if (!split_list(value, '|', &items, &lerr)) return fail(lerr + " in stream");
-    streams.clear();
-    for (const auto& it : items) {
-      if (it == "none") {
-        streams.push_back({{}, ""});
-        continue;
-      }
-      std::string serr;
-      auto st = tenancy::StreamSpec::parse(it, &serr);
-      if (!st) return fail("bad stream '" + it + "': " + serr);
-      streams.push_back({*st, it});
-    }
-    return true;
+    return parse_axis(key, value, '|', [](const std::string& it, std::string* e) {
+      const auto st = tenancy::StreamSpec::parse(it, e);
+      return st ? std::optional(std::pair(*st, it)) : std::nullopt;
+    }, &streams, error);
   }
   if (key == "stream_policy") {
-    if (!split_list(value, ',', &items, &lerr)) {
-      return fail(lerr + " in stream_policy");
-    }
-    stream_policies.clear();
-    for (const auto& it : items) {
-      if (!tenancy::policy_by_name(it)) {
-        return fail("bad stream_policy '" + it + "' (fifo|fair|capacity)");
-      }
-      stream_policies.push_back(it);
-    }
-    return true;
+    return parse_axis(key, value, ',', [](const std::string& it, std::string* e) {
+      *e = "fifo|fair|capacity";
+      return tenancy::policy_by_name(it) ? std::optional(it) : std::nullopt;
+    }, &stream_policies, error);
   }
   if (key == "meta") {
-    // `|`-separated meta-segment bodies (the segment grammar uses `,`).
-    // Per-body validation happens in validate(), where the stream axis the
-    // body folds into is known.
-    if (!split_list(value, '|', &items, &lerr)) return fail(lerr + " in meta");
-    metas.clear();
-    for (const auto& it : items) {
-      if (it == "none") {
-        metas.push_back("");
-        continue;
-      }
-      if (it.compare(0, 7, "policy=") != 0) {
-        return fail("bad meta '" + it +
-                    "' (expected none or a meta segment body starting with "
-                    "policy=)");
-      }
-      metas.push_back(it);
-    }
-    return true;
+    // Meta-segment bodies; validate() checks each against the stream axis
+    // it folds into.
+    return parse_axis(key, value, '|', [](const std::string& it, std::string* e) {
+      *e = "expected none or a meta segment body starting with policy=";
+      return it.rfind("policy=", 0) == 0 ? std::optional(it) : std::nullopt;
+    }, &metas, error);
   }
+  if (key == "tune") return parse_axis(key, value, '|', &TuneList::parse, &tunes, error);
   return fail("unknown key '" + std::string(key) + "'");
 }
 
@@ -465,6 +441,17 @@ bool ScenarioSpec::validate(std::string* error) const {
     }
     if (workloads.size() > 1) return fail(in_mode + " ignores workload; give at most one");
     if (any_fault) return fail(in_mode + " takes no fault= axis");
+    if (tunes.size() > 1 || !tunes[0].empty()) return fail(in_mode + " takes no tune= axis");
+  }
+  for (const auto& tune : tunes) {
+    for (const auto& [t, v] : tune.settings) {
+      if (t->plan && mode != RunMode::kAdapt) {
+        return fail("tune " + std::string(t->name) + " needs mode=adapt, not " + in_mode);
+      }
+      if (t->job && any_stream) {
+        return fail("tune " + std::string(t->name) + " does not apply to stream= points");
+      }
+    }
   }
   if (mode != RunMode::kRun) {
     // Every other mode runs one job (or one chain) per run, or none.
@@ -495,7 +482,7 @@ bool ScenarioSpec::validate(std::string* error) const {
   std::size_t points = 1;
   for (const std::size_t n : {workloads.size(), hosts.size(), vms.size(), mb.size(),
                               pairs.size(), faults.size(), streams.size(),
-                              stream_policies.size(), metas.size()}) {
+                              stream_policies.size(), metas.size(), tunes.size()}) {
     if (n == 0) return fail("empty axis");
     if (points > kMaxPoints / n) {
       return fail("scenario cross product exceeds " + std::to_string(kMaxPoints) +
@@ -551,7 +538,10 @@ std::vector<ScenarioPoint> ScenarioSpec::expand() const {
                     }
                     pt.max_events = max_events;
                     pt.max_sim_seconds = max_sim_seconds;
-                    out.push_back(std::move(pt));
+                    for (const auto& tn : tunes) {
+                      pt.tune = tn;
+                      out.push_back(pt);
+                    }
                   }
                 }
               }
@@ -573,62 +563,25 @@ std::string ScenarioSpec::to_string() const {
   // Rendered only when non-default: pre-existing specs keep their
   // fingerprint (and resumability) bit for bit.
   if (paired_seeds) s += "seed_mode=repeat\n";
-  s += "pair=";
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (i) s += ",";
-    s += pairs[i].letters();
-  }
-  s += "\nworkload=";
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    if (i) s += ",";
-    s += workloads[i];
-  }
-  s += "\nhosts=";
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    if (i) s += ",";
-    s += std::to_string(hosts[i]);
-  }
-  s += "\nvms=";
-  for (std::size_t i = 0; i < vms.size(); ++i) {
-    if (i) s += ",";
-    s += std::to_string(vms[i]);
-  }
-  s += "\nmb=";
-  for (std::size_t i = 0; i < mb.size(); ++i) {
-    if (i) s += ",";
-    s += std::to_string(mb[i]);
-  }
-  s += "\nfault=";
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (i) s += "|";
-    s += faults[i].second.empty() ? "none" : faults[i].second;
-  }
-  s += "\n";
-  // Stream axes render only when set, so pre-tenancy specs keep their
+  const auto text = [](const std::string& x) { return x.empty() ? std::string("none") : x; };
+  const auto decimal = [](auto x) { return std::to_string(x); };
+  s += "pair=" + join(pairs, ",", [](const auto& p) { return p.letters(); });
+  s += "\nworkload=" + join(workloads, ",", text);
+  s += "\nhosts=" + join(hosts, ",", decimal);
+  s += "\nvms=" + join(vms, ",", decimal);
+  s += "\nmb=" + join(mb, ",", decimal);
+  s += "\nfault=" + join(faults, "|", [&](const auto& f) { return text(f.second); }) + "\n";
+  // The later axes render only when set, so specs without them keep their
   // canonical text — and therefore their journal fingerprints — unchanged.
   if (!(streams.size() == 1 && streams[0].second.empty())) {
-    s += "stream=";
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      if (i) s += "|";
-      s += streams[i].second.empty() ? "none" : streams[i].second;
-    }
-    s += "\n";
+    s += "stream=" + join(streams, "|", [&](const auto& st) { return text(st.second); }) + "\n";
   }
   if (!(stream_policies.size() == 1 && stream_policies[0].empty())) {
-    s += "stream_policy=";
-    for (std::size_t i = 0; i < stream_policies.size(); ++i) {
-      if (i) s += ",";
-      s += stream_policies[i];
-    }
-    s += "\n";
+    s += "stream_policy=" + join(stream_policies, ",", text) + "\n";
   }
-  if (!(metas.size() == 1 && metas[0].empty())) {
-    s += "meta=";
-    for (std::size_t i = 0; i < metas.size(); ++i) {
-      if (i) s += "|";
-      s += metas[i].empty() ? "none" : metas[i];
-    }
-    s += "\n";
+  if (!(metas.size() == 1 && metas[0].empty())) s += "meta=" + join(metas, "|", text) + "\n";
+  if (!(tunes.size() == 1 && tunes[0].empty())) {
+    s += "tune=" + join(tunes, "|", [&](const TuneList& t) { return text(t.to_string()); }) + "\n";
   }
   s += "max_events=" + std::to_string(max_events) + "\n";
   s += "max_sim_seconds=" + lex::format_double(max_sim_seconds) + "\n";
@@ -670,9 +623,9 @@ std::optional<std::vector<ResolvedCheck>> resolve_checks(
     const ScenarioSpec& spec, const std::vector<ScenarioPoint>& points, std::string* error) {
   std::vector<ResolvedCheck> out;
   if (spec.expects.empty()) return out;
-  std::vector<std::array<std::string, 11>> at;
+  std::vector<Coordinates> at;
   for (const auto& p : points) at.push_back(coordinates(p));
-  const auto selects = [](const ExpectTerm& term, const std::array<std::string, 11>& c) {
+  const auto selects = [](const ExpectTerm& term, const Coordinates& c) {
     return std::all_of(term.filter.begin(), term.filter.end(), [&](const auto& f) {
       return std::any_of(f.second.begin(), f.second.end(),
                          [&](const std::string& w) { return matches(c, f.first, w); });

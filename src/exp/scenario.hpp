@@ -1,14 +1,15 @@
 // iosim: declarative scenario sweeps for the experiment engine.
 //
 // A ScenarioSpec declares the axes of an experiment — scheduler pair,
-// workload, cluster shape, data size, fault plan — plus a base seed and a
-// repeat count. Its cross product expands into a deterministic run matrix:
-// point index = nested-loop order over the axes (workload outermost, fault
-// innermost), run index = point index * repeats + repeat, and every run's
-// seed is sim::derive_run_seed(base_seed, run_index), so streams are
-// pairwise independent and results are byte-stable regardless of execution
-// order or worker count. (seed_mode=repeat switches the derivation to the
-// repeat index alone — shared seeds across points, for paired A/B axes.)
+// workload, cluster shape, data size, fault plan, model tunables — plus a
+// base seed and a repeat count. Its cross product expands into a
+// deterministic run matrix: point index = nested-loop order over the axes
+// (workload outermost, tune innermost), run index = point index * repeats
+// + repeat, and every run's seed is sim::derive_run_seed(base_seed,
+// run_index), so streams are pairwise independent and results are
+// byte-stable regardless of execution order or worker count.
+// (seed_mode=repeat switches the derivation to the repeat index alone —
+// shared seeds across points, for paired A/B axes.)
 //
 // Spec grammar (same style as fault_plan: flat text, all-or-nothing parse,
 // one-line diagnostics, the lexer rules of sim/text.hpp: finite numbers,
@@ -31,7 +32,7 @@
 //                         to each of the 16 pairs at half of the mb MB
 //                         per VM. Both are single-host microbenchmarks:
 //                         they require hosts=1, reject a non-empty fault=,
-//                         stream=, stream_policy= or meta= axis, ignore
+//                         tune=, stream=, stream_policy= or meta= axis, ignore
 //                         workload (at most one value; the point label
 //                         leaves it out) and seed the host with each run's
 //                         seed directly
@@ -69,6 +70,12 @@
 //                         `policy=ucb,explore=2`), appended to every stream
 //                         alternative. `none` keeps the stream's own meta
 //                         segment (if any). Requires a stream= axis
+//   tune=none|LIST        model-tunable alternatives separated by `|`; each
+//                         LIST is `;`-joined name=value settings from the
+//                         table in exp/tune.hpp, each name at most once
+//                         (e.g. `ring_slots=8;ncq_depth=32`); `none` is the
+//                         model's defaults. meta.phases needs mode=adapt;
+//                         mapred.speculate takes no stream= axis
 //   timeout=SECONDS       per-run wall-clock watchdog (0 = off, default).
 //                         Wall-clock only: it never changes simulated
 //                         results, so it is excluded from the resume
@@ -82,7 +89,7 @@
 //     after the runs (repeatable; like timeout, not in the fingerprint).
 //     TERM = [NUMBER *] METRIC[FILTER] or [NUMBER *] min|max|mean(METRIC[FILTER]),
 //     FILTER = [AXIS=VALUE[|VALUE...],...]; AXIS is a spec axis or vmm/guest
-//     (a letter of pair); VALUE matches exactly, on fault/stream/meta as a
+//     (a letter of pair); VALUE matches exactly, on fault/stream/meta/tune as a
 //     prefix (`none` = empty). Each `per` group is checked alone. A bare term
 //     selects one point; min/max the point with the extreme mean; mean
 //     averages the points per repeat. With d_r = rhs_r - lhs_r, a check
@@ -96,6 +103,7 @@
 #include <string_view>
 #include <vector>
 
+#include "exp/tune.hpp"
 #include "fault/fault_plan.hpp"
 #include "iosched/pair.hpp"
 #include "tenancy/stream_spec.hpp"
@@ -137,13 +145,16 @@ struct ScenarioPoint {
   /// Meta-axis segment body folded into `stream.meta` ("" = the stream's
   /// own meta segment, possibly none).
   std::string meta_text;
+  /// Model tunables the materializer applies (empty = the model's defaults).
+  TuneList tune;
   /// Event-loop budgets copied from the spec (0 = unlimited); the runner
   /// installs them as the simulation's SimBudget.
   std::uint64_t max_events = 0;
   double max_sim_seconds = 0.0;
 
   /// Stable human id of the point: "sort h4 v4 512MB (c,c)" plus the fault
-  /// text when present; "sysbench v3 1024MB (c,c)" for a single-host mode.
+  /// and tune text when present; "sysbench v3 1024MB (c,c)" for a
+  /// single-host mode.
   /// Unique within one spec's expansion.
   std::string label() const;
 };
@@ -192,6 +203,8 @@ struct ScenarioSpec {
   /// Meta-scheduling policy alternatives crossed against the stream axis:
   /// meta-segment bodies ("" = keep the stream spec's meta segment).
   std::vector<std::string> metas{""};
+  /// Model-tunable alternatives; one empty list = the model's defaults.
+  std::vector<TuneList> tunes{TuneList{}};
   /// Per-run wall-clock watchdog in seconds (0 = disabled). Wall-clock
   /// only — never affects simulated results.
   double timeout_seconds = 0.0;
@@ -215,12 +228,13 @@ struct ScenarioSpec {
   bool apply(std::string_view key, std::string_view value, std::string* error = nullptr);
 
   /// The cross product, in deterministic nested-loop order: workload,
-  /// hosts, vms, mb, pair, fault, stream, stream_policy, meta.
+  /// hosts, vms, mb, pair, fault, stream, stream_policy, meta, tune.
   std::vector<ScenarioPoint> expand() const;
 
   std::size_t n_points() const {
     return workloads.size() * hosts.size() * vms.size() * mb.size() * pairs.size() *
-           faults.size() * streams.size() * stream_policies.size() * metas.size();
+           faults.size() * streams.size() * stream_policies.size() * metas.size() *
+           tunes.size();
   }
   std::size_t n_runs() const { return n_points() * static_cast<std::size_t>(repeats); }
 

@@ -1,7 +1,8 @@
 // iosim: tunables for the four disciplines.
 //
 // Defaults mirror the Linux 2.6.22 kernel defaults (the paper's guest and
-// Dom0 kernel). Exposed as a struct so the ablation benches can sweep them.
+// Dom0 kernel). Exposed as a struct so the tunables table (exp/tune.hpp) can
+// set them; bench/specs/ablation_*.spec sweep the ones it names.
 #pragma once
 
 #include "sim/time.hpp"

@@ -5,8 +5,9 @@
 // the spec path and the cluster runner would silently change the figures.
 // Likewise the single-host modes (Fig 1, Fig 5) against
 // workloads::run_single_host at the run's raw seed, mode=finegrained against
-// a direct FineGrainedController run and a plain run, and a job-chain adapt
-// point against the meta-scheduler over core::make_chain_experiment.
+// a direct FineGrainedController run and a plain run, a job-chain adapt
+// point against the meta-scheduler over core::make_chain_experiment, and
+// tuned points against the same fields set by hand.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -238,6 +239,67 @@ TEST(RunFold, ChainAdaptPointIsAlgorithm1OverTheChain) {
   // Both jobs ran: the chain is not the first job alone.
   EXPECT_EQ(r.adaptive_run.jobs.size(), 2u);
   EXPECT_LE(r.heuristic_evaluations, exp.phases * iosched::kNumSchedulerPairs);
+}
+
+TEST(RunFold, TunePointIsTheHandSetConfig) {
+  // mode=run: every cluster tunable plus speculation, under a fault plan.
+  std::string err;
+  const auto run = ScenarioSpec::parse(
+      "mode=run\nbase_seed=3\nrepeats=1\npair=ad\nhosts=2\nvms=2\nmb=64\n"
+      "fault=transient:host=0,p=0.01\n"
+      "tune=dom0.as.antic_expire_ms=2;dom0.cfq.slice_sync_ms=40;dom0.cfq.slice_idle_ms=0;"
+      "ring_slots=8;switch_freeze_ms=100;ncq_depth=8;mapred.speculate=1\n",
+      &err);
+  ASSERT_TRUE(run.has_value()) << err;
+  const ScenarioPoint pt = run->expand().at(0);
+  const std::uint64_t seed = build_run_matrix(*run).at(0).seed;
+  cluster::ClusterConfig cfg = cluster_at(pt, seed);
+  cfg.faults = pt.faults;
+  cfg.host.dom0_blk.tunables.as.antic_expire = sim::Time::from_sec_f(2.0 / 1e3);
+  cfg.host.dom0_blk.tunables.cfq.slice_sync = sim::Time::from_sec_f(40.0 / 1e3);
+  cfg.host.dom0_blk.tunables.cfq.slice_idle = sim::Time::zero();
+  cfg.host.domu.ring.slots = 8;
+  cfg.host.dom0_blk.switch_freeze = sim::Time::from_sec_f(100.0 / 1e3);
+  cfg.host.domu.guest_blk.switch_freeze = sim::Time::from_sec_f(100.0 / 1e3);
+  cfg.host.disk.ncq_depth = 8;
+  mapred::JobConf jc = job_of(pt);
+  jc.speculative_execution = true;
+  const cluster::RunResult r = cluster::run_job(cfg, jc);
+  ASSERT_FALSE(r.failed) << r.failure;
+  const RunOutput out = execute_point(pt, seed);
+  ASSERT_TRUE(out.ok) << out.error;
+  EXPECT_EQ(metric(out, "seconds"), r.seconds);
+  EXPECT_EQ(metric(out, "ph1_seconds"), r.ph1_seconds);
+  EXPECT_EQ(metric(out, "ph2_seconds"), r.ph2_seconds);
+  EXPECT_EQ(metric(out, "ph3_seconds"), r.ph3_seconds);
+  ScenarioPoint untuned = pt;
+  untuned.tune = {};
+  EXPECT_NE(metric(execute_point(untuned, seed), "seconds"), r.seconds);
+
+  // mode=adapt: the split plan where the merge rule picks the merged one
+  // (2 map waves), with a cluster tunable beside it.
+  const auto adapt = ScenarioSpec::parse(
+      "mode=adapt\nbase_seed=4\nrepeats=1\nhosts=1\nvms=1\nmb=256\n"
+      "tune=meta.phases=3;switch_freeze_ms=100\n",
+      &err);
+  ASSERT_TRUE(adapt.has_value()) << err;
+  const ScenarioPoint apt = adapt->expand().at(0);
+  const std::uint64_t aseed = build_run_matrix(*adapt).at(0).seed;
+  ASSERT_TRUE(core::PhasePlan::for_job(job_of(apt), 1).merge_shuffle_tail);
+  cluster::ClusterConfig acfg = cluster_at(apt, aseed);
+  acfg.host.dom0_blk.switch_freeze = sim::Time::from_sec_f(100.0 / 1e3);
+  acfg.host.domu.guest_blk.switch_freeze = sim::Time::from_sec_f(100.0 / 1e3);
+  const core::Experiment exp =
+      core::make_chain_experiment(acfg, {job_of(apt)}, 1, core::PhasePlan{false});
+  EXPECT_EQ(exp.phases, 3);
+  const core::MetaResult m = core::MetaScheduler(exp, {}).optimize();
+  const RunOutput aout = execute_point(apt, aseed);
+  ASSERT_TRUE(aout.ok) << aout.error;
+  EXPECT_EQ(metric(aout, "adaptive_seconds"), m.adaptive_seconds);
+  EXPECT_EQ(metric(aout, "default_seconds"), m.default_seconds);
+  EXPECT_EQ(metric(aout, "best_single_seconds"), m.best_single_seconds);
+  EXPECT_EQ(metric(aout, "heuristic_evals"), m.heuristic_evaluations);
+  EXPECT_EQ(m.solution.phases.size(), 3u);
 }
 
 /// The BENCH JSON of a one-point spec, run to completion.

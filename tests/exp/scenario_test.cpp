@@ -502,6 +502,81 @@ TEST(ScenarioSpec, ChainsAndStreamAxesAreRejectedOutsideTheirModes) {
   EXPECT_TRUE(ScenarioSpec::parse("mode=finegrained\nfault=none|failslow:host=1,factor=2\n"));
 }
 
+TEST(ScenarioSpec, TuneAxisRoundTripsAndRejects) {
+  std::vector<std::string> names;
+  for (const Tunable& t : tunables()) names.push_back(t.name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "dom0.as.antic_expire_ms", "dom0.cfq.slice_sync_ms",
+                       "dom0.cfq.slice_idle_ms", "ring_slots", "switch_freeze_ms", "ncq_depth",
+                       "meta.phases", "mapred.speculate"}));
+
+  std::string err;
+  const auto s = ScenarioSpec::parse(
+      "mode=adapt\nhosts=2\nvms=2\nmb=32\nrepeats=1\n"
+      "tune = none | ring_slots = 8 ; switch_freeze_ms=0.50 | meta.phases=3;mapred.speculate=1\n"
+      "expect=adaptive_seconds[tune=ring_slots] < adaptive_seconds[tune=none]\n",
+      &err);
+  ASSERT_TRUE(s.has_value()) << err;
+  ASSERT_EQ(s->tunes.size(), 3u);
+  EXPECT_EQ(s->n_points(), 3u);
+  const auto pts = s->expand();
+  EXPECT_EQ(pts[0].label(), "sort h2 v2 32MB (c,c)");
+  EXPECT_EQ(pts[1].label(), "sort h2 v2 32MB (c,c) tune=ring_slots=8;switch_freeze_ms=0.5");
+  EXPECT_EQ(pts[2].tune.to_string(), "meta.phases=3;mapred.speculate=1");
+  EXPECT_NE(s->to_string().find("\ntune=none|ring_slots=8;switch_freeze_ms=0.5|"
+                                "meta.phases=3;mapred.speculate=1\n"),
+            std::string::npos)
+      << s->to_string();
+  const auto rt = ScenarioSpec::parse(s->to_string(), &err);
+  ASSERT_TRUE(rt.has_value()) << err;
+  EXPECT_EQ(rt->to_string(), s->to_string());
+  EXPECT_EQ(rt->fingerprint(), s->fingerprint());
+  // The filter matches a tune list by prefix, `none` the untuned point.
+  const auto checks = resolve_checks(*s, pts, &err);
+  ASSERT_TRUE(checks.has_value()) << err;
+  EXPECT_EQ(checks->at(0).lhs, std::vector<std::size_t>{1});
+  EXPECT_EQ(checks->at(0).rhs, std::vector<std::size_t>{0});
+  // tune moves the fingerprint; tune=none is the untuned spec byte for byte.
+  ScenarioSpec untuned = *s;
+  untuned.tunes = {TuneList{}};
+  EXPECT_NE(untuned.fingerprint(), s->fingerprint());
+  EXPECT_EQ(untuned.to_string().find("\ntune="), std::string::npos);
+  EXPECT_EQ(ScenarioSpec::parse("tune=none\n")->to_string(), ScenarioSpec::parse("")->to_string());
+
+  const std::string kStream(kStreamText);
+  // Each rejection, with the phrase its one-line diagnostic must carry.
+  const std::pair<std::string, const char*> kBad[] = {
+      {"tune=ring_slot=8\n", "unknown tunable 'ring_slot'"},
+      {"tune=ring_slots=0\n", "bad ring_slots '0'"},
+      {"tune=ring_slots=1025\n", "bad ring_slots '1025' (a whole number 1..1024 slots)"},
+      {"tune=ring_slots=8.5\n", "a whole number"},
+      {"tune=dom0.cfq.slice_idle_ms=-1\n", "bad dom0.cfq.slice_idle_ms '-1'"},
+      {"tune=dom0.as.antic_expire_ms=nan\n", "bad dom0.as.antic_expire_ms 'nan'"},
+      {"tune=mapred.speculate=2\n", "bad mapred.speculate '2'"},
+      {"tune=ring_slots=8;ncq_depth=4;ring_slots=16\n", "'ring_slots' given twice"},
+      {"tune=ring_slots\n", "expected name=value"},
+      {"tune=ring_slots=8;\n", "expected name=value"},
+      {"tune=none||ring_slots=8\n", "empty list element"},
+      {"tune=none\ntune=none\n", "duplicate key 'tune'"},
+      {"tune=meta.phases=3\n", "meta.phases needs mode=adapt, not mode=run"},
+      {"mode=finegrained\ntune=none|meta.phases=2\n", "needs mode=adapt, not mode=finegrained"},
+      {"stream=none|" + kStream + "\ntune=mapred.speculate=1\n", "stream= points"},
+      {"mode=sysbench\nhosts=1\ntune=ncq_depth=8\n", "mode=sysbench takes no tune= axis"},
+      {"mode=switchcost\nhosts=1\ntune=none|ring_slots=8\n", "mode=switchcost takes no tune="},
+  };
+  for (const auto& [body, phrase] : kBad) {
+    SCOPED_TRACE(body);
+    EXPECT_FALSE(ScenarioSpec::parse(body, &err).has_value());
+    EXPECT_NE(err.find(phrase), std::string::npos) << err;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+  }
+  // What stays legal: tune=none on a single host, cluster tunables on a
+  // stream point, speculation on a finegrained one.
+  EXPECT_TRUE(ScenarioSpec::parse("mode=sysbench\nhosts=1\ntune=none\n").has_value());
+  EXPECT_TRUE(ScenarioSpec::parse("stream=" + kStream + "\ntune=ring_slots=8\n").has_value());
+  EXPECT_TRUE(ScenarioSpec::parse("mode=finegrained\ntune=mapred.speculate=1\n").has_value());
+}
+
 // The three text grammars, pinned as the committed inputs parse today:
 // every bench spec's resume fingerprint and canonical text, and for every
 // fuzz corpus document whether it is accepted and what canonical text it
@@ -517,6 +592,12 @@ struct GrammarPin {
 };
 
 constexpr GrammarPin kGrammarPins[] = {
+    {"bench/specs/ablation_antic.spec", true, 0xd98d99ea727075b7ULL, 0xadad7d1c96ee641dULL},
+    {"bench/specs/ablation_cfq.spec", true, 0x2e166e28d8d32533ULL, 0xc26e440ff3416521ULL},
+    {"bench/specs/ablation_meta.spec", true, 0xca3119783e7d4025ULL, 0xe2ea8faede9ef2faULL},
+    {"bench/specs/ablation_ncq.spec", true, 0xfdabb53b7510aaa4ULL, 0x3ea90850de4a9305ULL},
+    {"bench/specs/ablation_ring.spec", true, 0x67966e618ec24f87ULL, 0x7d5cea1851036d94ULL},
+    {"bench/specs/ablation_speculate.spec", true, 0xb1d138d078bfd2deULL, 0x6601593e8e8cc28bULL},
     {"bench/specs/ext_chain.spec", true, 0x27e8a706e4c59890ULL, 0xe2779f49264ce2a8ULL},
     {"bench/specs/ext_faults.spec", true, 0xef22afb54e9521bcULL, 0x3eabdbff08d076b3ULL},
     {"bench/specs/ext_finegrained.spec", true, 0x24b8564f8c94daadULL, 0x2a0a9390f38b2be0ULL},
@@ -551,6 +632,7 @@ constexpr GrammarPin kGrammarPins[] = {
     {"tests/fuzz/corpus/scenario/stream-axis.txt", true, 0x66d7de08a378852cULL, 0x38caf4d6346055b0ULL},
     {"tests/fuzz/corpus/scenario/switchcost-basic.txt", true, 0x43871deea7360c5fULL, 0x70f9789525763ae3ULL},
     {"tests/fuzz/corpus/scenario/sysbench-basic.txt", true, 0xfbfc2c869ad1df83ULL, 0xa352708f93f184eeULL},
+    {"tests/fuzz/corpus/scenario/tune-axis.txt", true, 0x6638e90fe7b0d1f0ULL, 0x38a21ba1d076b4cbULL},
     {"tests/fuzz/corpus/stream/admit-gate.txt", true, 0x0000000000000000ULL, 0xd6b9a55c11d829f4ULL},
     {"tests/fuzz/corpus/stream/adversarial-admit.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},
     {"tests/fuzz/corpus/stream/adversarial-dup-class.txt", false, 0x0000000000000000ULL, 0x0000000000000000ULL},

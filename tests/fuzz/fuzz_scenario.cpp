@@ -83,6 +83,9 @@ int main(int argc, char** argv) {
        "expect=", "per workload:", "per pair,fault:", "seconds", "min(", "max(",
        "mean(", ")", "[", "]", "<", "<=", "*", "2 *", "[pair=cc]", "[vmm=n|c]",
        "[fault=none]", "[workload=sort]", "vmm", "guest",
+       "tune=", "[tune=none]", "dom0.as.antic_expire_ms", "dom0.cfq.slice_sync_ms",
+       "dom0.cfq.slice_idle_ms", "ring_slots", "switch_freeze_ms", "ncq_depth",
+       "meta.phases", "mapred.speculate",
        "\n", "#", "=", "9e9", "1e10", "nan", "inf", "-1", "0",
        "18446744073709551615", "999999999999999999999"});
 }

@@ -11,12 +11,12 @@
 // Every command runs a one-point scenario spec (exp/scenario.hpp): the
 // command is its mode= line and each axis flag is one more spec line
 // (--seed is base_seed=, --seeds repeats=, --fault and --fault-file one
-// fault=, --spec stream=, --policy stream_policy=), so the flags take the
-// grammar's values and bounds. The engine's materializer (exp/runner.hpp)
-// builds the cluster and jobs. Every command prints a table; `--csv`
-// switches to CSV for scripting. Unknown or repeated flags, stray
-// positionals, values the grammar rejects and flags that give more than one
-// point exit 2 with a diagnostic.
+// fault=, --tune tune=, --spec stream=, --policy stream_policy=), so the
+// flags take the grammar's values and bounds. The engine's materializer
+// (exp/runner.hpp) builds the cluster, jobs and phase plan. Every command
+// prints a table; `--csv` switches to CSV for scripting. Unknown or
+// repeated flags, stray positionals, values the grammar rejects and flags
+// that give more than one point exit 2 with a diagnostic.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -37,6 +37,7 @@
 #include "metrics/registry_table.hpp"
 #include "metrics/table.hpp"
 #include "obs/attribution.hpp"
+#include "sim/text.hpp"
 #include "tenancy/stream_runner.hpp"
 #include "trace/registry.hpp"
 #include "trace/trace.hpp"
@@ -59,7 +60,8 @@ struct Args {
 const std::map<std::string, std::string> kSpecKeys = {
     {"workload", "workload"}, {"hosts", "hosts"},     {"vms", "vms"},
     {"mb", "mb"},             {"pair", "pair"},       {"seed", "base_seed"},
-    {"seeds", "repeats"},     {"spec", "stream"},     {"policy", "stream_policy"}};
+    {"seeds", "repeats"},     {"spec", "stream"},     {"policy", "stream_policy"},
+    {"tune", "tune"}};
 
 /// Per-command flag whitelist: `valued` flags consume the next argv token,
 /// `boolean` flags stand alone.
@@ -74,7 +76,7 @@ int usage() {
                "[--workload sort|wordcount|wc|wc-nocombiner|wcnc] [--hosts N] [--vms N] "
                "[--mb N] [--pair xy] [--seed N] [--seeds N] [--csv] "
                "[--trace FILE] [--metrics] [--fault SPEC] [--fault-file FILE] "
-               "[--speculate]\n"
+               "[--tune LIST]\n"
                "axis flags take the sweep-spec grammar's values, one each: "
                "--hosts/--vms 1-1024, --mb >= 1, --seed an unsigned integer "
                "(base_seed=), --seeds N repeats (run: averaged over seeds "
@@ -96,11 +98,18 @@ int usage() {
                "lse:host=1,lba=1000-2000 failslow:host=0,factor=4 "
                "vmdown:vm=3,from=10,until=30 switchfail:p=1 switchdelay:delay=2\n"
                "--fault-file FILE  load a `;`/newline-separated fault plan\n"
-               "--speculate    enable Hadoop-style speculative map execution\n"
+               "--tune LIST    set model tunables (below): `;`-joined name=value, "
+               "e.g. mapred.speculate=1 or dom0.cfq.slice_idle_ms=0;ring_slots=8\n"
                "stream flags:\n"
                "--spec SPEC    job-stream grammar (arrive,... ;class,... ;policy,...)\n"
                "--policy P     override the stream's slot policy (fifo|fair|capacity)\n"
-               "--jobs         also print the per-job arrival/sojourn table\n");
+               "--jobs         also print the per-job arrival/sojourn table\n"
+               "tunables:\n");
+  for (const exp::Tunable& t : exp::tunables()) {
+    const std::string range =
+        lex::format_double(t.min) + ".." + lex::format_double(t.max) + " " + t.unit;
+    std::fprintf(stderr, "  %-24s %-16s %s\n", t.name, range.c_str(), t.doc);
+  }
   return 2;
 }
 
@@ -312,20 +321,11 @@ int report_failure(const cluster::RunResult& r) {
   return 1;
 }
 
-/// The point's jobs; --speculate turns on speculative map execution.
-std::vector<mapred::JobConf> jobs_of(const Args& a, const exp::ScenarioPoint& pt) {
-  auto confs = exp::jobs_of(pt);
-  for (auto& jc : confs) {
-    if (a.has("speculate")) jc.speculative_execution = true;
-  }
-  return confs;
-}
-
 int cmd_run(const Args& a, const exp::ScenarioSpec& spec, const exp::ScenarioPoint& pt) {
   const auto cfg = exp::cluster_of(pt, spec.base_seed);
-  const auto jc = jobs_of(a, pt).front();
+  const auto jc = exp::jobs_of(pt).front();
   Telemetry tel(a);
-  const auto plan = core::PhasePlan::for_job(jc, pt.hosts * pt.vms);
+  const auto plan = exp::plan_of(pt, jc);
   // The run matrix of a one-point spec: repeat i at derive_run_seed(seed, i).
   const auto r = cluster::run_job_avg(
       cfg, jc, spec.repeats, [&tel, plan](cluster::Cluster& cl, mapred::Job& job) {
@@ -356,11 +356,11 @@ int cmd_run(const Args& a, const exp::ScenarioSpec& spec, const exp::ScenarioPoi
 /// mode=adapt's pipeline at the raw seed, with --seeds runs averaged per
 /// evaluation; a chain takes its first job's phase plan for every job.
 int cmd_adapt(const Args& a, const exp::ScenarioSpec& spec, const exp::ScenarioPoint& pt) {
-  const auto confs = jobs_of(a, pt);
-  const auto plan = core::PhasePlan::for_job(confs.front(), pt.hosts * pt.vms);
+  const auto confs = exp::jobs_of(pt);
   Telemetry tel(a);
   core::MetaScheduler ms(core::make_chain_experiment(exp::cluster_of(pt, spec.base_seed),
-                                                     confs, spec.repeats, plan),
+                                                     confs, spec.repeats,
+                                                     exp::plan_of(pt, confs.front())),
                          {});
   const auto r = ms.optimize();
   if (r.adaptive_run.failed) return report_failure(r.adaptive_run);
@@ -380,7 +380,7 @@ int cmd_adapt(const Args& a, const exp::ScenarioSpec& spec, const exp::ScenarioP
 
 int cmd_finegrained(const Args& a, const exp::ScenarioSpec& spec,
                     const exp::ScenarioPoint& pt) {
-  const auto jc = jobs_of(a, pt).front();
+  const auto jc = exp::jobs_of(pt).front();
   Telemetry tel(a);
   std::shared_ptr<core::FineGrainedController> ctl;
   const auto r = cluster::run_job(
@@ -530,8 +530,8 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
 
   const FlagSet cluster_flags{{"workload", "hosts", "vms", "mb", "pair", "seed",
-                               "seeds", "trace", "fault", "fault-file"},
-                              {"csv", "metrics", "obs", "speculate"}};
+                               "seeds", "trace", "fault", "fault-file", "tune"},
+                              {"csv", "metrics", "obs"}};
   FlagSet finegrained_flags = cluster_flags;
   finegrained_flags.valued.erase("seeds");  // one run, no average
   const std::map<std::string, Command> commands = {
@@ -550,7 +550,8 @@ int main(int argc, char** argv) {
       {"stream",
        {cmd_stream,
         {{"mode", "run"}},
-        {{"spec", "policy", "hosts", "vms", "pair", "seed", "trace", "fault", "fault-file"},
+        {{"spec", "policy", "hosts", "vms", "pair", "seed", "trace", "fault", "fault-file",
+          "tune"},
          {"csv", "metrics", "obs", "jobs"}}}},
   };
   const auto it = commands.find(cmd);
