@@ -25,8 +25,8 @@
 //
 // Each probe runs `--reps` times (default 3) and reports the best rep: the
 // minimum wall time is the least-noise estimate of the code's true cost,
-// which is what a CI regression gate needs. Metrics land in the standard
-// BENCH JSON via `--json FILE` (see bench_util.hpp); tools/bench_compare
+// which is what a CI regression gate needs. Metrics land in the flat
+// BENCH JSON via `--json FILE` (see BenchReport); tools/bench_compare
 // gates them against bench/baselines/micro_sim.json in the perf-smoke CI
 // job. Metric naming contract: `*_per_sec` is higher-is-better,
 // `*_seconds` lower-is-better — bench_compare keys its direction off the
@@ -40,26 +40,157 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "blk/block_layer.hpp"
 #include "core/online_scheduler.hpp"
 #include "blk/disk_device.hpp"
 #include "cluster/runner.hpp"
+#include "exp/artifact.hpp"
+#include "exp/json.hpp"
+#include "metrics/registry_table.hpp"
 #include "net/flow_network.hpp"
 #include "obs/attribution.hpp"
 #include "sim/simulator.hpp"
 #include "sim/text.hpp"
+#include "trace/registry.hpp"
+#include "trace/trace.hpp"
 #include "virt/physical_host.hpp"
+#include "workloads/benchmarks.hpp"
 
 using namespace iosim;
 using namespace iosim::sim::literals;
 
 namespace {
+
+// --- report and flags ------------------------------------------------------
+
+/// The paper's testbed: 4 physical nodes, 4 VMs each, 512 MB per data node.
+cluster::ClusterConfig paper_cluster() { return cluster::ClusterConfig{}; }
+
+/// Flat (name, value) metrics, added in emission order via report().add()
+/// and written by `--json FILE` as
+/// {"bench_format":1,"kind":"bench","name":...,"metrics":{...}} — the same
+/// format version as the sweep engine's BENCH_*.json. Without `--json` the
+/// report is collected and discarded.
+class BenchReport {
+ public:
+  void add(const std::string& name, double v) { metrics_.emplace_back(name, v); }
+
+  std::string to_json(const std::string& bench_name) const {
+    exp::JsonWriter w;
+    w.obj_begin();
+    w.kv("bench_format", 1);
+    w.kv("kind", "bench");
+    w.kv("name", bench_name);
+    w.key("metrics").obj_begin();
+    for (const auto& [k, v] : metrics_) w.kv(k, v);
+    w.obj_end();
+    w.obj_end();
+    return w.str() + "\n";
+  }
+
+ private:
+  std::vector<std::pair<std::string, double>> metrics_;
+};
+
+BenchReport& report() {
+  static BenchReport r;
+  return r;
+}
+
+/// "foo-bar" from "/path/to/foo-bar" (the bench's own name for the JSON).
+std::string basename_of(const std::string& path) {
+  const auto slash = path.find_last_of('/');
+  return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+/// Command-line flags and the flight recorder: `--trace FILE` records a
+/// trace of every simulated run and writes it at exit (.csv extension
+/// selects CSV, anything else Chrome trace-event JSON); `--metrics` prints
+/// the named-metrics registry at exit; `--json FILE` writes report() at
+/// exit. `valued` and `boolean` name the bench's own flags, read back with
+/// value() and has(). Any other argument, or a valued flag without its
+/// value, exits 2 with a diagnostic.
+class Telemetry {
+ public:
+  Telemetry(int argc, char** argv, std::set<std::string> valued = {},
+            std::set<std::string> boolean = {}) {
+    if (argc > 0) bench_name_ = basename_of(argv[0]);
+    valued.insert({"--trace", "--json"});
+    boolean.insert("--metrics");
+    for (int i = 1; i < argc; ++i) {
+      const std::string s = argv[i];
+      if (valued.count(s) != 0 && i + 1 < argc) {
+        flags_[s] = argv[++i];
+      } else if (boolean.count(s) != 0) {
+        flags_[s] = "";
+      } else {
+        std::fprintf(stderr, "%s: %s '%s'\n", bench_name_.c_str(),
+                     valued.count(s) != 0 ? "missing value for" : "unknown argument",
+                     s.c_str());
+        std::exit(2);
+      }
+    }
+    trace_path_ = value("--trace").value_or("");
+    json_path_ = value("--json").value_or("");
+    if (has("--metrics")) metrics_.emplace();
+    if (!trace_path_.empty()) trace_.emplace();
+  }
+  /// The value a valued flag was given, if it was.
+  std::optional<std::string> value(const std::string& flag) const {
+    const auto it = flags_.find(flag);
+    if (it == flags_.end()) return std::nullopt;
+    return it->second;
+  }
+  bool has(const std::string& flag) const { return flags_.count(flag) != 0; }
+  ~Telemetry() {
+    if (!json_path_.empty()) {
+      std::string err;
+      if (exp::write_file_atomic(json_path_, report().to_json(bench_name_), &err)) {
+        std::fprintf(stderr, "json: bench report -> %s\n", json_path_.c_str());
+      } else {
+        std::fprintf(stderr, "json: failed to write %s (%s)\n", json_path_.c_str(),
+                     err.c_str());
+      }
+    }
+    if (trace_) {
+      auto& tr = trace_->tracer();
+      if (tr.write_file(trace_path_)) {
+        std::fprintf(stderr, "trace: %zu events (%llu dropped) -> %s\n", tr.size(),
+                     static_cast<unsigned long long>(tr.dropped()), trace_path_.c_str());
+      } else {
+        std::fprintf(stderr, "trace: failed to write %s\n", trace_path_.c_str());
+      }
+    }
+    if (metrics_) {
+      auto tab = metrics::registry_table(metrics_->registry());
+      tab.print();
+    }
+  }
+  Telemetry(const Telemetry&) = delete;
+  Telemetry& operator=(const Telemetry&) = delete;
+
+ private:
+  std::string bench_name_ = "bench";
+  std::map<std::string, std::string> flags_;
+  std::string trace_path_;
+  std::string json_path_;
+  std::optional<trace::TraceSession> trace_;
+  std::optional<trace::MetricsSession> metrics_;
+};
+
+void print_header(const char* id, const char* what) {
+  std::printf("\n================================================================\n");
+  std::printf("%s — %s\n", id, what);
+  std::printf("================================================================\n");
+}
 
 double now_sec() {
   using clock = std::chrono::steady_clock;
@@ -459,7 +590,7 @@ double bench_arm_select(std::uint64_t n) {
 // what iosim-sweep pays per scenario point.
 
 double bench_fig2_point() {
-  cluster::ClusterConfig cfg = bench::paper_cluster();
+  cluster::ClusterConfig cfg = paper_cluster();
   cfg.seed = 1;
   const auto jc = workloads::make_job(workloads::wordcount());
   const double t0 = now_sec();
@@ -489,7 +620,7 @@ void row(const char* name, double per_sec, double wall) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Telemetry telemetry(argc, argv, {"--reps"}, {"--quick"});
+  const Telemetry telemetry(argc, argv, {"--reps"}, {"--quick"});
   int reps = 3;
   if (const auto v = telemetry.value("--reps"); v && (!lex::parse_int(*v, &reps) || reps < 1)) {
     std::fprintf(stderr, "micro_sim: --reps expects a positive integer, got '%s'\n", v->c_str());
@@ -498,7 +629,7 @@ int main(int argc, char** argv) {
   // Divide workloads by this (for test smoke runs).
   const std::uint64_t scale = telemetry.has("--quick") ? 16 : 1;
 
-  bench::print_header("micro_sim", "event-loop hot-path microbenchmarks");
+  print_header("micro_sim", "event-loop hot-path microbenchmarks");
   std::printf("reps: %d (reporting the best), scale divisor: %" PRIu64 "\n\n", reps,
               scale);
 
@@ -507,24 +638,24 @@ int main(int argc, char** argv) {
       best_of_fn(reps, [&] { return bench_schedule_fire(n_fire, 4096); });
   const double fire_rate = static_cast<double>(n_fire) / fire_wall;
   row("schedule-fire", fire_rate, fire_wall);
-  bench::report().add("schedule_fire.events_per_sec", fire_rate);
-  bench::report().add("schedule_fire.wall_seconds", fire_wall);
+  report().add("schedule_fire.events_per_sec", fire_rate);
+  report().add("schedule_fire.wall_seconds", fire_wall);
 
   const std::uint64_t n_cancel = 1'000'000 / scale;
   const double cancel_wall =
       best_of_fn(reps, [&] { return bench_schedule_cancel(n_cancel, 4096); });
   const double cancel_rate = static_cast<double>(n_cancel) / cancel_wall;
   row("schedule-cancel", cancel_rate, cancel_wall);
-  bench::report().add("schedule_cancel.pairs_per_sec", cancel_rate);
-  bench::report().add("schedule_cancel.wall_seconds", cancel_wall);
+  report().add("schedule_cancel.pairs_per_sec", cancel_rate);
+  report().add("schedule_cancel.wall_seconds", cancel_wall);
 
   const std::uint64_t n_bio = 400'000 / scale;
   const double bio_wall =
       best_of_fn(reps, [&] { return bench_bio_roundtrip(n_bio, 64); });
   const double bio_rate = static_cast<double>(n_bio) / bio_wall;
   row("bio-roundtrip", bio_rate, bio_wall);
-  bench::report().add("bio_roundtrip.bios_per_sec", bio_rate);
-  bench::report().add("bio_roundtrip.wall_seconds", bio_wall);
+  report().add("bio_roundtrip.bios_per_sec", bio_rate);
+  report().add("bio_roundtrip.wall_seconds", bio_wall);
 
   for (const int n_layers : {1, 64}) {
     const double rr_wall =
@@ -532,7 +663,7 @@ int main(int argc, char** argv) {
     const double ns_per_bio = 1e9 * rr_wall / static_cast<double>(n_bio);
     std::printf("  %-18s %14.1f ns/bio best wall %8.3f s\n",
                 n_layers == 1 ? "blk-rt (l1)" : "blk-rt (l64)", ns_per_bio, rr_wall);
-    bench::report().add(n_layers == 1 ? "blk_roundtrip_l1.ns_per_bio"
+    report().add(n_layers == 1 ? "blk_roundtrip_l1.ns_per_bio"
                                       : "blk_roundtrip_l64.ns_per_bio",
                         ns_per_bio);
   }
@@ -542,15 +673,15 @@ int main(int argc, char** argv) {
       best_of_fn(reps, [&] { return bench_domu_roundtrip(n_domu, 32, false); });
   const double domu_off_rate = static_cast<double>(n_domu) / domu_off_wall;
   row("domu-rt (attr off)", domu_off_rate, domu_off_wall);
-  bench::report().add("domu_roundtrip_attr_off.bios_per_sec", domu_off_rate);
-  bench::report().add("domu_roundtrip_attr_off.wall_seconds", domu_off_wall);
+  report().add("domu_roundtrip_attr_off.bios_per_sec", domu_off_rate);
+  report().add("domu_roundtrip_attr_off.wall_seconds", domu_off_wall);
 
   const double domu_on_wall =
       best_of_fn(reps, [&] { return bench_domu_roundtrip(n_domu, 32, true); });
   const double domu_on_rate = static_cast<double>(n_domu) / domu_on_wall;
   row("domu-rt (attr on)", domu_on_rate, domu_on_wall);
-  bench::report().add("domu_roundtrip_attr_on.bios_per_sec", domu_on_rate);
-  bench::report().add("domu_roundtrip_attr_on.wall_seconds", domu_on_wall);
+  report().add("domu_roundtrip_attr_on.bios_per_sec", domu_on_rate);
+  report().add("domu_roundtrip_attr_on.wall_seconds", domu_on_wall);
   std::printf("  attribution overhead: %+.1f%% wall\n",
               100.0 * (domu_on_wall - domu_off_wall) / domu_off_wall);
 
@@ -559,19 +690,19 @@ int main(int argc, char** argv) {
   const double shuffle_wall = best_of_fn(reps, [&] { return bench_net_shuffle(n_rounds); });
   const double shuffle_rate = static_cast<double>(n_flows) / shuffle_wall;
   row("net-shuffle (h32)", shuffle_rate, shuffle_wall);
-  bench::report().add("net_shuffle_h32.flows_per_sec", shuffle_rate);
-  bench::report().add("net_shuffle_h32.wall_seconds", shuffle_wall);
+  report().add("net_shuffle_h32.flows_per_sec", shuffle_rate);
+  report().add("net_shuffle_h32.wall_seconds", shuffle_wall);
 
   const std::uint64_t n_arm = 1'000'000 / scale;
   const double arm_wall = best_of_fn(reps, [&] { return bench_arm_select(n_arm); });
   const double arm_rate = static_cast<double>(n_arm) / arm_wall;
   row("arm-select", arm_rate, arm_wall);
-  bench::report().add("arm_select.decisions_per_sec", arm_rate);
-  bench::report().add("arm_select.wall_seconds", arm_wall);
+  report().add("arm_select.decisions_per_sec", arm_rate);
+  report().add("arm_select.wall_seconds", arm_wall);
 
   const double fig2_wall = best_of(reps, bench_fig2_point);
   std::printf("  %-18s %14s        best wall %8.3f s\n", "fig2-point", "-", fig2_wall);
-  bench::report().add("fig2_point.wall_seconds", fig2_wall);
+  report().add("fig2_point.wall_seconds", fig2_wall);
 
   std::printf("\n");
   if (g_failed_checks != 0) {

@@ -1,8 +1,13 @@
 #include "exp/runner.hpp"
 
+#include <memory>
+#include <numeric>
+
 #include "core/fine_grained.hpp"
 #include "core/meta_scheduler.hpp"
 #include "core/online_scheduler.hpp"
+#include "metrics/iostat_sampler.hpp"
+#include "sim/stats.hpp"
 #include "sim/text.hpp"
 #include "tenancy/stream_runner.hpp"
 #include "workloads/benchmarks.hpp"
@@ -31,6 +36,44 @@ void note_run_failure(RunOutput* out, const cluster::RunResult& r) {
   out->infra_failure = (r.stop == sim::StopReason::kAborted);
   out->budget_stop = (r.stop == sim::StopReason::kEventBudget ||
                       r.stop == sim::StopReason::kTimeBudget);
+}
+
+/// What a mode=run point observes of host 0 while its job runs (Fig. 3):
+/// Dom0's read + write MB/s per 1 s iostat window, and each VM's guest-layer
+/// bytes completed over the job's seconds.
+struct HostZeroThroughput {
+  std::vector<double> dom0_mb_s;
+  std::vector<double> vm_mb_s;
+};
+
+/// Setup hook that fills `obs`. The job's on_done hook owns the sampler, so
+/// it dies with the job, before the simulator it has a tick pending on.
+cluster::SetupHook observe_host_zero(HostZeroThroughput& obs) {
+  return [&obs](cluster::Cluster& cl, mapred::Job& job) {
+    virt::PhysicalHost& host = cl.host(0);
+    auto sampler = std::make_shared<metrics::IostatSampler>(cl.simr());
+    sampler->watch(host.dom0_layer());
+    // The first tick after the job ends records the last, partial window.
+    sampler->stop_when([&obs, &job, s = sampler.get()] {
+      if (!job.done()) return false;
+      for (const auto& w : s->series(0)) obs.dom0_mb_s.push_back(w.read_mb_s + w.write_mb_s);
+      return true;
+    });
+    sampler->start();
+    job.append_hooks({.on_done = [&obs, &host, &job, sampler](sim::Time t) {
+      const double seconds = (t - job.stats().t_start).sec();
+      for (std::size_t v = 0; v < host.vm_count(); ++v) {
+        const auto& c = host.vm(v).layer().counters();
+        const auto bytes = c.bytes_completed[0] + c.bytes_completed[1];
+        obs.vm_mb_s.push_back(static_cast<double>(bytes) / seconds / 1e6);
+      }
+    }});
+  };
+}
+
+double mean_of(const std::vector<double>& xs) {
+  return xs.empty() ? 0.0
+                    : std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(xs.size());
 }
 
 /// mode=sysbench and mode=switchcost: sysbench seqwr or dd runs on one
@@ -164,14 +207,28 @@ RunOutput execute_point(const ScenarioPoint& pt, std::uint64_t seed) {
   }
 
   if (pt.mode == RunMode::kRun) {
-    const cluster::RunResult r = cluster::run_job(cfg, jc);
+    HostZeroThroughput host0;
+    const cluster::RunResult r = cluster::run_job(cfg, jc, observe_host_zero(host0));
     if (r.failed) note_run_failure(&out, r);
     out.metrics = {{"seconds", r.seconds},
                    {"ph1_seconds", r.ph1_seconds},
                    {"ph2_seconds", r.ph2_seconds},
                    {"ph3_seconds", r.ph3_seconds},
                    {"ph23_seconds", r.ph23_seconds},
-                   {"shuffle_tail_pct", r.stats.shuffle_tail_pct()}};
+                   {"shuffle_tail_pct", r.stats.shuffle_tail_pct()},
+                   {"dom0_mean_mb_s", mean_of(host0.dom0_mb_s)},
+                   {"dom0_max_mb_s", sim::percentile_nearest_rank(host0.dom0_mb_s, 1.0)},
+                   {"vm_mean_mb_s", mean_of(host0.vm_mb_s)},
+                   {"vm_fairness", sim::jain_fairness(host0.vm_mb_s)}};
+    // Fig. 4: the time between successive 5 % progress milestones.
+    double prev = 0.0;
+    for (std::size_t i = 0; i < r.stats.milestones.size(); ++i) {
+      const std::size_t pct = 5 * (i + 1);
+      const double t = (r.stats.milestones[i].t - r.stats.t_start).sec();
+      out.metrics.emplace_back((pct < 10 ? "prog0" : "prog") + std::to_string(pct) + "_seconds",
+                               t - prev);
+      prev = t;
+    }
     return out;
   }
 

@@ -39,7 +39,14 @@ core::PhasePlan plan_of(const ScenarioPoint& point, const mapred::JobConf& first
 /// JSON preserve this order).
 ///
 /// mode=run:   seconds, ph1_seconds, ph2_seconds, ph3_seconds, ph23_seconds,
-///             shuffle_tail_pct (JobStats::shuffle_tail_pct, Table II)
+///             shuffle_tail_pct (JobStats::shuffle_tail_pct, Table II);
+///             then Fig. 3's view of host 0: dom0_mean_mb_s and
+///             dom0_max_mb_s (Dom0 read + write MB/s over 1 s iostat
+///             windows, max by nearest rank), vm_mean_mb_s and vm_fairness
+///             (each VM's guest-layer bytes over the job's seconds, their
+///             mean and Jain index); then Fig. 4's prog05_seconds ...
+///             prog100_seconds (the time between successive 5 % progress
+///             milestones)
 /// mode=adapt: adaptive_seconds, default_seconds, best_single_seconds,
 ///             gain_vs_default_pct, gain_vs_best_pct, heuristic_evals; the
 ///             run fails when MetaScheduler::optimize fails its adaptive run,

@@ -19,7 +19,9 @@
 //
 //   name=fig7a            identifier used for BENCH_<name>.json
 //   mode=run|adapt|sysbench|switchcost|finegrained
-//                         run: one job per point with the fixed pair
+//                         run: one job per point with the fixed pair;
+//                         its metrics (exp/runner.hpp) include Fig. 3's
+//                         host-0 throughput and Fig. 4's progress intervals
 //                         adapt: full meta-scheduler pipeline per point;
 //                         the only mode that takes a job chain
 //                         finegrained: per run, the job booted at pair

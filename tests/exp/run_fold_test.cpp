@@ -7,9 +7,12 @@
 // workloads::run_single_host at the run's raw seed, mode=finegrained against
 // a direct FineGrainedController run and a plain run, a job-chain adapt
 // point against the meta-scheduler over core::make_chain_experiment, and
-// tuned points against the same fields set by hand.
+// tuned points against the same fields set by hand. Fig 3 and Fig 4's
+// metrics are checked against the computation of the figure binaries they
+// replaced, kept here as the oracle.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -20,7 +23,9 @@
 #include "exp/executor.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "metrics/iostat_sampler.hpp"
 #include "sim/random.hpp"
+#include "sim/stats.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/microbench.hpp"
 
@@ -117,13 +122,110 @@ TEST(RunFold, RepeatsMatchRunJobAndTheirMeanMatchesRunJobAvg) {
         {"seconds", avg.seconds},         {"ph1_seconds", avg.ph1_seconds},
         {"ph2_seconds", avg.ph2_seconds}, {"ph3_seconds", avg.ph3_seconds},
         {"ph23_seconds", avg.ph23_seconds}};
-    ASSERT_EQ(pa.metrics.size(), 6u);
+    ASSERT_EQ(pa.metrics.size(), 30u);
     for (std::size_t i = 0; i < std::size(want); ++i) {
       EXPECT_EQ(pa.metrics[i].name, want[i].first);
       EXPECT_EQ(pa.metrics[i].s.n, 3u) << want[i].first;
       EXPECT_DOUBLE_EQ(pa.metrics[i].s.mean, want[i].second) << want[i].first;
     }
     EXPECT_EQ(pa.metrics[5].name, "shuffle_tail_pct");
+    EXPECT_EQ(pa.metrics[6].name, "dom0_mean_mb_s");
+    EXPECT_EQ(pa.metrics[7].name, "dom0_max_mb_s");
+    EXPECT_EQ(pa.metrics[8].name, "vm_mean_mb_s");
+    EXPECT_EQ(pa.metrics[9].name, "vm_fairness");
+    EXPECT_EQ(pa.metrics[10].name, "prog05_seconds");
+    EXPECT_EQ(pa.metrics[11].name, "prog10_seconds");
+    EXPECT_EQ(pa.metrics[28].name, "prog95_seconds");
+    EXPECT_EQ(pa.metrics[29].name, "prog100_seconds");
+  }
+}
+
+/// What the retired Fig. 3 binary measured on one run: iostat's 1 s windows
+/// on host 0's Dom0 layer and host 0's per-VM mean MB/s over the job.
+struct Fig3Run {
+  std::vector<double> dom0;  // MB/s of each window, read + write
+  std::vector<double> vm_mean_mb_s;
+};
+
+Fig3Run fig3_oracle(const cluster::ClusterConfig& cfg, const mapred::JobConf& jc) {
+  Fig3Run out;
+  (void)cluster::run_job(cfg, jc, [&out](cluster::Cluster& cl, mapred::Job& job) {
+    virt::PhysicalHost& host = cl.host(0);
+    auto sampler = std::make_shared<metrics::IostatSampler>(cl.simr());
+    sampler->watch(host.dom0_layer());
+    sampler->stop_when([&out, &job, s = sampler.get()] {
+      if (!job.done()) return false;
+      for (const auto& w : s->series(0)) out.dom0.push_back(w.read_mb_s + w.write_mb_s);
+      return true;
+    });
+    sampler->start();
+    job.on_done = [&out, &host, sampler](sim::Time t) {
+      const double elapsed = t.sec();
+      for (std::size_t v = 0; v < host.vm_count(); ++v) {
+        const auto& c = host.vm(v).layer().counters();
+        const auto bytes = c.bytes_completed[0] + c.bytes_completed[1];
+        out.vm_mean_mb_s.push_back(static_cast<double>(bytes) / elapsed / 1e6);
+      }
+    };
+  });
+  return out;
+}
+
+double mean(const std::vector<double>& xs) {
+  return xs.empty() ? 0.0 : std::accumulate(xs.begin(), xs.end(), 0.0) /
+                                static_cast<double>(xs.size());
+}
+
+/// What the retired Fig. 4 binary measured on one plain run: the seconds
+/// from the job's start to each 5 % progress milestone, as differences.
+std::vector<double> fig4_oracle(const cluster::ClusterConfig& cfg, const mapred::JobConf& jc) {
+  const auto r = cluster::run_job(cfg, jc);
+  std::vector<double> seg;
+  double prev = 0;
+  for (const auto& m : r.stats.milestones) {
+    const double t = (m.t - r.stats.t_start).sec();
+    seg.push_back(t - prev);
+    prev = t;
+  }
+  return seg;
+}
+
+TEST(RunFold, RunPointPublishesFig3AndFig4Metrics) {
+  // Fig. 3's headline pairs on two hosts, so host 0 is not the only one.
+  std::string err;
+  const auto spec = ScenarioSpec::parse(
+      "mode=run\nbase_seed=9\nrepeats=1\npair=cc,ad\nworkload=sort\nhosts=2\nvms=3\n"
+      "mb=192\n",
+      &err);
+  ASSERT_TRUE(spec.has_value()) << err;
+  const auto points = spec->expand();
+  for (const RunTask& t : build_run_matrix(*spec)) {
+    const ScenarioPoint& pt = points[t.point_index];
+    SCOPED_TRACE(pt.label());
+    const Fig3Run f3 = fig3_oracle(cluster_at(pt, t.seed), job_of(pt));
+    const std::vector<double> f4 = fig4_oracle(cluster_at(pt, t.seed), job_of(pt));
+    ASSERT_GT(f3.dom0.size(), 10u);
+    ASSERT_EQ(f3.vm_mean_mb_s.size(), 3u);
+    ASSERT_EQ(f4.size(), 20u);
+    const RunOutput out = execute_point(pt, t.seed);
+    ASSERT_TRUE(out.ok) << out.error;
+    ASSERT_EQ(out.metrics.size(), 30u);
+    EXPECT_EQ(metric(out, "dom0_mean_mb_s"), mean(f3.dom0));
+    EXPECT_EQ(metric(out, "dom0_max_mb_s"), sim::percentile_nearest_rank(f3.dom0, 1.0));
+    EXPECT_EQ(metric(out, "vm_mean_mb_s"), mean(f3.vm_mean_mb_s));
+    EXPECT_EQ(metric(out, "vm_fairness"), sim::jain_fairness(f3.vm_mean_mb_s));
+    const char* const names[] = {"prog05_seconds", "prog10_seconds", "prog15_seconds",
+                                 "prog20_seconds", "prog25_seconds", "prog30_seconds",
+                                 "prog35_seconds", "prog40_seconds", "prog45_seconds",
+                                 "prog50_seconds", "prog55_seconds", "prog60_seconds",
+                                 "prog65_seconds", "prog70_seconds", "prog75_seconds",
+                                 "prog80_seconds", "prog85_seconds", "prog90_seconds",
+                                 "prog95_seconds", "prog100_seconds"};
+    for (std::size_t i = 0; i < f4.size(); ++i) {
+      EXPECT_EQ(out.metrics[10 + i].first, names[i]);
+      EXPECT_EQ(out.metrics[10 + i].second, f4[i]) << names[i];
+    }
+    EXPECT_GT(metric(out, "dom0_max_mb_s"), metric(out, "dom0_mean_mb_s"));
   }
 }
 

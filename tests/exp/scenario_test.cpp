@@ -603,6 +603,7 @@ constexpr GrammarPin kGrammarPins[] = {
     {"bench/specs/ext_finegrained.spec", true, 0x24b8564f8c94daadULL, 0x2a0a9390f38b2be0ULL},
     {"bench/specs/fig1.spec", true, 0x0f215e014079beabULL, 0x282564e24dbd42edULL},
     {"bench/specs/fig2.spec", true, 0xe4f6000ea0363e7bULL, 0xdd0bd41de76ecf71ULL},
+    {"bench/specs/fig3_4.spec", true, 0xdf9f798eac6ef85cULL, 0x91f2700fcea4eecfULL},
     {"bench/specs/fig5.spec", true, 0x836698e6a2dfa4f1ULL, 0xd4d52f86a2fd5c29ULL},
     {"bench/specs/fig8.spec", true, 0xec61644734fcfe56ULL, 0xe78583bf15a69103ULL},
     {"bench/specs/fig7_degraded.spec", true, 0x13faa0acfe7dfb44ULL, 0x7416dd306043194eULL},
