@@ -3,10 +3,10 @@
 //
 // One instance models `/sys/block/<dev>/queue` of one kernel: each DomU has
 // one (its guest elevator) and each Dom0 has one (the VMM-level elevator).
-// `switch_scheduler()` models `echo <name> > .../scheduler`: the old
-// discipline's queue is drained into the new one and dispatch freezes for a
-// quiesce window — the raw ingredient of the paper's switch-cost study
-// (Fig. 5).
+// `switch_scheduler()` models `echo <name> > .../scheduler`: new bios are
+// held back while the old discipline dispatches until it is empty, then
+// dispatch freezes for a quiesce window and the new one takes the held
+// bios — the raw ingredient of the paper's switch-cost study (Fig. 5).
 #pragma once
 
 #include <cstdint>
@@ -117,6 +117,11 @@ class BlockLayer {
   /// in BlockLayerCounters, which describe the traffic and must not depend
   /// on how often the sink asks for more.
   std::uint64_t kicks() const { return kicks_; }
+  /// Back-merge lookups so far, and the merge-index slots they probed:
+  /// deterministic work counts, kept outside BlockLayerCounters like
+  /// kicks() (DESIGN.md §8.9).
+  std::uint64_t merge_lookups() const { return merge_idx_.finds(); }
+  std::uint64_t merge_probes() const { return merge_idx_.find_probes(); }
 
  private:
   /// Per-bio hooks of a segment entering the queue (auditor, tracer, Dom0

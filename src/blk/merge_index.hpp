@@ -1,7 +1,9 @@
 // iosim: the block layer's back-merge index — end LBA -> queued request.
 //
 // A flat open-addressed table (linear probing, power-of-two capacity,
-// backward-shift deletion, no tombstones). It replaces an
+// backward-shift deletion, no tombstones). The home slot is the key's
+// 64 KiB LBA block modulo the capacity, so consecutive end keys of one
+// stream sit in neighbouring slots. It replaces an
 // `std::unordered_map<Lba, Request*>` and keeps exactly the map semantics
 // the pinned digests depend on:
 //   * emplace() of a key already present keeps the existing entry — the
@@ -29,8 +31,10 @@ class MergeIndex {
 
   /// The request whose entry has key `key`, or nullptr.
   Request* find(Lba key) const {
+    ++finds_;
     if (size_ == 0) return nullptr;
     for (std::size_t i = home(key);; i = next(i)) {
+      ++find_probes_;
       const Slot& s = slots_[i];
       if (s.rq == nullptr) return nullptr;
       if (s.key == key) return s.rq;
@@ -89,6 +93,10 @@ class MergeIndex {
   std::size_t size() const { return size_; }
   /// Slot count (tests: growth happens, steady state does not allocate).
   std::size_t capacity() const { return slots_.size(); }
+  /// find() calls so far, and the slots they visited: deterministic work
+  /// counts that judge the home-slot function without wall-clock noise.
+  std::uint64_t finds() const { return finds_; }
+  std::uint64_t find_probes() const { return find_probes_; }
 
  private:
   struct Slot {
@@ -97,11 +105,14 @@ class MergeIndex {
   };
 
   static constexpr std::size_t kMinSlots = 16;
+  /// log2 of the LBA sectors one home slot covers (DESIGN.md §8.9).
+  static constexpr unsigned kHomeShift = 7;
 
   std::size_t home(Lba key) const {
-    // Fibonacci hashing: sequential end LBAs spread over the table.
-    const auto h = static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ULL;
-    return static_cast<std::size_t>(h >> shift_);
+    // Stream-local: one slot per 64 KiB of LBA (kHomeShift), wrapped by
+    // the table size. A stream's next end key lands in the slot of its
+    // last one or a neighbour, four slots to a cache line.
+    return static_cast<std::size_t>(key >> kHomeShift) & (slots_.size() - 1);
   }
   std::size_t next(std::size_t i) const { return (i + 1) & (slots_.size() - 1); }
 
@@ -109,8 +120,6 @@ class MergeIndex {
     std::vector<Slot> old = std::move(slots_);
     const std::size_t n = old.empty() ? kMinSlots : 2 * old.size();
     slots_.assign(n, Slot{});
-    shift_ = 64;
-    for (std::size_t m = n; m > 1; m >>= 1) --shift_;
     size_ = 0;
     for (const Slot& s : old) {
       if (s.rq != nullptr) emplace(s.key, s.rq);
@@ -119,7 +128,8 @@ class MergeIndex {
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
-  unsigned shift_ = 64;
+  mutable std::uint64_t finds_ = 0;
+  mutable std::uint64_t find_probes_ = 0;
 };
 
 }  // namespace iosim::blk

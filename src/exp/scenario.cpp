@@ -75,7 +75,10 @@ bool parse_axis(std::string_view key, std::string_view value, char sep, Parse pa
 template <class T, class Render>
 std::string join(const std::vector<T>& xs, const char* sep, Render render) {
   std::string s;
-  for (std::size_t i = 0; i < xs.size(); ++i) s += (i ? sep : "") + render(xs[i]);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (i) s += sep;
+    s += render(xs[i]);
+  }
   return s;
 }
 

@@ -59,7 +59,10 @@ std::optional<TuneList> TuneList::parse(std::string_view text, std::string* erro
                                  [&](const Tunable& x) { return name == x.name; });
     if (t == std::end(kTunables)) {
       std::string names;
-      for (const Tunable& x : kTunables) names += (names.empty() ? "" : "|") + std::string(x.name);
+      for (const Tunable& x : kTunables) {
+        if (!names.empty()) names += '|';
+        names += x.name;
+      }
       return fail("unknown tunable '" + name + "' (" + names + ")");
     }
     for (const auto& [seen, v] : out.settings) {
@@ -80,7 +83,10 @@ std::optional<TuneList> TuneList::parse(std::string_view text, std::string* erro
 std::string TuneList::to_string() const {
   std::string s;
   for (const auto& [t, v] : settings) {
-    s += (s.empty() ? "" : ";") + std::string(t->name) + "=" + lex::format_double(v);
+    if (!s.empty()) s += ';';
+    s += t->name;
+    s += '=';
+    s += lex::format_double(v);
   }
   return s;
 }

@@ -150,15 +150,4 @@ std::optional<Time> AnticipatoryScheduler::wakeup(Time) const {
   return std::nullopt;
 }
 
-std::vector<Request*> AnticipatoryScheduler::drain() {
-  std::vector<Request*> out;
-  out.reserve(q_.size());
-  q_.drain_into(out);
-  batch_active_ = false;
-  anticipating_ = false;
-  antic_armed_ = false;
-  antic_hit_ = nullptr;
-  return out;
-}
-
 }  // namespace iosim::iosched

@@ -34,7 +34,6 @@ class AnticipatoryScheduler final : public IoScheduler {
 
   bool empty() const override { return q_.size() == 0; }
   std::size_t size() const override { return q_.size(); }
-  std::vector<Request*> drain() override;
 
   /// True while the scheduler is inside an anticipation window (exposed for
   /// tests).

@@ -119,25 +119,4 @@ std::optional<Time> CfqScheduler::wakeup(Time) const {
   return std::nullopt;
 }
 
-std::vector<Request*> CfqScheduler::drain() {
-  std::vector<Request*> out;
-  out.reserve(count_);
-  auto drain_queue = [&out](CfqQueue& cq) {
-    for (const LbaQueue::Entry& e : cq.q) out.push_back(e.rq);
-    cq.q.clear();
-    cq.in_rr = false;
-  };
-  for (auto& [ctx, cq] : sync_queues_) {
-    (void)ctx;
-    drain_queue(cq);
-  }
-  drain_queue(async_queue_);
-  sync_queues_.clear();
-  rr_.clear();
-  active_ = nullptr;
-  idling_ = false;
-  count_ = 0;
-  return out;
-}
-
 }  // namespace iosim::iosched

@@ -32,7 +32,6 @@ class CfqScheduler final : public IoScheduler {
 
   bool empty() const override { return count_ == 0; }
   std::size_t size() const override { return count_; }
-  std::vector<Request*> drain() override;
 
   /// Number of distinct per-context sync queues currently known (tests).
   std::size_t sync_queue_count() const { return sync_queues_.size(); }

@@ -63,13 +63,4 @@ Request* DeadlineScheduler::dispatch(Time now) {
   return rq;
 }
 
-std::vector<Request*> DeadlineScheduler::drain() {
-  std::vector<Request*> out;
-  out.reserve(q_.size());
-  q_.drain_into(out);
-  batch_remaining_ = 0;
-  starved_ = 0;
-  return out;
-}
-
 }  // namespace iosim::iosched

@@ -25,7 +25,6 @@ class DeadlineScheduler final : public IoScheduler {
 
   bool empty() const override { return q_.size() == 0; }
   std::size_t size() const override { return q_.size(); }
-  std::vector<Request*> drain() override;
 
  private:
   Request* next_in_batch();

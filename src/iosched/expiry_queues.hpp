@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "iosched/lba_queue.hpp"
 #include "iosched/request.hpp"
@@ -36,19 +35,6 @@ class ExpiryQueues {
     (rq->elv.prev != nullptr ? rq->elv.prev->elv.next : f.head) = rq->elv.next;
     (rq->elv.next != nullptr ? rq->elv.next->elv.prev : f.tail) = rq->elv.prev;
     --count_;
-  }
-
-  /// Remove every request, appending them to `out` in FIFO order, reads
-  /// first.
-  void drain_into(std::vector<Request*>& out) {
-    for (int d = 0; d < kNumDirs; ++d) {
-      for (Request* rq = fifo_[d].head; rq != nullptr; rq = rq->elv.next) {
-        out.push_back(rq);
-      }
-      fifo_[d] = {};
-      sorted_[d].clear();
-    }
-    count_ = 0;
   }
 
   const LbaQueue& sorted(Dir d) const { return sorted_[idx(d)]; }

@@ -14,7 +14,7 @@
 //     `rq->lba`, then a scan over the equal keys (the request's LBA must
 //     not have changed since it was inserted; back-merges grow a request
 //     at its end, never at its start);
-//   * iteration runs in LBA order (drain).
+//   * iteration runs in LBA order.
 // Elevator queues hold tens to a few hundred requests, and streams mostly
 // insert at or near the back, so shifting the tail costs less than a tree
 // node. Capacity is kept across erase and clear, so in steady state the

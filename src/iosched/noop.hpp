@@ -26,14 +26,6 @@ class NoopScheduler final : public IoScheduler {
   bool empty() const override { return q_.empty(); }
   std::size_t size() const override { return q_.size(); }
 
-  std::vector<Request*> drain() override {
-    std::vector<Request*> out;
-    out.reserve(q_.size());
-    for (std::size_t i = 0; i < q_.size(); ++i) out.push_back(q_[i]);
-    q_.clear();
-    return out;
-  }
-
  private:
   sim::RingFifo<Request*> q_;
 };

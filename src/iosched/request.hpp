@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "disk/disk_model.hpp"
+#include "iosched/first_inline.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/time.hpp"
 
@@ -106,25 +106,20 @@ struct ElvState {
 /// the request fires every accumulated callback. The BlockLayer recycles
 /// request objects (blk/block_layer.hpp), so a pointer is only meaningful
 /// until the request's completion callbacks have run.
+///
+/// The fields every layer reads on the way down and back up come first and
+/// share the first 64 bytes; the usual single completion entry and
+/// attribution handle follow inline (FirstInline), so a request is one
+/// piece of memory (DESIGN.md §8.9).
 struct Request {
   std::uint64_t id = 0;
 
   Lba lba = 0;
   std::int64_t sectors = 0;
-  Dir dir = Dir::kRead;
-
-  /// Synchronous requests have a waiter: reads, and O_SYNC/flush writes.
-  /// Schedulers with anticipation/idling only idle for sync requests.
-  bool sync = true;
 
   /// Issuing context: the "process" as the elevator sees it. Inside a guest
   /// this is a task identifier; inside Dom0 it is the VM (blkback) id.
   std::uint64_t ctx = 0;
-
-  /// Bios merged into this request (1 for a fresh request, +1 per back
-  /// merge). The invariant auditor's conservation check counts completed
-  /// requests in bio units against BlockLayerCounters::bios_submitted.
-  std::uint32_t n_bios = 1;
 
   /// Time the request entered the block layer (deadline bookkeeping).
   Time submit;
@@ -134,6 +129,21 @@ struct Request {
   /// dispatch - submit, service time is completion - dispatch.
   Time dispatch;
 
+  /// Bios merged into this request (1 for a fresh request, +1 per back
+  /// merge). The invariant auditor's conservation check counts completed
+  /// requests in bio units against BlockLayerCounters::bios_submitted.
+  std::uint32_t n_bios = 1;
+
+  /// Owned by the sink while the request is dispatched: the blkfront ring
+  /// counts the request's segments still in flight here.
+  std::int32_t sink_pending = 0;
+
+  Dir dir = Dir::kRead;
+
+  /// Synchronous requests have a waiter: reads, and O_SYNC/flush writes.
+  /// Schedulers with anticipation/idling only idle for sync requests.
+  bool sync = true;
+
   /// Outcome, set by the sink before it completes the request. A merged
   /// request fails as a whole — every bio it absorbed sees kError, like the
   /// kernel failing all bios of a failed request.
@@ -141,24 +151,23 @@ struct Request {
 
   /// Completion callbacks of the merged bios, in submission order; each
   /// entry is called once, with its bio count.
-  std::vector<CompletionEntry> completions;
+  FirstInline<CompletionEntry> completions;
 
   /// Attribution record handles (obs::AttrHandle) of the guest requests
   /// this request carries — empty when attribution is off. A guest request
   /// holds at most one; a Dom0 request accumulates the distinct handles of
   /// the ring segments merged into it. Kept as raw u32 so iosched/ stays
   /// independent of obs/.
-  std::vector<std::uint32_t> attrs;
+  FirstInline<std::uint32_t> attrs;
 
   /// Owned by the elevator that holds the request (deadline, AS).
   ElvState elv;
 
-  /// Owned by the sink while the request is dispatched: the blkfront ring
-  /// counts the request's segments still in flight here.
-  std::int32_t sink_pending = 0;
-
   Lba end() const { return lba + sectors; }
   std::int64_t bytes() const { return sectors * disk::kSectorBytes; }
 };
+
+static_assert(offsetof(Request, status) + sizeof(IoStatus) <= 64,
+              "Request's hot fields must stay in its first 64 bytes");
 
 }  // namespace iosim::iosched

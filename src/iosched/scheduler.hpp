@@ -11,7 +11,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "iosched/params.hpp"
 #include "iosched/request.hpp"
@@ -51,7 +50,7 @@ class IoScheduler {
   virtual SchedulerKind kind() const = 0;
 
   /// Queue a request. The pointer remains valid until it is returned from
-  /// dispatch() or drain().
+  /// dispatch().
   virtual void add(Request* rq, Time now) = 0;
 
   /// Pick the next request to send to the device, or nullptr to idle.
@@ -67,10 +66,6 @@ class IoScheduler {
 
   virtual bool empty() const = 0;
   virtual std::size_t size() const = 0;
-
-  /// Remove and return every queued request (elevator switch: the old
-  /// discipline's queue is drained and refilled into the new one).
-  virtual std::vector<Request*> drain() = 0;
 };
 
 /// Instantiate a discipline with the given tunables.

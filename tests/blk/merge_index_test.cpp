@@ -115,5 +115,25 @@ TEST(MergeIndex, GrowsThenReusesCapacity) {
   EXPECT_EQ(idx.find(0), nullptr);
 }
 
+TEST(MergeIndex, CountsFindsAndTheirProbes) {
+  std::vector<Request> rqs(3);
+  MergeIndex idx;
+  EXPECT_EQ(idx.find(0), nullptr);  // empty: a lookup, no probe
+  EXPECT_EQ(idx.finds(), 1u);
+  EXPECT_EQ(idx.find_probes(), 0u);
+  // One home slot per 128 sectors: a stream's consecutive end keys fill
+  // neighbouring slots, and a key one table width on shares a home.
+  ASSERT_TRUE(idx.emplace(0, &rqs[0]));  // home 0
+  const auto wrap = static_cast<disk::Lba>(128 * idx.capacity());
+  ASSERT_TRUE(idx.emplace(128, &rqs[1]));   // home 1
+  ASSERT_TRUE(idx.emplace(wrap, &rqs[2]));  // home 0, lands in slot 2
+  EXPECT_EQ(idx.find(0), &rqs[0]);          // 1 probe
+  EXPECT_EQ(idx.find(128), &rqs[1]);        // 1 probe
+  EXPECT_EQ(idx.find(wrap), &rqs[2]);       // slots 0, 1, 2
+  EXPECT_EQ(idx.find(256 + 64), nullptr);   // home 2: slot 2, then empty 3
+  EXPECT_EQ(idx.finds(), 5u);
+  EXPECT_EQ(idx.find_probes(), 1u + 1u + 3u + 2u);
+}
+
 }  // namespace
 }  // namespace iosim::blk

@@ -171,23 +171,6 @@ TEST(Anticipatory, AllRequestsEventuallyDispatched) {
   EXPECT_EQ(out, rqs);
 }
 
-TEST(Anticipatory, DrainClearsAnticipationState) {
-  AnticipatoryScheduler s(tun());
-  RequestFactory f;
-  Request* r1 = f.read(1000, 1);
-  s.add(r1, 0_ms);
-  (void)s.dispatch(0_ms);
-  s.on_complete(*r1, 1_ms);
-  Request* foreign = f.read(900000, 2);
-  s.add(foreign, 1_ms);
-  EXPECT_EQ(s.dispatch(1_ms), nullptr);  // anticipating
-  const auto drained = s.drain();
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0], foreign);
-  EXPECT_FALSE(s.anticipating());
-  EXPECT_TRUE(s.empty());
-}
-
 TEST(Anticipatory, KindIsAnticipatory) {
   AnticipatoryScheduler s(tun());
   EXPECT_EQ(s.kind(), SchedulerKind::kAnticipatory);

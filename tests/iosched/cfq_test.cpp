@@ -230,22 +230,6 @@ TEST(Cfq, AllRequestsEventuallyDispatched) {
   EXPECT_EQ(out, rqs);
 }
 
-TEST(Cfq, DrainReturnsEverything) {
-  CfqScheduler s(tun());
-  RequestFactory f;
-  std::vector<Request*> rqs;
-  for (int i = 0; i < 6; ++i) {
-    rqs.push_back(i % 2 ? f.read(i * 10, static_cast<std::uint64_t>(i)) : f.write(i * 10, 1));
-    s.add(rqs.back(), 0_ms);
-  }
-  auto drained = s.drain();
-  EXPECT_TRUE(s.empty());
-  std::sort(drained.begin(), drained.end());
-  std::sort(rqs.begin(), rqs.end());
-  EXPECT_EQ(drained, rqs);
-  EXPECT_EQ(s.dispatch(0_ms), nullptr);
-}
-
 TEST(Cfq, KindIsCfq) {
   CfqScheduler s(tun());
   EXPECT_EQ(s.kind(), SchedulerKind::kCfq);

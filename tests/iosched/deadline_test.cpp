@@ -117,21 +117,6 @@ TEST(Deadline, NeverIdles) {
   EXPECT_EQ(s.wakeup(0_ms), std::nullopt);
 }
 
-TEST(Deadline, DrainReturnsAllQueued) {
-  auto s = make();
-  RequestFactory f;
-  std::vector<Request*> rqs;
-  for (int i = 0; i < 5; ++i) {
-    rqs.push_back(i % 2 == 0 ? f.read(i * 100) : f.write(i * 100));
-    s.add(rqs.back(), 0_ms);
-  }
-  auto drained = s.drain();
-  EXPECT_TRUE(s.empty());
-  std::sort(drained.begin(), drained.end());
-  std::sort(rqs.begin(), rqs.end());
-  EXPECT_EQ(drained, rqs);
-}
-
 TEST(Deadline, SizeTracksAddAndDispatch) {
   auto s = make();
   RequestFactory f;

@@ -4,9 +4,10 @@
 // queues are flat LbaQueues, against the hash-map + std::list + multimap
 // versions; CFQ, whose per-context queues are LbaQueues, against the
 // multimap + deque version. Both sides see identical random
-// add/dispatch/complete/drain streams with equal-LBA ties, FIFO heads left
-// to expire, slices running out and idle windows opening and timing out;
-// every dispatch, wakeup, size and drain order must agree.
+// add/dispatch/complete streams with equal-LBA ties, FIFO heads left to
+// expire, slices running out and idle windows opening and timing out;
+// every dispatch, wakeup and size must agree, and so must the order in
+// which dispatching runs both dry.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,7 +46,6 @@ std::vector<std::uint64_t> ids(const std::vector<Request*>& v) {
 struct Tally {
   int dispatched = 0;
   int expired_heads = 0;  // reads dispatched after their own deadline
-  int drained = 0;
   int idle_polls = 0;     // dispatch() idled while requests were queued
   // Dispatches from another (ctx, sync) queue while the previous dispatch's
   // queue still held requests: a slice or an async quantum ran out, or an
@@ -106,17 +106,11 @@ void run_stream(IoScheduler& fresh, IoScheduler& legacy, std::uint64_t seed, int
         fresh.on_complete(*a, now);
         legacy.on_complete(*b, now);
       }
-    } else if (kind < 99) {
+    } else {
       // Time moves in small steps (inside anticipation windows and batch
       // quanta) and now and then far enough for every FIFO head to expire.
       const auto step = static_cast<std::int64_t>((r >> 16) % 6000);
       now += (r >> 8) % 8 == 0 ? Time::from_ms(600 + step) : Time::from_us(step);
-    } else {
-      const auto da = fresh.drain();
-      const auto db = legacy.drain();
-      ASSERT_EQ(ids(da), ids(db)) << "seed " << seed << " op " << op;
-      tally->drained += static_cast<int>(da.size());
-      queued.clear();
     }
     ASSERT_EQ(fresh.size(), legacy.size()) << "seed " << seed << " op " << op;
     ASSERT_EQ(fresh.empty(), legacy.empty());
@@ -141,7 +135,6 @@ TEST(ElevatorOracle, DeadlineMatchesLegacyDispatchOrder) {
   }
   EXPECT_GT(tally.dispatched, 10000);
   EXPECT_GT(tally.expired_heads, 100);
-  EXPECT_GT(tally.drained, 0);
 }
 
 TEST(ElevatorOracle, AnticipatoryMatchesLegacyDispatchOrder) {
@@ -156,7 +149,6 @@ TEST(ElevatorOracle, AnticipatoryMatchesLegacyDispatchOrder) {
   }
   EXPECT_GT(tally.dispatched, 10000);
   EXPECT_GT(tally.expired_heads, 100);
-  EXPECT_GT(tally.drained, 0);
 }
 
 TEST(ElevatorOracle, CfqMatchesLegacyDispatchOrder) {
@@ -177,7 +169,6 @@ TEST(ElevatorOracle, CfqMatchesLegacyDispatchOrder) {
     EXPECT_EQ(fresh.sync_queue_count(), legacy.sync_queue_count());
   }
   EXPECT_GT(gated.dispatched + open.dispatched, 10000);
-  EXPECT_GT(gated.drained + open.drained, 0);
   EXPECT_GT(gated.preempted + open.preempted, 500);
   EXPECT_GT(open.idle_polls, 100);
   EXPECT_LT(gated.idle_polls, open.idle_polls);

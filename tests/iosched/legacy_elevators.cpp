@@ -90,21 +90,6 @@ Request* LegacyDeadline::dispatch(Time now) {
   return rq;
 }
 
-std::vector<Request*> LegacyDeadline::drain() {
-  std::vector<Request*> out;
-  out.reserve(count_);
-  for (int d = 0; d < kNumDirs; ++d) {
-    for (Request* rq : fifo_[d]) out.push_back(rq);
-    fifo_[d].clear();
-    sorted_[d].clear();
-  }
-  handles_.clear();
-  count_ = 0;
-  batch_remaining_ = 0;
-  starved_ = 0;
-  return out;
-}
-
 
 void LegacyAnticipatory::record_think_sample(CtxStats& st, double sample_ns) {
   if (!st.has_think) {
@@ -270,23 +255,6 @@ std::optional<Time> LegacyAnticipatory::wakeup(Time) const {
   return std::nullopt;
 }
 
-std::vector<Request*> LegacyAnticipatory::drain() {
-  std::vector<Request*> out;
-  out.reserve(count_);
-  for (int d = 0; d < kNumDirs; ++d) {
-    for (Request* rq : fifo_[d]) out.push_back(rq);
-    fifo_[d].clear();
-    sorted_[d].clear();
-  }
-  handles_.clear();
-  count_ = 0;
-  batch_active_ = false;
-  anticipating_ = false;
-  antic_armed_ = false;
-  antic_hit_ = nullptr;
-  return out;
-}
-
 LegacyCfq::CfqQueue* LegacyCfq::queue_for(const Request& rq) {
   if (!rq.sync) return &async_queue_;
   auto [it, inserted] = sync_queues_.try_emplace(rq.ctx);
@@ -402,30 +370,6 @@ void LegacyCfq::on_complete(const Request& rq, Time now) {
 std::optional<Time> LegacyCfq::wakeup(Time) const {
   if (active_ != nullptr && idling_) return idle_until_;
   return std::nullopt;
-}
-
-std::vector<Request*> LegacyCfq::drain() {
-  std::vector<Request*> out;
-  out.reserve(count_);
-  auto drain_queue = [&out](CfqQueue& cq) {
-    for (auto& [lba, rq] : cq.q) {
-      (void)lba;
-      out.push_back(rq);
-    }
-    cq.q.clear();
-    cq.in_rr = false;
-  };
-  for (auto& [ctx, cq] : sync_queues_) {
-    (void)ctx;
-    drain_queue(cq);
-  }
-  drain_queue(async_queue_);
-  sync_queues_.clear();
-  rr_.clear();
-  active_ = nullptr;
-  idling_ = false;
-  count_ = 0;
-  return out;
 }
 
 }  // namespace iosim::iosched::test

@@ -36,7 +36,6 @@ class LegacyDeadline final : public IoScheduler {
 
   bool empty() const override { return count_ == 0; }
   std::size_t size() const override { return count_; }
-  std::vector<Request*> drain() override;
 
  private:
   using SortedQueue = std::multimap<Lba, Request*>;
@@ -80,7 +79,6 @@ class LegacyAnticipatory final : public IoScheduler {
 
   bool empty() const override { return count_ == 0; }
   std::size_t size() const override { return count_; }
-  std::vector<Request*> drain() override;
 
   /// True while the scheduler is inside an anticipation window (exposed for
   /// tests).
@@ -149,7 +147,6 @@ class LegacyCfq final : public IoScheduler {
 
   bool empty() const override { return count_ == 0; }
   std::size_t size() const override { return count_; }
-  std::vector<Request*> drain() override;
 
   /// Number of distinct per-context sync queues currently known (tests).
   std::size_t sync_queue_count() const { return sync_queues_.size(); }

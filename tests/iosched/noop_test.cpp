@@ -40,21 +40,6 @@ TEST(Noop, NeverIdles) {
   EXPECT_EQ(s.wakeup(0_ms), std::nullopt);
 }
 
-TEST(Noop, DrainReturnsQueuedInOrder) {
-  NoopScheduler s;
-  RequestFactory f;
-  Request* a = f.read(1);
-  Request* b = f.write(2);
-  s.add(a, 0_ms);
-  s.add(b, 0_ms);
-  const auto drained = s.drain();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0], a);
-  EXPECT_EQ(drained[1], b);
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.dispatch(0_ms), nullptr);
-}
-
 TEST(Noop, KindIsNoop) {
   NoopScheduler s;
   EXPECT_EQ(s.kind(), SchedulerKind::kNoop);

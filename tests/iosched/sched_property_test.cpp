@@ -97,38 +97,65 @@ TEST_P(SchedProperty, NullDispatchImpliesWakeupOrEmpty) {
   }
 }
 
+// An elevator switch drains the old elevator by dispatching it until it is
+// empty (BlockLayer::maybe_finish_switch), then hands what queued up behind
+// the switch to a fresh elevator of the same kind.
 TEST_P(SchedProperty, DrainMatchesSizeAndEmpties) {
   auto s = make_scheduler(kind());
   RequestFactory f;
   sim::Rng rng(7);
+  std::vector<Request*> before;
+  std::vector<Request*> held;
   for (int i = 0; i < wl().n; ++i) {
     const bool write = rng.uniform() < wl().write_frac;
     const Lba lba = static_cast<Lba>(rng.below(static_cast<std::uint64_t>(wl().span)));
-    s->add(write ? f.write(lba, 1) : f.read(lba, 1), 0_ms);
+    Request* rq = write ? f.write(lba, 1) : f.read(lba, 1);
+    if (i % 2 == 0) {
+      before.push_back(rq);
+      s->add(rq, 0_ms);
+    } else {
+      held.push_back(rq);
+    }
   }
   const std::size_t size_before = s->size();
-  const auto drained = s->drain();
+  auto drained = test::drain_dispatch(*s, 0_ms);
   EXPECT_EQ(drained.size(), size_before);
   EXPECT_TRUE(s->empty());
-  // The drained requests can be re-added and all dispatched (the elevator
-  // switch path).
+  EXPECT_EQ(s->size(), 0u);
+  EXPECT_EQ(s->dispatch(0_ms), nullptr);
+  std::sort(drained.begin(), drained.end());
+  std::sort(before.begin(), before.end());
+  EXPECT_EQ(drained, before);
   auto s2 = make_scheduler(kind());
-  for (Request* rq : drained) s2->add(rq, 0_ms);
-  EXPECT_EQ(test::drain_dispatch(*s2, 0_ms).size(), drained.size());
+  for (Request* rq : held) s2->add(rq, 0_ms);
+  EXPECT_EQ(test::drain_dispatch(*s2, 0_ms).size(), held.size());
+  EXPECT_TRUE(s2->empty());
 }
 
+// A switch that lands mid-stream, with dispatch history (and any idling
+// state it left) in place, still drains exactly what is queued.
 TEST_P(SchedProperty, DispatchAfterPartialDrainIsClean) {
   auto s = make_scheduler(kind());
   RequestFactory f;
-  for (int i = 0; i < 10; ++i) s->add(f.read(i * 100, 1), 0_ms);
+  std::vector<Request*> rqs;
+  for (int i = 0; i < 10; ++i) {
+    rqs.push_back(f.read(i * 100, 1));
+    s->add(rqs.back(), 0_ms);
+  }
+  std::vector<Request*> out;
   for (int i = 0; i < 5; ++i) {
     Request* rq = s->dispatch(0_ms);
     ASSERT_NE(rq, nullptr);
+    out.push_back(rq);
     s->on_complete(*rq, sim::Time::from_ms(i));
   }
-  const auto drained = s->drain();
+  const auto drained = test::drain_dispatch(*s, sim::Time::from_ms(4));
   EXPECT_EQ(drained.size(), 5u);
   EXPECT_TRUE(s->empty());
+  out.insert(out.end(), drained.begin(), drained.end());
+  std::sort(out.begin(), out.end());
+  std::sort(rqs.begin(), rqs.end());
+  EXPECT_EQ(out, rqs);
 }
 
 std::string param_name(

@@ -12,8 +12,10 @@
 // layer. The first four are the terms that grew faster than the cluster
 // before the water-fill became component-local and the progress check
 // incremental (DESIGN.md §8.5, §8.8); the kicks halved when the ring and
-// the drive stopped asking a full sink's layer for more (§8.6). If one comes
-// back, it fails here as a count rather than as wall-clock noise.
+// the drive stopped asking a full sink's layer for more (§8.6). The
+// block layers' merge-index lookups and the slots they probed judge the
+// index's home-slot function (§8.9). If one comes back, it fails here as a
+// count rather than as wall-clock noise.
 //
 // The same runs check byte conservation at 8, 16 and 32 hosts: the shuffle
 // moves exactly the map output, and a sort writes exactly its input.
@@ -35,18 +37,24 @@ struct ScaleRun {
   std::uint64_t events = 0;
   net::FlowNetwork::Work net;
   std::uint64_t progress_sums = 0;
-  std::uint64_t kicks = 0;  // every Dom0 and guest block layer
+  // Summed over every Dom0 and guest block layer:
+  std::uint64_t kicks = 0;
+  std::uint64_t merge_lookups = 0;
+  std::uint64_t merge_probes = 0;
 };
 
-/// kick() calls of every block layer in the cluster.
-std::uint64_t cluster_kicks(cluster::Cluster& cl) {
-  std::uint64_t kicks = 0;
+/// Add the work counts of every block layer in the cluster to `r`.
+void add_layer_work(cluster::Cluster& cl, ScaleRun& r) {
+  auto add = [&r](const blk::BlockLayer& l) {
+    r.kicks += l.kicks();
+    r.merge_lookups += l.merge_lookups();
+    r.merge_probes += l.merge_probes();
+  };
   for (std::size_t h = 0; h < cl.n_hosts(); ++h) {
     virt::PhysicalHost& host = cl.host(h);
-    kicks += host.dom0_layer().kicks();
-    for (std::size_t v = 0; v < host.vm_count(); ++v) kicks += host.vm(v).layer().kicks();
+    add(host.dom0_layer());
+    for (std::size_t v = 0; v < host.vm_count(); ++v) add(host.vm(v).layer());
   }
-  return kicks;
 }
 
 /// 16 MiB per VM is less than one 64 MiB HDFS block, and JobConf rounds
@@ -69,8 +77,9 @@ ScaleRun run_sort(int hosts) {
   job.run();
   cl.simr().run();
   EXPECT_TRUE(job.done()) << hosts << " hosts: " << job.failure();
-  return {job.stats(), cl.simr().executed(), cl.env().net->work(), job.progress_sums(),
-          cluster_kicks(cl)};
+  ScaleRun r{job.stats(), cl.simr().executed(), cl.env().net->work(), job.progress_sums()};
+  add_layer_work(cl, r);
+  return r;
 }
 
 struct ScalePin {
@@ -85,14 +94,18 @@ struct ScalePin {
   net::FlowNetwork::Work net;
   std::uint64_t progress_sums;
   std::uint64_t kicks;
+  std::uint64_t merge_lookups;
+  std::uint64_t merge_probes;
 };
 
 constexpr ScalePin kScalePins[] = {
-    {8, false, 0, 0, 0, 0, 0, 0, {}, 0, 0},
+    {8, false, 0, 0, 0, 0, 0, 0, {}, 0, 0, 0, 0},
     {16, true, 45'447'357'104, 46'419'072'256, 51'775'043'718, 4'294'967'296,
-     4'294'967'296, 324'548, {17'952, 45'549, 15'359, 58'711}, 195, 561'663},
+     4'294'967'296, 324'548, {17'952, 45'549, 15'359, 58'711}, 195, 561'663, 688'128,
+     951'421},
     {32, true, 49'236'044'311, 50'196'626'164, 57'029'519'183, 8'589'934'592,
-     8'589'934'592, 666'131, {68'896, 259'267, 81'324, 912'176}, 392, 1'139'910},
+     8'589'934'592, 666'131, {68'896, 259'267, 81'324, 912'176}, 392, 1'139'910, 1'376'256,
+     1'904'693},
 };
 
 TEST(ScalePins, SortIsPinnedAndConservesBytes) {
@@ -119,6 +132,8 @@ TEST(ScalePins, SortIsPinnedAndConservesBytes) {
     EXPECT_EQ(r.net.link_visits, pin.net.link_visits) << pin.hosts << " hosts";
     EXPECT_EQ(r.progress_sums, pin.progress_sums) << pin.hosts << " hosts";
     EXPECT_EQ(r.kicks, pin.kicks) << pin.hosts << " hosts";
+    EXPECT_EQ(r.merge_lookups, pin.merge_lookups) << pin.hosts << " hosts";
+    EXPECT_EQ(r.merge_probes, pin.merge_probes) << pin.hosts << " hosts";
   }
 }
 
